@@ -298,7 +298,7 @@ func BenchmarkMaxCovSelect(b *testing.B) {
 	probs := model.EdgeProbs(topic.Distribution{1})
 	pool := rrset.NewPool(g, rrset.PoolOptions{Workers: 1})
 	c := rrset.NewCollection(g.NumNodes())
-	c.AddFromParallel(pool.NewStream(probs, 5), 200_000)
+	c.AddFromParallel(pool.NewStream(rrset.NewSampleProbs(g, probs), 5), 200_000)
 	c.CoverBy(0) // a realistic mid-selection state: some coverage spent
 	var sinkNode, sinkCnt int32
 	b.Run("query/indexed", func(b *testing.B) {
@@ -370,6 +370,7 @@ func BenchmarkArenaSampling(b *testing.B) {
 	for i := range probs {
 		probs[i] = 0.1
 	}
+	sp := rrset.NewSampleProbs(g, probs)
 	const theta = 200_000
 	b.Run("arena", func(b *testing.B) {
 		b.ReportAllocs()
@@ -377,7 +378,7 @@ func BenchmarkArenaSampling(b *testing.B) {
 		var foot int64
 		for i := 0; i < b.N; i++ {
 			c := rrset.NewCollection(g.NumNodes())
-			c.AddFromParallel(pool.NewStream(probs, 7), theta)
+			c.AddFromParallel(pool.NewStream(sp, 7), theta)
 			foot = c.MemoryFootprint()
 		}
 		b.ReportMetric(float64(foot)/(1<<20), "MB-footprint")

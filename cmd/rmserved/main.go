@@ -137,6 +137,10 @@ func run() error {
 		fmt.Printf("rmserved: WAL recovery replayed %d mutation(s) from %s\n", replayed, *walDir)
 	}
 
+	// Catch signals before announcing the address: a client may send
+	// SIGTERM as soon as it has seen the announcement and one response.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -152,8 +156,6 @@ func run() error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	select {
 	case err := <-errc:
 		return err

@@ -110,7 +110,7 @@ type Options struct {
 	//
 	// Memory note: every advertiser's sampling streams share one
 	// engine-wide rrset.Pool, so worker scratch (a visited array of 8n
-	// bytes per slot, lazily built, plus BFS queues) is bounded by
+	// bytes per slot, lazily built) is bounded by
 	// ~Workers·8n bytes regardless of the number of ads or concurrent
 	// solves, and is reported in Stats.SamplerMemoryBytes. The slot count
 	// also caps concurrently sampling goroutines for the whole Engine:
@@ -176,7 +176,7 @@ type Stats struct {
 	// counted at their full (possibly pre-grown) size.
 	RRMemoryBytes int64
 	// SamplerMemoryBytes is the high-water scratch footprint of the
-	// engine-wide sampling pool — Workers visited arrays plus BFS queues,
+	// engine-wide sampling pool — Workers visited arrays,
 	// O(Workers·n) regardless of the number of ads. Table 3's memory
 	// columns report RRMemoryBytes + SamplerMemoryBytes.
 	SamplerMemoryBytes int64
@@ -430,7 +430,7 @@ func (e *solver) solve() (*Allocation, error) {
 			key := gammaKey(e.p.Ads[i].Gamma)
 			g, ok := byGamma[key]
 			if !ok {
-				probs := e.snap.edgeProbsFor(e.p.Ads[i].Gamma)
+				probs := e.snap.edgeProbsFor(e.p.Ads[i].Gamma).sampling
 				// Seeds drawn in the same order the sequential code called
 				// rng.Split(), so Workers<=1 reproduces it bit for bit.
 				sSeed, kSeed := rng.Uint64(), rng.Uint64()
@@ -587,7 +587,7 @@ func (e *solver) emitProgress(kind ProgressKind, ad *adState, node int32) {
 // probabilities, the initial KPT estimate at s=1, the initial RR sample
 // of size L(1, ε), and the candidate heap (Algorithm 2 lines 1–4).
 func (e *solver) initAd(i int, rng *xrand.RNG) (*adState, error) {
-	probs := e.snap.edgeProbsFor(e.p.Ads[i].Gamma)
+	probs := e.snap.edgeProbsFor(e.p.Ads[i].Gamma).sampling
 	// Seeds drawn in the same order the sequential code called rng.Split(),
 	// so Workers<=1 reproduces it bit for bit.
 	sSeed, kSeed := rng.Uint64(), rng.Uint64()
@@ -629,7 +629,7 @@ func (e *solver) initAd(i int, rng *xrand.RNG) (*adState, error) {
 // group's shard streams — shard 0's stream seed IS sSeed, so Shards=1
 // replays the exact unsharded sample sequence), and the group is never
 // cached: exclusive samples die with the session.
-func (e *solver) initShardedAd(i int, probs []float32, sSeed, kSeed uint64) (*adState, error) {
+func (e *solver) initShardedAd(i int, probs rrset.SampleProbs, sSeed, kSeed uint64) (*adState, error) {
 	g := &adGroup{
 		shg:    shard.NewGroup(e.n, e.snap.pools, probs, sSeed),
 		kptSrc: e.pool.NewStream(probs, kSeed),

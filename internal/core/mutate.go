@@ -164,7 +164,7 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 			res.DroppedUniverses++
 			continue
 		}
-		probs := next.edgeProbsFor(sg.gamma)
+		probs := next.edgeProbsFor(sg.gamma).sampling
 		carried := &sharedGroup{
 			lock:  make(chan struct{}, 1),
 			gamma: sg.gamma,

@@ -150,8 +150,16 @@ type snapshot struct {
 	shards int
 
 	mu        sync.Mutex
-	probs     map[string][]float32
+	probs     map[string]adProbs
 	universes map[universeKey]*sharedGroup
+}
+
+// adProbs is one memoized topic distribution's arc probabilities in both
+// layouts: canonical (edge-ID order) for forward cascade simulation, and
+// the in-CSR-order copy the RR-sampling kernel reads (+4 B per arc).
+type adProbs struct {
+	canonical []float32
+	sampling  rrset.SampleProbs
 }
 
 func newSnapshot(g *graph.Graph, model *topic.Model, opts EngineOptions) *snapshot {
@@ -172,15 +180,16 @@ func newSnapshot(g *graph.Graph, model *topic.Model, opts EngineOptions) *snapsh
 		pool:      pools[0],
 		pools:     pools,
 		shards:    opts.Shards,
-		probs:     map[string][]float32{},
+		probs:     map[string]adProbs{},
 		universes: map[universeKey]*sharedGroup{},
 	}
 }
 
 // edgeProbsFor returns the snapshot's memoized ad-specific arc
-// probabilities for a topic distribution, materializing them on first
-// use. The returned slice is shared and must be treated as immutable.
-func (sn *snapshot) edgeProbsFor(gamma topic.Distribution) []float32 {
+// probabilities for a topic distribution, materializing both layouts on
+// first use. The returned slices are shared and must be treated as
+// immutable.
+func (sn *snapshot) edgeProbsFor(gamma topic.Distribution) adProbs {
 	key := gammaKey(gamma)
 	sn.mu.Lock()
 	ps, ok := sn.probs[key]
@@ -188,7 +197,8 @@ func (sn *snapshot) edgeProbsFor(gamma topic.Distribution) []float32 {
 	if ok {
 		return ps
 	}
-	ps = sn.model.EdgeProbs(gamma)
+	ps.canonical = sn.model.EdgeProbs(gamma)
+	ps.sampling = rrset.NewSampleProbs(sn.graph, ps.canonical)
 	sn.mu.Lock()
 	if prev, ok := sn.probs[key]; ok {
 		ps = prev // a concurrent solve won the materialization race
@@ -428,7 +438,7 @@ func (e *Engine) Reset() {
 	sn := e.cur.Load()
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	sn.probs = map[string][]float32{}
+	sn.probs = map[string]adProbs{}
 	sn.universes = map[universeKey]*sharedGroup{}
 }
 
@@ -436,7 +446,7 @@ func (e *Engine) Reset() {
 // convenience entry the adaptive loop uses between rounds; sessions use
 // their pinned snapshot's method instead.
 func (e *Engine) edgeProbsFor(gamma topic.Distribution) []float32 {
-	return e.cur.Load().edgeProbsFor(gamma)
+	return e.cur.Load().edgeProbsFor(gamma).canonical
 }
 
 // lockSharedGroup checks out (creating on miss) the snapshot's cached
@@ -447,7 +457,7 @@ func (e *Engine) edgeProbsFor(gamma topic.Distribution) []float32 {
 // ad order, and because stream seeds are drawn positionally from the
 // solve seed, two solves sharing any two entries necessarily assign
 // them the same positions — hence acquire them in the same order.
-func (e *Engine) lockSharedGroup(ctx context.Context, sn *snapshot, key universeKey, probs []float32, gamma topic.Distribution) (*sharedGroup, error) {
+func (e *Engine) lockSharedGroup(ctx context.Context, sn *snapshot, key universeKey, probs rrset.SampleProbs, gamma topic.Distribution) (*sharedGroup, error) {
 	first := true
 	for {
 		sn.mu.Lock()
@@ -679,7 +689,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Problem, a *Allocation, runs, 
 	}
 	e.evaluations.Add(1)
 	return evaluateMC(ctx, p, a, runs, workers, seed, func(i int) []float32 {
-		return sn.edgeProbsFor(p.Ads[i].Gamma)
+		return sn.edgeProbsFor(p.Ads[i].Gamma).canonical
 	})
 }
 

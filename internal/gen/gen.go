@@ -15,6 +15,7 @@ package gen
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -55,15 +56,19 @@ func BarabasiAlbert(n int32, k int, rng *xrand.RNG) *graph.Graph {
 			endpoints = append(endpoints, u, v)
 		}
 	}
+	// Targets are linked in draw order: the order they are appended to
+	// endpoints steers every later draw, so it must be a function of the
+	// seed alone (ranging over a map made each process draw its own graph).
+	chosen := make([]int32, 0, k)
 	for u := int32(k) + 1; u < n; u++ {
-		chosen := make(map[int32]bool, k)
+		chosen = chosen[:0]
 		for len(chosen) < k {
 			v := endpoints[rng.Intn(len(endpoints))]
-			if v != u && !chosen[v] {
-				chosen[v] = true
+			if v != u && !slices.Contains(chosen, v) {
+				chosen = append(chosen, v)
 			}
 		}
-		for v := range chosen {
+		for _, v := range chosen {
 			b.AddUndirected(u, v)
 			endpoints = append(endpoints, u, v)
 		}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -198,5 +199,30 @@ func TestParseScale(t *testing.T) {
 	}
 	if _, err := ParseScale("huge"); err == nil {
 		t.Error("expected error for unknown scale")
+	}
+}
+
+// TestPresetsRepeatable builds every preset twice from one seed and
+// requires identical CSR arrays: a dataset must be a function of its
+// seed alone, within a process and across processes.
+func TestPresetsRepeatable(t *testing.T) {
+	for _, name := range AllNames() {
+		a, err := ByName(name, ScaleTiny, xrand.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ByName(name, ScaleTiny, xrand.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		aOff, aTgt := a.Graph.CSR()
+		bOff, bTgt := b.Graph.CSR()
+		aInOff, aSrc, aIDs := a.Graph.InCSR()
+		bInOff, bSrc, bIDs := b.Graph.InCSR()
+		if !slices.Equal(aOff, bOff) || !slices.Equal(aTgt, bTgt) ||
+			!slices.Equal(aInOff, bInOff) || !slices.Equal(aSrc, bSrc) || !slices.Equal(aIDs, bIDs) {
+			t.Errorf("%s: two builds from one seed differ (%d vs %d arcs)",
+				name, a.Graph.NumEdges(), b.Graph.NumEdges())
+		}
 	}
 }

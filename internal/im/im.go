@@ -183,7 +183,8 @@ func TIM(ctx context.Context, g *graph.Graph, probs []float32, k int, opt TIMOpt
 		return Result{}, nil
 	}
 	pool := opt.poolFor(g)
-	kpt, err := rrset.KptEstimateParallelCtx(ctx, pool.NewStream(probs, rng.Uint64()),
+	sp := rrset.NewSampleProbs(g, probs)
+	kpt, err := rrset.KptEstimateParallelCtx(ctx, pool.NewStream(sp, rng.Uint64()),
 		g.NumEdges(), n, k, opt.Ell)
 	if err != nil {
 		return Result{}, err
@@ -197,7 +198,7 @@ func TIM(ctx context.Context, g *graph.Graph, probs []float32, k int, opt TIMOpt
 		theta = 1
 	}
 	coll := rrset.NewCollection(g.NumNodes())
-	if err := coll.AddFromParallelCtx(ctx, pool.NewStream(probs, rng.Uint64()), theta); err != nil {
+	if err := coll.AddFromParallelCtx(ctx, pool.NewStream(sp, rng.Uint64()), theta); err != nil {
 		return Result{Theta: theta, Kpt: kpt}, err
 	}
 

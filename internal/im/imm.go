@@ -56,7 +56,8 @@ func IMM(ctx context.Context, g *graph.Graph, probs []float32, k int, opt TIMOpt
 	lambdaStar := 2 * float64(n) * (((1-1/math.E)*alpha + beta) / eps) * (((1-1/math.E)*alpha + beta) / eps)
 
 	pool := opt.poolFor(g)
-	sampler := pool.NewStream(probs, rng.Uint64())
+	sp := rrset.NewSampleProbs(g, probs)
+	sampler := pool.NewStream(sp, rng.Uint64())
 	coll := rrset.NewCollection(g.NumNodes())
 	lb := 1.0
 	maxRounds := int(math.Log2(float64(n)))
@@ -99,7 +100,7 @@ func IMM(ctx context.Context, g *graph.Graph, probs []float32, k int, opt TIMOpt
 		theta = opt.MaxTheta
 	}
 	final := rrset.NewCollection(g.NumNodes())
-	if err := final.AddFromParallelCtx(ctx, pool.NewStream(probs, rng.Uint64()), theta); err != nil {
+	if err := final.AddFromParallelCtx(ctx, pool.NewStream(sp, rng.Uint64()), theta); err != nil {
 		return Result{Theta: theta, Kpt: lb}, err
 	}
 	seeds := make([]int32, 0, k)
@@ -161,7 +162,7 @@ func BudgetedGreedy(ctx context.Context, g *graph.Graph, probs []float32, costs 
 	}
 	opt = opt.withDefaults()
 	base := rrset.NewCollection(g.NumNodes())
-	if err := base.AddFromParallelCtx(ctx, opt.poolFor(g).NewStream(probs, rng.Uint64()), theta); err != nil {
+	if err := base.AddFromParallelCtx(ctx, opt.poolFor(g).NewStream(rrset.NewSampleProbs(g, probs), rng.Uint64()), theta); err != nil {
 		return Result{Theta: theta}, err
 	}
 

@@ -21,7 +21,7 @@ func TestSampleNCtxCancelMidStream(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3} {
 		pool := NewPool(g, PoolOptions{Workers: workers, BatchSize: 16})
-		s := pool.NewStream(probs, 7)
+		s := pool.NewStream(NewSampleProbs(g, probs), 7)
 		ctx, cancel := context.WithCancel(context.Background())
 		const want = 10_000
 		got := 0
@@ -56,10 +56,10 @@ func TestSampleNCtxMatchesSampleN(t *testing.T) {
 		// Yielded slices are windows into reused batch buffers, so the
 		// retained comparison copies must be taken inside the yield.
 		var a, b [][]int32
-		pool.NewStream(probs, 9).SampleN(500, func(nodes []int32, _ int64) {
+		pool.NewStream(NewSampleProbs(g, probs), 9).SampleN(500, func(nodes []int32, _ int64) {
 			a = append(a, append([]int32(nil), nodes...))
 		})
-		if err := pool.NewStream(probs, 9).SampleNCtx(context.Background(), 500,
+		if err := pool.NewStream(NewSampleProbs(g, probs), 9).SampleNCtx(context.Background(), 500,
 			func(nodes []int32, _ int64) {
 				b = append(b, append([]int32(nil), nodes...))
 			}); err != nil {
@@ -93,17 +93,17 @@ func TestAddFromParallelCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	coll := NewCollection(g.NumNodes())
-	if err := coll.AddFromParallelCtx(ctx, pool.NewStream(probs, 4), 1000); !errors.Is(err, context.Canceled) {
+	if err := coll.AddFromParallelCtx(ctx, pool.NewStream(NewSampleProbs(g, probs), 4), 1000); !errors.Is(err, context.Canceled) {
 		t.Fatalf("collection add: err = %v, want context.Canceled", err)
 	}
 	if coll.Size() >= 1000 {
 		t.Error("canceled add filled the whole request")
 	}
 	u := NewUniverse(g.NumNodes())
-	if err := u.AddFromParallelCtx(ctx, pool.NewStream(probs, 5), 1000); !errors.Is(err, context.Canceled) {
+	if err := u.AddFromParallelCtx(ctx, pool.NewStream(NewSampleProbs(g, probs), 5), 1000); !errors.Is(err, context.Canceled) {
 		t.Fatalf("universe add: err = %v, want context.Canceled", err)
 	}
-	if _, err := KptEstimateParallelCtx(ctx, pool.NewStream(probs, 6),
+	if _, err := KptEstimateParallelCtx(ctx, pool.NewStream(NewSampleProbs(g, probs), 6),
 		g.NumEdges(), int64(g.NumNodes()), 2, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("kpt estimate: err = %v, want context.Canceled", err)
 	}
@@ -122,9 +122,9 @@ func TestViewPrefixMatchesSmallerUniverse(t *testing.T) {
 
 	// Small universe: 200 sets. Big universe: same stream, 500 sets.
 	small := NewUniverse(g.NumNodes())
-	small.AddFromParallel(pool.NewStream(probs, 11), 200)
+	small.AddFromParallel(pool.NewStream(NewSampleProbs(g, probs), 11), 200)
 	big := NewUniverse(g.NumNodes())
-	big.AddFromParallel(pool.NewStream(probs, 11), 500)
+	big.AddFromParallel(pool.NewStream(NewSampleProbs(g, probs), 11), 500)
 
 	vSmall := NewView(small)
 	vBig := NewViewPrefix(big, 200)

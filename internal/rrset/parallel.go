@@ -78,7 +78,7 @@ type ParallelSampler struct {
 // sampler bit for bit.
 func NewParallelSampler(g *graph.Graph, probs []float32, opts SampleOptions) *ParallelSampler {
 	pool := NewPool(g, PoolOptions{Workers: opts.Workers, BatchSize: opts.BatchSize})
-	return &ParallelSampler{Stream: pool.NewStream(probs, opts.Seed), pool: pool}
+	return &ParallelSampler{Stream: pool.NewStream(NewSampleProbs(g, probs), opts.Seed), pool: pool}
 }
 
 // NumWorkers returns the size of the worker pool.

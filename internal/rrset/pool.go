@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,17 +12,39 @@ import (
 )
 
 // scratch is one worker's reusable per-sample state: the epoch-stamped
-// visited array and the BFS queue. It carries no RNG and no probabilities,
-// so one scratch slot can serve any ad's stream — visited entries from a
-// previous borrower are invalidated by the monotone epoch, never by
-// clearing the 8n-byte array.
+// visited array. It carries no RNG and no probabilities, so one scratch
+// slot can serve any ad's stream — visited entries from a previous
+// borrower are invalidated by the monotone epoch, never by clearing the
+// 8n-byte array.
 type scratch struct {
 	visited []int64
 	epoch   int64
-	queue   []int32
-	// accQueue is the queue capacity (bytes) already folded into the
-	// owning pool's scratchBytes high-water mark; updated on release.
-	accQueue int64
+}
+
+// SampleProbs is one ad's arc probabilities laid out in the order the
+// sampling kernel reads them: element k belongs to the arc in in-CSR slot
+// k of the graph it was built for (see graph.InCSR). The reverse BFS then
+// reads each examined arc's source and probability side by side instead
+// of gathering the probability through the arc's canonical edge ID. The
+// canonical, edge-ID-indexed slice stays the form forward simulation
+// (internal/cascade) uses; this is a permuted copy of it, 4 bytes per arc.
+type SampleProbs struct {
+	p []float32
+}
+
+// NewSampleProbs permutes canonical arc probabilities (indexed by edge
+// ID) into g's in-CSR order. The result belongs to g: sampling on any
+// other graph is undefined.
+func NewSampleProbs(g *graph.Graph, probs []float32) SampleProbs {
+	if int64(len(probs)) != g.NumEdges() {
+		panic(fmt.Sprintf("rrset: %d probs for %d edges", len(probs), g.NumEdges()))
+	}
+	_, _, ids := g.InCSR()
+	p := make([]float32, len(ids))
+	for k, e := range ids {
+		p[k] = probs[e]
+	}
+	return SampleProbs{p: p}
 }
 
 // sample draws one random RR set using this scratch: the lazy reverse BFS
@@ -33,43 +56,55 @@ func (sc *scratch) sample(g *graph.Graph, probs []float32, rng *xrand.RNG) (node
 
 // sampleInto draws one random RR set, appending its member nodes (target
 // first) onto dst and returning the extended slice and the set's width.
-// Writing into a caller-supplied tail is what lets collections and
-// streams ingest sets with zero per-set allocations; the RNG consumption
-// is identical to sample's, so destination choice can never perturb the
-// deterministic stream.
+// probs is in in-CSR order (SampleProbs). Writing into a caller-supplied
+// tail is what lets collections and streams ingest sets with zero per-set
+// allocations; the RNG consumption is identical to sample's, so
+// destination choice can never perturb the deterministic stream.
+//
+// The RNG draws are exactly one Int31n for the target, then one Uint64 per
+// examined arc whose source is unvisited and whose p > 0, compared as
+// float64(x>>11)/2^53 < p — the RNG.Float64 coin. The xoshiro state lives
+// in four locals for the whole BFS and is written back once per set.
 func (sc *scratch) sampleInto(dst []int32, g *graph.Graph, probs []float32, rng *xrand.RNG) (nodes []int32, width int64) {
-	if int64(len(sc.visited)) < int64(g.NumNodes()) {
-		sc.visited = make([]int64, g.NumNodes())
+	n := g.NumNodes()
+	if int64(len(sc.visited)) < int64(n) {
+		sc.visited = make([]int64, n)
 		sc.epoch = 0
 	}
 	sc.epoch++
-	target := rng.Int31n(g.NumNodes())
-	sc.visited[target] = sc.epoch
-	// The BFS front is an index cursor over a stable backing array — a
-	// re-slicing pop (q = q[1:]) would advance the base pointer and leak
-	// the consumed capacity on reset, forcing a fresh queue allocation
-	// every few samples.
-	q := append(sc.queue[:0], target)
+	epoch, visited := sc.epoch, sc.visited
+	off, srcs, _ := g.InCSR()
+	target := rng.Int31n(n)
+	visited[target] = epoch
+	// The members appended so far are the BFS queue: the front is an
+	// index cursor into nodes, starting at the target.
 	nodes = append(dst, target)
-	width = int64(g.InDegree(target))
-	for qi := 0; qi < len(q); qi++ {
-		v := q[qi]
-		srcs := g.InNeighbors(v)
-		ids := g.InEdgeIDs(v)
-		for i, u := range srcs {
-			if sc.visited[u] == sc.epoch {
+	width = off[target+1] - off[target]
+	s0, s1, s2, s3 := rng.State()
+	for qi := len(dst); qi < len(nodes); qi++ {
+		v := nodes[qi]
+		lo, hi := off[v], off[v+1]
+		us := srcs[lo:hi]
+		ps := probs[lo:hi]
+		ps = ps[:len(us)] // lets ps[i] below go without a bounds check
+		for i, u := range us {
+			if visited[u] == epoch {
 				continue
 			}
-			p := probs[ids[i]]
-			if p > 0 && rng.Float64() < float64(p) {
-				sc.visited[u] = sc.epoch
-				q = append(q, u)
+			p := ps[i]
+			if !(p > 0) {
+				continue
+			}
+			var x uint64
+			x, s0, s1, s2, s3 = xrand.Next(s0, s1, s2, s3)
+			if float64(x>>11)/(1<<53) < float64(p) {
+				visited[u] = epoch
 				nodes = append(nodes, u)
-				width += int64(g.InDegree(u))
+				width += off[u+1] - off[u]
 			}
 		}
 	}
-	sc.queue = q[:0]
+	rng.SetState(s0, s1, s2, s3)
 	return nodes, width
 }
 
@@ -114,8 +149,8 @@ type Pool struct {
 	batch int
 	slots []*scratch
 	free  chan *scratch
-	// scratchBytes is the high-water scratch footprint: visited arrays
-	// are added at materialization, queue growth is folded in on release.
+	// scratchBytes is the scratch footprint: visited arrays are added at
+	// materialization.
 	scratchBytes atomic.Int64
 }
 
@@ -155,19 +190,12 @@ func (p *Pool) acquire() *scratch {
 	return sc
 }
 
-// release returns a slot, folding any BFS-queue growth into the
-// footprint high-water mark (single adder per slot, so no lost updates).
-func (p *Pool) release(sc *scratch) {
-	if c := int64(cap(sc.queue)) * 4; c > sc.accQueue {
-		p.scratchBytes.Add(c - sc.accQueue)
-		sc.accQueue = c
-	}
-	p.free <- sc
-}
+// release returns a slot.
+func (p *Pool) release(sc *scratch) { p.free <- sc }
 
-// MemoryFootprint returns the pool's scratch high-water mark in bytes:
-// materialized visited arrays plus grown BFS queues. It is O(Workers·n)
-// by construction and safe to read concurrently with sampling.
+// MemoryFootprint returns the pool's scratch footprint in bytes: the
+// materialized visited arrays. It is O(Workers·n) by construction and
+// safe to read concurrently with sampling.
 func (p *Pool) MemoryFootprint() int64 { return p.scratchBytes.Load() }
 
 // Stream draws random RR sets for one ad (one arc-probability slice) on a
@@ -188,7 +216,7 @@ func (p *Pool) MemoryFootprint() int64 { return p.scratchBytes.Load() }
 // only for scratch slots.
 type Stream struct {
 	pool  *Pool
-	probs []float32
+	probs []float32 // in-CSR order (SampleProbs)
 	rngs  []*xrand.RNG
 	// Reusable single-worker batch buffers: member nodes of the current
 	// batch flat in bufData, per-set end offsets and widths alongside.
@@ -200,8 +228,10 @@ type Stream struct {
 }
 
 // flatBatch is one multi-worker batch of RR sets in flat form: all
-// member nodes concatenated, with per-set end offsets and widths. Three
-// allocations per batch instead of one per set.
+// member nodes concatenated, with per-set end offsets and widths. Within
+// one SampleNCtx call the merger hands every drained batch back to the
+// workers for reuse, so a call allocates buffers for only the batches in
+// flight at once, not three slices per batch.
 type flatBatch struct {
 	data   []int32
 	ends   []int
@@ -211,15 +241,15 @@ type flatBatch struct {
 // NewStream builds a stream of RR sets for the given ad-specific arc
 // probabilities, seeded exactly as the historical per-ad sampler: with
 // one pool worker the stream consumes xrand.New(seed) directly and is
-// bit-identical to NewSampler(g, probs, xrand.New(seed)); with W > 1
-// workers each RNG stream is an independent Split of that parent, fixed
-// at construction.
-func (p *Pool) NewStream(probs []float32, seed uint64) *Stream {
-	if int64(len(probs)) != p.g.NumEdges() {
+// bit-identical to NewSampler(g, canonical, xrand.New(seed)) where
+// probs = NewSampleProbs(g, canonical); with W > 1 workers each RNG
+// stream is an independent Split of that parent, fixed at construction.
+func (p *Pool) NewStream(probs SampleProbs, seed uint64) *Stream {
+	if int64(len(probs.p)) != p.g.NumEdges() {
 		panic("rrset: stream probs length != graph edges")
 	}
 	parent := xrand.New(seed)
-	s := &Stream{pool: p, probs: probs}
+	s := &Stream{pool: p, probs: probs.p}
 	if len(p.slots) == 1 {
 		s.rngs = []*xrand.RNG{parent}
 		return s
@@ -310,6 +340,12 @@ func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []i
 	for i := range chans {
 		chans[i] = make(chan flatBatch, 2)
 	}
+	// Drained batches return through free. Its capacity covers every
+	// batch that can exist at once (two queued per channel, one being
+	// filled per worker, one being merged), so a put never blocks. The
+	// list dies with the call: buffers parked on a long-lived cached
+	// stream would pin the largest batches ever drawn.
+	free := make(chan flatBatch, 3*active+1)
 	var wg sync.WaitGroup
 	for wi := 0; wi < active; wi++ {
 		wg.Add(1)
@@ -324,9 +360,15 @@ func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []i
 				if hi > count {
 					hi = count
 				}
-				batch := flatBatch{
-					ends:   make([]int, 0, hi-lo),
-					widths: make([]int64, 0, hi-lo),
+				var batch flatBatch
+				select {
+				case batch = <-free:
+					batch.data = batch.data[:0]
+					batch.ends = batch.ends[:0]
+					batch.widths = batch.widths[:0]
+				default:
+					batch.ends = make([]int, 0, hi-lo)
+					batch.widths = make([]int64, 0, hi-lo)
 				}
 				// Borrow scratch for the batch only: the send below can
 				// block on the merger, and holding a slot there would let
@@ -356,6 +398,7 @@ func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []i
 			yield(batch.data[start:end:end], batch.widths[i])
 			start = end
 		}
+		free <- batch
 	}
 	// Unblock any workers parked on a full channel (the merge loop may
 	// have exited early), then discard their in-flight batches. On the

@@ -20,7 +20,7 @@ func TestPoolStreamSingleWorkerBitIdentical(t *testing.T) {
 
 	pool := NewPool(g, PoolOptions{Workers: 1})
 	par := NewCollection(g.NumNodes())
-	par.AddFromParallel(pool.NewStream(probs, seed), count)
+	par.AddFromParallel(pool.NewStream(NewSampleProbs(g, probs), seed), count)
 
 	collectionsEqual(t, seq, par)
 }
@@ -43,7 +43,7 @@ func TestPoolSharedStreamsMatchIsolatedPools(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c := NewCollection(g.NumNodes())
-			c.AddFromParallel(shared.NewStream(probs, uint64(100+i)), count)
+			c.AddFromParallel(shared.NewStream(NewSampleProbs(g, probs), uint64(100+i)), count)
 			colls[i] = c
 		}(i)
 	}
@@ -73,7 +73,7 @@ func TestPoolScratchBoundedByWorkers(t *testing.T) {
 		}
 		var footprints []int64
 		for ads := 0; ads < 8; ads++ {
-			pool.NewStream(probs, uint64(ads)).SampleN(200, func([]int32, int64) {})
+			pool.NewStream(NewSampleProbs(g, probs), uint64(ads)).SampleN(200, func([]int32, int64) {})
 			footprints = append(footprints, pool.MemoryFootprint())
 		}
 		final := footprints[len(footprints)-1]
@@ -104,8 +104,8 @@ func TestPoolInterleavedGrowthDeterministic(t *testing.T) {
 	pool := NewPool(g, PoolOptions{Workers: 2, BatchSize: 16})
 	a := NewCollection(g.NumNodes())
 	b := NewCollection(g.NumNodes())
-	sa := pool.NewStream(probs, 5)
-	sb := pool.NewStream(probs, 6)
+	sa := pool.NewStream(NewSampleProbs(g, probs), 5)
+	sb := pool.NewStream(NewSampleProbs(g, probs), 6)
 	for _, n := range grow {
 		a.AddFromParallel(sa, n)
 		b.AddFromParallel(sb, n)
@@ -113,14 +113,14 @@ func TestPoolInterleavedGrowthDeterministic(t *testing.T) {
 
 	onePool := NewPool(g, PoolOptions{Workers: 2, BatchSize: 16})
 	refA := NewCollection(g.NumNodes())
-	sra := onePool.NewStream(probs, 5)
+	sra := onePool.NewStream(NewSampleProbs(g, probs), 5)
 	for _, n := range grow {
 		refA.AddFromParallel(sra, n)
 	}
 	collectionsEqual(t, refA, a)
 
 	refB := NewCollection(g.NumNodes())
-	srb := onePool.NewStream(probs, 6)
+	srb := onePool.NewStream(NewSampleProbs(g, probs), 6)
 	for _, n := range grow {
 		refB.AddFromParallel(srb, n)
 	}
@@ -137,14 +137,14 @@ func TestPoolKptEstimate(t *testing.T) {
 	seq := KptEstimate(NewSampler(g, probs, xrand.New(seed)),
 		g.NumEdges(), int64(g.NumNodes()), 2, 1)
 	one := NewPool(g, PoolOptions{Workers: 1})
-	if got := KptEstimateParallel(one.NewStream(probs, seed),
+	if got := KptEstimateParallel(one.NewStream(NewSampleProbs(g, probs), seed),
 		g.NumEdges(), int64(g.NumNodes()), 2, 1); got != seq {
 		t.Errorf("single-slot pool KPT %v != sequential %v", got, seq)
 	}
 
 	multi := func() float64 {
 		p := NewPool(g, PoolOptions{Workers: 4, BatchSize: 32})
-		return KptEstimateParallel(p.NewStream(probs, seed),
+		return KptEstimateParallel(p.NewStream(NewSampleProbs(g, probs), seed),
 			g.NumEdges(), int64(g.NumNodes()), 2, 1)
 	}
 	if a, b := multi(), multi(); a != b {

@@ -23,15 +23,15 @@ func repairSeed(seedKey uint64, slot int32) uint64 {
 // Returns the number of slots resampled. The caller must hold whatever
 // lock guards the universe; no View may be attached (see
 // Universe.Repair).
-func (p *Pool) RepairUniverse(u *Universe, probs []float32, seedKey uint64) int {
-	if int64(len(probs)) != p.g.NumEdges() {
+func (p *Pool) RepairUniverse(u *Universe, probs SampleProbs, seedKey uint64) int {
+	if int64(len(probs.p)) != p.g.NumEdges() {
 		panic("rrset: repair probs length != graph edges")
 	}
 	sc := p.acquire()
 	defer p.release(sc)
 	return u.Repair(func(slot int32, dst []int32) []int32 {
 		rng := xrand.New(repairSeed(seedKey, slot))
-		nodes, _ := sc.sampleInto(dst, p.g, probs, rng)
+		nodes, _ := sc.sampleInto(dst, p.g, probs.p, rng)
 		return nodes
 	})
 }
@@ -41,8 +41,8 @@ func (p *Pool) RepairUniverse(u *Universe, probs []float32, seedKey uint64) int 
 // xrand.New of the (seedKey, s) seed regardless of history. It is the
 // cold-start reference RepairUniverse is benchmarked and bit-identity
 // tested against.
-func (p *Pool) RebuildUniverse(size int, probs []float32, seedKey uint64) *Universe {
-	if int64(len(probs)) != p.g.NumEdges() {
+func (p *Pool) RebuildUniverse(size int, probs SampleProbs, seedKey uint64) *Universe {
+	if int64(len(probs.p)) != p.g.NumEdges() {
 		panic("rrset: rebuild probs length != graph edges")
 	}
 	u := NewUniverse(p.g.NumNodes())
@@ -52,7 +52,7 @@ func (p *Pool) RebuildUniverse(size int, probs []float32, seedKey uint64) *Unive
 	for slot := 0; slot < size; slot++ {
 		buf = buf[:0]
 		rng := xrand.New(repairSeed(seedKey, int32(slot)))
-		buf, _ = sc.sampleInto(buf, p.g, probs, rng)
+		buf, _ = sc.sampleInto(buf, p.g, probs.p, rng)
 		u.Add(buf)
 	}
 	return u

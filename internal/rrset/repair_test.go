@@ -126,16 +126,16 @@ func TestRepairAllBitIdenticalToRebuild(t *testing.T) {
 	// sequential stream at another seed), so identity can only come from
 	// the repair itself.
 	u := NewUniverse(g.NumNodes())
-	st := pool.NewStream(probs, 7)
+	st := pool.NewStream(NewSampleProbs(g, probs), 7)
 	st.SampleN(size, func(nodes []int32, _ int64) { u.Add(nodes) })
 
 	if got := u.InvalidateAll(); got != size {
 		t.Fatalf("InvalidateAll = %d, want %d", got, size)
 	}
-	if got := pool.RepairUniverse(u, probs, seedKey); got != size {
+	if got := pool.RepairUniverse(u, NewSampleProbs(g, probs), seedKey); got != size {
 		t.Fatalf("RepairUniverse = %d, want %d", got, size)
 	}
-	ref := pool.RebuildUniverse(size, probs, seedKey)
+	ref := pool.RebuildUniverse(size, NewSampleProbs(g, probs), seedKey)
 	if !bytes.Equal(universeBytes(t, u), universeBytes(t, ref)) {
 		t.Fatal("repair-all not bit-identical to cold rebuild")
 	}
@@ -157,7 +157,7 @@ func TestPartialRepairSlotIdentity(t *testing.T) {
 	const size, seedKey = 400, uint64(99)
 
 	u := NewUniverse(g.NumNodes())
-	st := pool.NewStream(probs, 3)
+	st := pool.NewStream(NewSampleProbs(g, probs), 3)
 	st.SampleN(size, func(nodes []int32, _ int64) { u.Add(nodes) })
 	before := make([][]int32, size)
 	for id := int32(0); int(id) < size; id++ {
@@ -189,10 +189,10 @@ func TestPartialRepairSlotIdentity(t *testing.T) {
 		t.Fatalf("degenerate staleness %d/%d; pick different touched nodes", marked, size)
 	}
 
-	if got := pool.RepairUniverse(u, probs, seedKey); got != marked {
+	if got := pool.RepairUniverse(u, NewSampleProbs(g, probs), seedKey); got != marked {
 		t.Fatalf("RepairUniverse = %d, want %d", got, marked)
 	}
-	ref := pool.RebuildUniverse(size, probs, seedKey)
+	ref := pool.RebuildUniverse(size, NewSampleProbs(g, probs), seedKey)
 	for id := int32(0); int(id) < size; id++ {
 		got := u.Set(id)
 		var want []int32
@@ -213,7 +213,7 @@ func TestPartialRepairSlotIdentity(t *testing.T) {
 	checkIndexConsistent(t, u)
 
 	// Repairing with nothing stale is a no-op.
-	if got := pool.RepairUniverse(u, probs, seedKey); got != 0 {
+	if got := pool.RepairUniverse(u, NewSampleProbs(g, probs), seedKey); got != 0 {
 		t.Fatalf("second RepairUniverse = %d, want 0", got)
 	}
 }
@@ -247,11 +247,12 @@ func TestRepairSpeedup(t *testing.T) {
 	for i := range probs {
 		probs[i] = 0.05
 	}
+	sp := NewSampleProbs(g, probs)
 	const size, seedKey = 8000, uint64(5)
 
 	build := func() *Universe {
 		u := NewUniverse(g.NumNodes())
-		st := pool.NewStream(probs, 7)
+		st := pool.NewStream(sp, 7)
 		st.SampleN(size, func(nodes []int32, _ int64) { u.Add(nodes) })
 		return u
 	}
@@ -273,11 +274,11 @@ func TestRepairSpeedup(t *testing.T) {
 		u := build()
 		mark(u)
 		t0 := time.Now()
-		pool.RepairUniverse(u, probs, seedKey)
+		pool.RepairUniverse(u, sp, seedKey)
 		repairNS += time.Since(t0).Nanoseconds()
 
 		t1 := time.Now()
-		ref := pool.RebuildUniverse(size, probs, seedKey)
+		ref := pool.RebuildUniverse(size, sp, seedKey)
 		rebuildNS += time.Since(t1).Nanoseconds()
 		if ref.Size() != size {
 			t.Fatal("rebuild size mismatch")
@@ -295,10 +296,11 @@ func BenchmarkDeltaRepair(b *testing.B) {
 	for i := range probs {
 		probs[i] = 0.05
 	}
+	sp := NewSampleProbs(g, probs)
 	const size, seedKey = 8000, uint64(5)
 
 	base := NewUniverse(g.NumNodes())
-	st := pool.NewStream(probs, 7)
+	st := pool.NewStream(sp, 7)
 	st.SampleN(size, func(nodes []int32, _ int64) { base.Add(nodes) })
 
 	b.Run("repair-5pct", func(b *testing.B) {
@@ -313,12 +315,12 @@ func BenchmarkDeltaRepair(b *testing.B) {
 				u.nStale++
 			}
 			b.StartTimer()
-			pool.RepairUniverse(u, probs, seedKey)
+			pool.RepairUniverse(u, sp, seedKey)
 		}
 	})
 	b.Run("cold-rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pool.RebuildUniverse(size, probs, seedKey)
+			pool.RebuildUniverse(size, sp, seedKey)
 		}
 	})
 }

@@ -8,7 +8,6 @@
 package rrset
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/graph"
@@ -25,7 +24,7 @@ import (
 // materializing the world.
 type Sampler struct {
 	g     *graph.Graph
-	probs []float32
+	probs []float32 // in-CSR order (SampleProbs)
 	rng   *xrand.RNG
 	sc    scratch
 	buf   []int32 // reused set buffer for the arena-ingest AddFrom path
@@ -33,20 +32,15 @@ type Sampler struct {
 
 // NewSampler builds a sampler for the given graph, ad-specific arc
 // probabilities (aligned with canonical edge IDs) and RNG. The sampler
-// owns a private scratch slot; components sampling for many ads share
-// scratch through a Pool instead (see NewPool).
+// owns a private scratch slot and a private in-CSR-order copy of probs;
+// components sampling for many ads share scratch through a Pool and
+// probabilities through SampleProbs instead (see NewPool).
 func NewSampler(g *graph.Graph, probs []float32, rng *xrand.RNG) *Sampler {
-	if int64(len(probs)) != g.NumEdges() {
-		panic(fmt.Sprintf("rrset: %d probs for %d edges", len(probs), g.NumEdges()))
-	}
 	return &Sampler{
 		g:     g,
-		probs: probs,
+		probs: NewSampleProbs(g, probs).p,
 		rng:   rng,
-		sc: scratch{
-			visited: make([]int64, g.NumNodes()),
-			queue:   make([]int32, 0, 64),
-		},
+		sc:    scratch{visited: make([]int64, g.NumNodes())},
 	}
 }
 

@@ -190,7 +190,7 @@ func TestWarmArenaSamplingAllocationFree(t *testing.T) {
 		probs[i] = 0.2
 	}
 	pool := NewPool(g, PoolOptions{Workers: 1, BatchSize: 64})
-	s := pool.NewStream(probs, 21)
+	s := pool.NewStream(NewSampleProbs(g, probs), 21)
 	c := NewCollection(g.NumNodes())
 	const count = 1500
 	// Cold pass with 3× headroom: every arena, the stream's batch
@@ -218,7 +218,7 @@ func TestCoverByAllocationFree(t *testing.T) {
 	}
 	pool := NewPool(g, PoolOptions{Workers: 1})
 	c := NewCollection(g.NumNodes())
-	c.AddFromParallel(pool.NewStream(probs, 33), 4000)
+	c.AddFromParallel(pool.NewStream(NewSampleProbs(g, probs), 33), 4000)
 	next := int32(0)
 	allocs := testing.AllocsPerRun(20, func() {
 		c.CoverBy(next % g.NumNodes())

@@ -1,0 +1,103 @@
+package rrset
+
+import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/xrand"
+)
+
+// goldenGraph is the fixed input of the stream goldens: an R-MAT graph
+// whose arc probabilities mix exact zeros (the kernel must skip them
+// without drawing), exact ones, and a spread of small values.
+func goldenGraph() (*graph.Graph, []float32) {
+	g := gen.RMAT(2000, 14000, gen.DefaultRMAT, xrand.New(2024))
+	probs := make([]float32, g.NumEdges())
+	for e := range probs {
+		switch {
+		case e%13 == 0:
+			probs[e] = 0
+		case e%29 == 0:
+			probs[e] = 1
+		default:
+			probs[e] = 0.005 + float32((e*7919)%97)/2000
+		}
+	}
+	return g, probs
+}
+
+// hashSet folds one RR set (length, members, width) into h.
+func hashSet(h hash.Hash64, nodes []int32, width int64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint32(b[:4], uint32(len(nodes)))
+	h.Write(b[:4])
+	for _, v := range nodes {
+		binary.LittleEndian.PutUint32(b[:4], uint32(v))
+		h.Write(b[:4])
+	}
+	binary.LittleEndian.PutUint64(b[:], uint64(width))
+	h.Write(b[:])
+}
+
+// TestStreamGolden pins the exact RR stream — members and widths of the
+// first 10k sets, the KPT estimate bits, and a partial universe repair —
+// at Workers 1 and 2 (batch 256). The hashes were recorded with an
+// independent kernel, one that gathered probabilities through canonical
+// edge IDs and stepped the RNG through *RNG, so they pin the stream
+// itself rather than one implementation of it: any change to RNG
+// consumption, coin-flip comparison, batch-to-stream assignment or
+// emission order shows up here.
+func TestStreamGolden(t *testing.T) {
+	g, canonical := goldenGraph()
+	probs := NewSampleProbs(g, canonical)
+	want := map[int]struct {
+		stream uint64
+		kpt    uint64
+		repair uint64
+	}{
+		1: {0xe413581bc1d3eab2, 0x405e411d0b6d18e1, 0x89cff3a27be6c7b8},
+		2: {0xd2bee6ca2804a9f4, 0x405f741494755642, 0x30c6abbcce3bebef},
+	}
+	for _, workers := range []int{1, 2} {
+		pool := NewPool(g, PoolOptions{Workers: workers, BatchSize: 256})
+
+		h := fnv.New64a()
+		st := pool.NewStream(probs, 77)
+		members := 0
+		for _, count := range []int{1000, 4000, 5000} {
+			st.SampleN(count, func(nodes []int32, width int64) {
+				members += len(nodes)
+				hashSet(h, nodes, width)
+			})
+		}
+		stream := h.Sum64()
+
+		kpt := math.Float64bits(KptEstimateParallel(pool.NewStream(probs, 78),
+			g.NumEdges(), int64(g.NumNodes()), 3, 1))
+
+		u := NewUniverse(g.NumNodes())
+		u.AddFromParallel(pool.NewStream(probs, 79), 3000)
+		stale := u.Invalidate([]int32{0, 1, 2, 3, 5, 8, 13, 21})
+		if got := pool.RepairUniverse(u, probs, 80); got != stale {
+			t.Fatalf("workers=%d: repaired %d slots, invalidated %d", workers, got, stale)
+		}
+		h = fnv.New64a()
+		for id := int32(0); int(id) < u.Size(); id++ {
+			hashSet(h, u.Set(id), 0)
+		}
+		repair := h.Sum64()
+
+		t.Logf("workers=%d: members=%d stale=%d stream=%#x kpt=%#x repair=%#x",
+			workers, members, stale, stream, kpt, repair)
+		w := want[workers]
+		if stream != w.stream || kpt != w.kpt || repair != w.repair {
+			t.Errorf("workers=%d: got stream=%#x kpt=%#x repair=%#x, want %#x %#x %#x",
+				workers, stream, kpt, repair, w.stream, w.kpt, w.repair)
+		}
+	}
+}

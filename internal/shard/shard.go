@@ -67,7 +67,7 @@ type Group struct {
 // stream seeded StreamSeed(seed, s); passing a single pool yields the
 // degenerate 1-shard group whose draws are bit-identical to
 // pools[0].NewStream(probs, seed).
-func NewGroup(n int32, pools []*rrset.Pool, probs []float32, seed uint64) *Group {
+func NewGroup(n int32, pools []*rrset.Pool, probs rrset.SampleProbs, seed uint64) *Group {
 	if len(pools) == 0 {
 		panic("shard: NewGroup needs at least one pool")
 	}
@@ -145,7 +145,7 @@ func (g *Group) Grow(ctx context.Context, total int) error {
 // streams (built on the old generation's pools and exhausted up to the
 // old contents) are discarded, and future growth draws from the new
 // generation's decorrelated base seed. len(pools) must equal NumShards.
-func (g *Group) Restream(pools []*rrset.Pool, probs []float32, seed uint64) {
+func (g *Group) Restream(pools []*rrset.Pool, probs rrset.SampleProbs, seed uint64) {
 	if len(pools) != len(g.streams) {
 		panic(fmt.Sprintf("shard: Restream with %d pools for %d shards", len(pools), len(g.streams)))
 	}

@@ -23,12 +23,12 @@ func newTestGraph(rng *xrand.RNG) *graph.Graph {
 	return b.Build()
 }
 
-func constProbs(g *graph.Graph, p float32) []float32 {
+func constProbs(g *graph.Graph, p float32) rrset.SampleProbs {
 	probs := make([]float32, g.NumEdges())
 	for i := range probs {
 		probs[i] = p
 	}
-	return probs
+	return rrset.NewSampleProbs(g, probs)
 }
 
 func newPools(g *graph.Graph, s, workers int) []*rrset.Pool {

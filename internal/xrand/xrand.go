@@ -52,18 +52,36 @@ func (r *RNG) Split() *RNG {
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
+// Next is one xoshiro256** step on an explicit state: it returns the
+// output and the successor state. It is the only xoshiro implementation —
+// Uint64 is Next applied to the RNG's own state — and is small enough to
+// inline, so a hot loop can keep the state in four locals (registers) for
+// many draws and write it back once with SetState, instead of loading and
+// storing it through the *RNG on every draw. Such a loop consumes exactly
+// the stream the RNG methods would.
+func Next(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return x, s0, s1, s2, rotl(s3, 45)
+}
+
+// State returns the generator's xoshiro256** state for a loop that steps
+// it with Next.
+func (r *RNG) State() (s0, s1, s2, s3 uint64) { return r.s[0], r.s[1], r.s[2], r.s[3] }
+
+// SetState stores a state obtained from State and advanced with Next.
+func (r *RNG) SetState(s0, s1, s2, s3 uint64) { r.s = [4]uint64{s0, s1, s2, s3} }
+
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	var x uint64
+	x, r.s[0], r.s[1], r.s[2], r.s[3] = Next(r.s[0], r.s[1], r.s[2], r.s[3])
+	return x
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
