@@ -45,7 +45,7 @@ var (
 	maxH       = flag.Int("maxh", 64, "maximum advertiser count a request may ask for")
 	workers    = flag.Int("workers", 1, "RR-sampling scratch slots per engine (1 = sequential-identical)")
 	batch      = flag.Int("batch", 0, "per-worker RR sampling batch size (0 = default)")
-	shardsFl   = flag.Int("shards", 0, "RR-shard count per engine (0 = unsharded path, 1 = shard layer with bit-identical output)")
+	shardsFl   = flag.Int("shards", 0, "RR-shard count per engine (0 is read as 1; >1 = parallel shards)")
 	snapFlag   = flag.String("snapshot", "", "serve a snapshot/edge-list file (registered under its path and appended to -datasets); snapshots load zero-copy via mmap")
 	maxConc    = flag.Int("max-concurrent", 0, "solve sessions running at once (0 = GOMAXPROCS)")
 	maxQueue   = flag.Int("max-queue", 64, "sessions waiting for a slot before 429 (negative = no queue)")

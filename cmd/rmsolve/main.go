@@ -51,7 +51,7 @@ var (
 	share     = flag.Bool("share", false, "share RR samples across ads with identical topics")
 	workers   = flag.Int("workers", 1, "RR-sampling scratch slots shared by all ads (1 = sequential-identical, machine-independent; 0 = all CPU cores)")
 	batch     = flag.Int("batch", 0, "per-worker RR sampling batch size (0 = default; part of the determinism key for workers > 1)")
-	shardsFl  = flag.Int("shards", 0, "RR-shard count (0 = unsharded path, 1 = shard layer with bit-identical output, >1 = parallel shards)")
+	shardsFl  = flag.Int("shards", 0, "RR-shard count (0 is read as 1; >1 = parallel shards)")
 	rssFlag   = flag.Bool("rss", false, "report the process peak RSS (VmHWM) after the solve")
 	timeout   = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit); Ctrl-C also cancels gracefully")
 	progFlag  = flag.Bool("progress", false, "stream solver progress events (θ growth, committed seeds) to stderr")

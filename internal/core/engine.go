@@ -108,16 +108,16 @@ type Options struct {
 	// Workers/SampleBatch — the pool is the session's shared resource —
 	// and Stats.SampleWorkers reports the value actually used.
 	//
-	// Memory note: every advertiser's sampling streams share one
-	// engine-wide rrset.Pool, so worker scratch (a visited array of 8n
-	// bytes per slot, lazily built) is bounded by
-	// ~Workers·8n bytes regardless of the number of ads or concurrent
-	// solves, and is reported in Stats.SamplerMemoryBytes. The slot count
-	// also caps concurrently sampling goroutines for the whole Engine:
-	// with Workers=1 even the per-ad initialization goroutines sample one
-	// at a time (results stay bit-identical to the sequential engine), so
-	// raise Workers to parallelize sampling across ads as well as within
-	// one.
+	// Memory note: every advertiser's sampling streams share the
+	// engine-wide rrset.Pools (one per shard), so worker scratch (a
+	// visited array of 8n bytes per slot, lazily built) is bounded by
+	// ~Shards·Workers·8n bytes regardless of the number of ads or
+	// concurrent solves, and is reported in Stats.SamplerMemoryBytes.
+	// The slot count also caps concurrently sampling goroutines for the
+	// whole Engine: with Workers=1 even the per-ad initialization
+	// goroutines sample one at a time (results stay bit-identical to the
+	// sequential engine), so raise Workers to parallelize sampling
+	// across ads as well as within one.
 	Workers int
 	// SampleBatch is the parallel sampler's per-worker batch size
 	// (0 = rrset.DefaultBatchSize). Only meaningful with Workers > 1;
@@ -171,21 +171,21 @@ type Stats struct {
 	GrowthEvents int
 	PrunedPairs  int64
 	TotalRRSets  int64
-	// RRMemoryBytes is the final footprint of all RR-set stores
-	// (collections, shared universes, per-ad views). Cached universes are
+	// RRMemoryBytes is the final footprint of all RR-set stores (every
+	// group's shard universes plus the per-ad views). Cached groups are
 	// counted at their full (possibly pre-grown) size.
 	RRMemoryBytes int64
 	// SamplerMemoryBytes is the high-water scratch footprint of the
-	// engine-wide sampling pool — Workers visited arrays,
-	// O(Workers·n) regardless of the number of ads. Table 3's memory
-	// columns report RRMemoryBytes + SamplerMemoryBytes.
+	// engine-wide sampling pools — Workers visited arrays per shard,
+	// O(Shards·Workers·n) regardless of the number of ads. Table 3's
+	// memory columns report RRMemoryBytes + SamplerMemoryBytes.
 	SamplerMemoryBytes int64
 	SampleWorkers      int // RR-sampling scratch slots for the run (resolved)
 	// ShareGroups is the number of distinct sample-sharing groups formed
 	// under Options.ShareSamples (0 when sharing is off).
 	ShareGroups int
-	// Shards is the Engine's RR-shard count for the run (0 = the
-	// unsharded path; see EngineOptions.Shards).
+	// Shards is the Engine's resolved RR-shard count for the run (≥ 1;
+	// see EngineOptions.Shards).
 	Shards int
 }
 
@@ -235,26 +235,20 @@ func RunWith(ctx context.Context, eng *Engine, p *Problem, opt Options) (*Alloca
 	return eng.Solve(ctx, p, opt)
 }
 
-// adGroup is a set of advertisers with identical topic distributions
-// sharing one RR-set universe (Options.ShareSamples). universe and
-// sampler may come from the Engine's cross-solve cache; vsize is this
-// session's virtual universe size — the running maximum of member θ
-// requirements — so that views over a pre-grown cached universe replay
-// exactly the prefix a cold run would have seen.
+// adGroup is one RR sample and the advertisers selecting on it: a
+// shard.Group plus its KPT stream and the members' merged views. An
+// exclusive ad is the single member of an uncached group; under
+// Options.ShareSamples the ads with identical topic distributions share
+// one group whose shard.Group comes from the Engine's cross-solve cache.
+// vsize is this session's virtual sample size — the running maximum of
+// member θ requirements — so that views over a pre-grown cached group
+// replay exactly the prefix a cold run would have seen.
 type adGroup struct {
-	universe *rrset.Universe
-	sampler  *rrset.Stream
-	// shg replaces universe/sampler when the Engine runs sharded
-	// (EngineOptions.Shards > 0): draws are split round-robin across S
-	// per-shard universes with independent deterministic streams, and
-	// member views merge the per-shard counts. In sharded sessions
-	// without ShareSamples every ad gets a private singleton adGroup (sg
-	// stays nil), so both sharing modes route through the same machinery.
 	shg    *shard.Group
 	kptSrc *rrset.Stream
-	// sg is the Engine cache entry backing universe/sampler; its cached
-	// byte count is refreshed after every growth this session performs.
-	// nil for session-private (singleton sharded) groups.
+	// sg is the Engine cache entry backing shg; its cached byte count is
+	// refreshed after every growth this session performs. nil for
+	// exclusive (session-private) groups.
 	sg      *sharedGroup
 	kpt     float64
 	kptAtS  int
@@ -262,54 +256,15 @@ type adGroup struct {
 	members []*adState
 }
 
-// size returns the group's stored set count across storage layouts.
-func (g *adGroup) size() int {
-	if g.shg != nil {
-		return g.shg.Size()
-	}
-	return g.universe.Size()
-}
-
-// footprint returns the group's RR storage bytes across storage layouts.
-func (g *adGroup) footprint() int64 {
-	if g.shg != nil {
-		return g.shg.MemoryFootprint()
-	}
-	return g.universe.MemoryFootprint()
-}
-
-// newView builds a member's prefix coverage view over the group's
-// universe(s), capped at limit sets.
-func (g *adGroup) newView(limit int) prefixView {
-	if g.shg != nil {
-		return shard.NewViewPrefix(g.shg, limit)
-	}
-	return rrset.NewViewPrefix(g.universe, limit)
-}
-
-// prefixView is the coverage state a group member runs selection on:
-// full rrset.CoverageState plus prefix extension after universe growth.
-// Implemented by *rrset.View (unsharded) and *shard.MergedView (sharded,
-// with provably equal counts and pick sequences).
-type prefixView interface {
-	rrset.CoverageState
-	SyncTo(limit int) int
-}
-
-// growUniverse extends the group's (possibly cached) universe to the
+// growUniverse extends the group's (possibly cached) sample to the
 // session's virtual size and refreshes the cache entry's byte count.
 func (e *solver) growUniverse(g *adGroup) error {
-	if g.size() >= g.vsize {
+	if g.shg.Size() >= g.vsize {
 		return nil
 	}
-	var err error
-	if g.shg != nil {
-		err = g.shg.Grow(e.ctx, g.vsize)
-	} else {
-		err = g.universe.AddFromParallelCtx(e.ctx, g.sampler, g.vsize-g.universe.Size())
-	}
+	err := g.shg.Grow(e.ctx, g.vsize)
 	if g.sg != nil {
-		g.sg.bytes.Store(g.footprint())
+		g.sg.bytes.Store(g.shg.MemoryFootprint())
 	}
 	if err != nil {
 		return e.canceled(err)
@@ -319,22 +274,19 @@ func (e *solver) growUniverse(g *adGroup) error {
 
 // adState is the engine's per-advertiser working state.
 type adState struct {
-	idx     int
-	cpe     float64
-	budget  float64
-	coll    rrset.CoverageState
-	excl    *rrset.Collection // non-nil iff exclusive unsharded (coll == excl)
-	view    prefixView        // non-nil iff group member (coll == view)
-	group   *adGroup          // non-nil iff group member (sharing or sharded)
-	sampler *rrset.Stream     // exclusive unsharded mode only
-	kptSrc  *rrset.Stream     // exclusive unsharded mode only
-	heap    candHeap
-	pruned  []bool // (node, ad) pairs removed from the ground set
+	idx    int
+	cpe    float64
+	budget float64
+	// view is the ad's coverage state: a prefix view over its group's
+	// sample, synced forward on growth.
+	view   *shard.MergedView
+	group  *adGroup
+	heap   candHeap
+	pruned []bool // (node, ad) pairs removed from the ground set
 
-	s      int // latent seed-set size estimate s̃_i
-	theta  int
-	kpt    float64
-	kptAtS int
+	s     int // latent seed-set size estimate s̃_i
+	theta int
+	kpt   float64
 
 	seeds []int32
 	pi    float64 // π_i(S_i) estimate: cpe · n · covered/θ
@@ -373,15 +325,11 @@ type solver struct {
 	// session starts); candidate selection and growth dispatch on its
 	// capability flags rather than on Mode values, so new modes compose
 	// from flags instead of widening switches.
-	info AlgorithmInfo
-	n    int32
-	m    int64
-	// pool is the Engine-wide sampling scratch pool: every ad's sampler
-	// and kptSrc stream — exclusive or shared — borrows its Workers
-	// slots, so sampler memory is O(Workers·n) per Engine.
-	pool   *rrset.Pool
+	info   AlgorithmInfo
+	n      int32
+	m      int64
 	ads    []*adState
-	groups []*adGroup // non-empty only with Options.ShareSamples
+	groups []*adGroup // one per distinct sample: per ad, or per shared gamma
 	// locked/lockedKeys are the Engine cache entries this session holds
 	// (mutexes taken in first-occurrence ad order, released at the end of
 	// the solve; evicted instead if the solve fails).
@@ -423,7 +371,7 @@ func (e *solver) solve() (*Allocation, error) {
 	rng := xrand.New(e.opt.Seed)
 	if e.opt.ShareSamples {
 		// Group advertisers by topic distribution; members of a group
-		// draw from the same RR-set distribution and share a universe —
+		// draw from the same RR-set distribution and share a sample —
 		// cached on the Engine across solves.
 		byGamma := map[string]*adGroup{}
 		for i := 0; i < e.p.NumAds(); i++ {
@@ -434,32 +382,24 @@ func (e *solver) solve() (*Allocation, error) {
 				// Seeds drawn in the same order the sequential code called
 				// rng.Split(), so Workers<=1 reproduces it bit for bit.
 				sSeed, kSeed := rng.Uint64(), rng.Uint64()
-				uk := universeKey{gamma: key, seed: sSeed, shards: e.snap.shards}
+				uk := universeKey{gamma: key, seed: sSeed, shards: len(e.snap.pools)}
 				sg, err := e.eng.lockSharedGroup(e.ctx, e.snap, uk, probs, e.p.Ads[i].Gamma)
 				if err != nil {
 					return nil, e.canceled(err)
 				}
 				e.locked = append(e.locked, sg)
 				e.lockedKeys = append(e.lockedKeys, uk)
-				g = &adGroup{
-					universe: sg.universe,
-					sampler:  sg.sampler,
-					shg:      sg.shg,
-					sg:       sg,
-					// The KPT stream replays from scratch every session, so
-					// refresh sequences depend only on this session's seed —
-					// exactly the cold-run behavior.
-					kptSrc: e.pool.NewStream(probs, kSeed),
-					kptAtS: 1,
-				}
-				g.kpt, err = rrset.KptEstimateParallelCtx(e.ctx, g.kptSrc, e.m, int64(e.n), 1, e.opt.Ell)
-				if err != nil {
-					return nil, e.canceled(err)
+				g = &adGroup{shg: sg.shg, sg: sg}
+				// The KPT stream replays from scratch every session, so
+				// refresh sequences depend only on this session's seed —
+				// exactly the cold-run behavior.
+				if err := e.estimateKpt(g, probs, kSeed); err != nil {
+					return nil, err
 				}
 				byGamma[key] = g
 				e.groups = append(e.groups, g)
 			}
-			ad, err := e.initSharedAd(i, g)
+			ad, err := e.initAd(i, g)
 			if err != nil {
 				return nil, err
 			}
@@ -470,8 +410,10 @@ func (e *solver) solve() (*Allocation, error) {
 		// θ-sized RR sample per ad) dominates startup cost and touches no
 		// shared mutable state, so it runs concurrently. RNG streams are
 		// pre-split in ad order, keeping runs deterministic regardless of
-		// goroutine scheduling.
+		// goroutine scheduling. Each ad's sample is a private, uncached
+		// group: exclusive samples die with the session.
 		e.ads = make([]*adState, e.p.NumAds())
+		groups := make([]*adGroup, e.p.NumAds())
 		errs := make([]error, e.p.NumAds())
 		rngs := make([]*xrand.RNG, e.p.NumAds())
 		for i := range rngs {
@@ -482,18 +424,19 @@ func (e *solver) solve() (*Allocation, error) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				e.ads[i], errs[i] = e.initAd(i, rngs[i])
+				probs := e.snap.edgeProbsFor(e.p.Ads[i].Gamma).sampling
+				sSeed, kSeed := rngs[i].Uint64(), rngs[i].Uint64()
+				g := &adGroup{shg: shard.NewGroup(e.n, e.snap.pools, probs, sSeed)}
+				groups[i] = g
+				if errs[i] = e.estimateKpt(g, probs, kSeed); errs[i] == nil {
+					e.ads[i], errs[i] = e.initAd(i, g)
+				}
 			}(i)
 		}
 		wg.Wait()
-		// Sharded exclusive ads carry their storage in private singleton
-		// groups; register them (even for a failed init) so Stats and the
-		// growth machinery see them uniformly.
-		for _, ad := range e.ads {
-			if ad != nil && ad.group != nil {
-				e.groups = append(e.groups, ad.group)
-			}
-		}
+		// Register every group (even for a failed init) so Stats report
+		// the partial work of a canceled session.
+		e.groups = groups
 		for _, err := range errs {
 			if err != nil {
 				return nil, err
@@ -539,31 +482,24 @@ func (e *solver) snapshotStats() {
 		e.stats.Theta[i] = ad.theta
 		e.stats.Kpt[i] = ad.kpt
 		e.stats.SeedCounts[i] = len(ad.seeds)
-		if ad.coll != nil {
-			e.stats.RRMemoryBytes += ad.coll.MemoryFootprint()
-			if ad.group == nil {
-				e.stats.TotalRRSets += int64(ad.coll.Size())
-			}
+		if ad.view != nil {
+			e.stats.RRMemoryBytes += ad.view.MemoryFootprint()
 		}
 	}
 	for _, g := range e.groups {
-		e.stats.RRMemoryBytes += g.footprint()
-		// This session drew (or replayed) exactly its virtual universe
-		// size; a cached universe's pre-grown tail is not this session's
+		e.stats.RRMemoryBytes += g.shg.MemoryFootprint()
+		// This session drew (or replayed) exactly its virtual sample
+		// size; a cached group's pre-grown tail is not this session's
 		// work. A canceled session can hold vsize > Size() — report only
 		// what exists.
-		drawn := g.vsize
-		if s := g.size(); s < drawn {
-			drawn = s
-		}
-		e.stats.TotalRRSets += int64(drawn)
+		e.stats.TotalRRSets += int64(min(g.vsize, g.shg.Size()))
 	}
 	for _, p := range e.snap.pools {
 		e.stats.SamplerMemoryBytes += p.MemoryFootprint()
 	}
 	if e.opt.ShareSamples {
-		// Singleton sharded-exclusive groups are storage plumbing, not
-		// sharing: ShareGroups keeps meaning "distinct gamma groups".
+		// Exclusive singleton groups are storage plumbing, not sharing:
+		// ShareGroups keeps meaning "distinct gamma groups".
 		e.stats.ShareGroups = len(e.groups)
 	}
 }
@@ -583,58 +519,25 @@ func (e *solver) emitProgress(kind ProgressKind, ad *adState, node int32) {
 	})
 }
 
-// initAd sets up one advertiser with exclusive storage: ad-specific
-// probabilities, the initial KPT estimate at s=1, the initial RR sample
-// of size L(1, ε), and the candidate heap (Algorithm 2 lines 1–4).
-func (e *solver) initAd(i int, rng *xrand.RNG) (*adState, error) {
-	probs := e.snap.edgeProbsFor(e.p.Ads[i].Gamma).sampling
-	// Seeds drawn in the same order the sequential code called rng.Split(),
-	// so Workers<=1 reproduces it bit for bit.
-	sSeed, kSeed := rng.Uint64(), rng.Uint64()
-	if e.snap.shards > 0 {
-		return e.initShardedAd(i, probs, sSeed, kSeed)
-	}
-	coll := rrset.NewCollection(e.n)
-	ad := &adState{
-		idx:     i,
-		cpe:     e.p.Ads[i].CPE,
-		budget:  e.p.Ads[i].Budget,
-		coll:    coll,
-		excl:    coll,
-		sampler: e.pool.NewStream(probs, sSeed),
-		kptSrc:  e.pool.NewStream(probs, kSeed),
-		pruned:  make([]bool, e.n),
-		s:       1,
-		kptAtS:  1,
-		active:  true,
-	}
+// estimateKpt builds the group's KPT stream (seeded kSeed on the
+// primary pool) and takes the initial KPT estimate at s=1.
+func (e *solver) estimateKpt(g *adGroup, probs rrset.SampleProbs, kSeed uint64) error {
+	g.kptSrc = e.snap.pools[0].NewStream(probs, kSeed)
+	g.kptAtS = 1
 	var err error
-	ad.kpt, err = rrset.KptEstimateParallelCtx(e.ctx, ad.kptSrc, e.m, int64(e.n), 1, e.opt.Ell)
+	g.kpt, err = rrset.KptEstimateParallelCtx(e.ctx, g.kptSrc, e.m, int64(e.n), 1, e.opt.Ell)
 	if err != nil {
-		return ad, e.canceled(err)
+		return e.canceled(err)
 	}
-	ad.theta = e.thetaFor(ad, 1)
-	if err := coll.AddFromParallelCtx(e.ctx, ad.sampler, ad.theta); err != nil {
-		return ad, e.canceled(err)
-	}
-	e.applyExclusions(ad)
-	e.rebuildHeap(ad)
-	return ad, nil
+	return nil
 }
 
-// initShardedAd sets up one exclusive advertiser on a sharded Engine: a
-// private singleton adGroup whose shard.Group plays the Collection's
-// role, with a merged view as the coverage state. The seed layout
-// matches the unsharded exclusive path draw for draw (sSeed feeds the
-// group's shard streams — shard 0's stream seed IS sSeed, so Shards=1
-// replays the exact unsharded sample sequence), and the group is never
-// cached: exclusive samples die with the session.
-func (e *solver) initShardedAd(i int, probs rrset.SampleProbs, sSeed, kSeed uint64) (*adState, error) {
-	g := &adGroup{
-		shg:    shard.NewGroup(e.n, e.snap.pools, probs, sSeed),
-		kptSrc: e.pool.NewStream(probs, kSeed),
-		kptAtS: 1,
-	}
+// initAd sets up one advertiser as a member of its sample group
+// (Algorithm 2 lines 1–4): the group's virtual sample size is extended
+// to the member's L(1, ε) requirement (growing the sample only when it
+// is actually smaller — a cached group may already hold more) and the
+// member receives a private prefix view over it and its candidate heap.
+func (e *solver) initAd(i int, g *adGroup) (*adState, error) {
 	ad := &adState{
 		idx:    i,
 		cpe:    e.p.Ads[i].CPE,
@@ -642,21 +545,16 @@ func (e *solver) initShardedAd(i int, probs rrset.SampleProbs, sSeed, kSeed uint
 		group:  g,
 		pruned: make([]bool, e.n),
 		s:      1,
-		kptAtS: 1,
+		kpt:    g.kpt,
 		active: true,
 	}
-	var err error
-	g.kpt, err = rrset.KptEstimateParallelCtx(e.ctx, g.kptSrc, e.m, int64(e.n), 1, e.opt.Ell)
-	if err != nil {
-		return ad, e.canceled(err)
+	if need := e.thetaFor(ad, 1); need > g.vsize {
+		g.vsize = need
 	}
-	ad.kpt = g.kpt
-	g.vsize = e.thetaFor(ad, 1)
 	if err := e.growUniverse(g); err != nil {
 		return ad, err
 	}
-	ad.view = g.newView(g.vsize)
-	ad.coll = ad.view
+	ad.view = shard.NewViewPrefix(g.shg, g.vsize)
 	ad.theta = ad.view.Size()
 	g.members = append(g.members, ad)
 	e.applyExclusions(ad)
@@ -673,38 +571,6 @@ func (e *solver) applyExclusions(ad *adState) {
 	for _, v := range e.opt.ExcludedNodes[ad.idx] {
 		ad.pruned[v] = true
 	}
-}
-
-// initSharedAd sets up one advertiser as a member of a sample-sharing
-// group: the group's virtual universe size is extended to the member's
-// L(1, ε) requirement (growing the cached universe only when it is
-// actually smaller) and the member receives a private prefix view over
-// it.
-func (e *solver) initSharedAd(i int, g *adGroup) (*adState, error) {
-	ad := &adState{
-		idx:    i,
-		cpe:    e.p.Ads[i].CPE,
-		budget: e.p.Ads[i].Budget,
-		group:  g,
-		pruned: make([]bool, e.n),
-		s:      1,
-		kptAtS: 1,
-		kpt:    g.kpt,
-		active: true,
-	}
-	if need := e.thetaFor(ad, 1); need > g.vsize {
-		g.vsize = need
-	}
-	if err := e.growUniverse(g); err != nil {
-		return ad, err
-	}
-	ad.view = g.newView(g.vsize)
-	ad.coll = ad.view
-	ad.theta = ad.view.Size()
-	g.members = append(g.members, ad)
-	e.applyExclusions(ad)
-	e.rebuildHeap(ad)
-	return ad, nil
 }
 
 // gammaKey builds the ShareSamples grouping key for a topic distribution.
@@ -763,11 +629,11 @@ func (e *solver) heapKey(ad *adState, v int32) float64 {
 		if c < 1e-12 {
 			c = 1e-12
 		}
-		return float64(ad.coll.CovCount(v)) / c
+		return float64(ad.view.CovCount(v)) / c
 	default:
 		// Cost-agnostic modes, and windowed cost-sensitive search (which
 		// pops by coverage and picks the best ratio among the top w).
-		return float64(ad.coll.CovCount(v))
+		return float64(ad.view.CovCount(v))
 	}
 }
 
@@ -797,7 +663,7 @@ func (e *solver) rebuildHeap(ad *adState) {
 
 // marginals computes (π_i(u|S_i), ρ_i(u|S_i), ratio) for node u.
 func (e *solver) marginals(ad *adState, v int32) (mpi, mrho, ratio float64) {
-	mpi = ad.cpe * float64(e.n) * float64(ad.coll.CovCount(v)) / float64(ad.theta)
+	mpi = ad.cpe * float64(e.n) * float64(ad.view.CovCount(v)) / float64(ad.theta)
 	mrho = mpi + e.p.Incentives[ad.idx].Cost(v)
 	den := mrho
 	if den < 1e-12 {
@@ -811,7 +677,7 @@ func (e *solver) marginals(ad *adState, v int32) (mpi, mrho, ratio float64) {
 // advertiser's knapsack, or if its marginal coverage is zero (zero
 // estimated marginal revenue — adding it cannot increase the objective).
 func (e *solver) admissible(ad *adState, v int32) bool {
-	if ad.coll.CovCount(v) == 0 {
+	if ad.view.CovCount(v) == 0 {
 		return false
 	}
 	_, mrho, _ := e.marginals(ad, v)
@@ -903,8 +769,8 @@ func (e *solver) assign(ad *adState, c candidate) error {
 	ad.seeds = append(ad.seeds, v)
 	e.assigned[v] = true
 	ad.cost += e.p.Incentives[ad.idx].Cost(v)
-	ad.coll.CoverBy(v) // remove covered RR sets (line 14)
-	e.setPi(ad, ad.cpe*float64(e.n)*float64(ad.coll.NumCovered())/float64(ad.theta))
+	ad.view.CoverBy(v) // remove covered RR sets (line 14)
+	e.setPi(ad, ad.cpe*float64(e.n)*float64(ad.view.NumCovered())/float64(ad.theta))
 	ad.cand.valid = false
 	// Other advertisers' cached candidates may reference the now-assigned
 	// node.
@@ -932,7 +798,7 @@ func (e *solver) grow(ad *adState) error {
 	if remaining < 0 {
 		remaining = 0
 	}
-	_, maxCov := ad.coll.MaxCovCount(func(v int32) bool { return !e.assigned[v] })
+	_, maxCov := ad.view.MaxCovCount(func(v int32) bool { return !e.assigned[v] })
 	fMax := float64(maxCov) / float64(ad.theta)
 	denom := e.p.Incentives[ad.idx].MaxCost() + ad.cpe*float64(e.n)*fMax
 	delta := 0
@@ -949,50 +815,30 @@ func (e *solver) grow(ad *adState) error {
 	if err := e.refreshKpt(ad); err != nil {
 		return err
 	}
-	newTheta := e.thetaFor(ad, ad.s)
-
-	if ad.group != nil {
-		g := ad.group
-		if newTheta > g.vsize {
-			g.vsize = newTheta
+	g := ad.group
+	if newTheta := e.thetaFor(ad, ad.s); newTheta > g.vsize {
+		g.vsize = newTheta
+	}
+	if err := e.growUniverse(g); err != nil {
+		return err
+	}
+	// Every member whose view lags the session's virtual sample size
+	// absorbs the new sets (Algorithm 3 per member): re-attribute their
+	// coverage to the existing seeds in insertion order, refresh the
+	// revenue estimate, and rebuild the heap — coverage counts may have
+	// increased, so lazy heap keys would be underestimates.
+	for _, m := range g.members {
+		if m.view.SyncTo(g.vsize) == 0 {
+			continue
 		}
-		if err := e.growUniverse(g); err != nil {
-			return err
+		m.theta = m.view.Size()
+		for _, v := range m.seeds {
+			m.view.CoverBy(v)
 		}
-		// Every member whose view lags the session's virtual universe size
-		// absorbs the new sets (Algorithm 3 per member).
-		for _, m := range g.members {
-			if m.view.SyncTo(g.vsize) == 0 {
-				continue
-			}
-			m.theta = m.view.Size()
-			for _, v := range m.seeds {
-				m.view.CoverBy(v)
-			}
-			e.setPi(m, m.cpe*float64(e.n)*float64(m.view.NumCovered())/float64(m.theta))
-			e.rebuildHeap(m)
-			e.emitProgress(ProgressSampleGrowth, m, -1)
-		}
-		return nil
+		e.setPi(m, m.cpe*float64(e.n)*float64(m.view.NumCovered())/float64(m.theta))
+		e.rebuildHeap(m)
+		e.emitProgress(ProgressSampleGrowth, m, -1)
 	}
-
-	if newTheta <= ad.theta {
-		return nil
-	}
-	if err := ad.excl.AddFromParallelCtx(e.ctx, ad.sampler, newTheta-ad.theta); err != nil {
-		return e.canceled(err)
-	}
-	ad.theta = newTheta
-	// Algorithm 3: re-attribute coverage of the fresh sets to existing
-	// seeds in insertion order, then refresh the revenue estimate.
-	for _, v := range ad.seeds {
-		ad.coll.CoverBy(v)
-	}
-	e.setPi(ad, ad.cpe*float64(e.n)*float64(ad.coll.NumCovered())/float64(ad.theta))
-	// Coverage counts may have increased; lazy heap keys would be
-	// underestimates, so rebuild.
-	e.rebuildHeap(ad)
-	e.emitProgress(ProgressSampleGrowth, ad, -1)
 	return nil
 }
 
@@ -1001,32 +847,19 @@ func (e *solver) grow(ad *adState) error {
 // value remains a valid lower bound in between. Shared groups keep one
 // estimate for all members.
 func (e *solver) refreshKpt(ad *adState) error {
-	if ad.group != nil {
-		g := ad.group
-		if ad.s >= 2*g.kptAtS {
-			kpt, err := rrset.KptEstimateParallelCtx(e.ctx, g.kptSrc, e.m, int64(e.n), ad.s, e.opt.Ell)
-			if err != nil {
-				return e.canceled(err)
-			}
-			if kpt > g.kpt {
-				g.kpt = kpt
-			}
-			g.kptAtS = ad.s
-		}
-		if g.kpt > ad.kpt {
-			ad.kpt = g.kpt
-		}
-		return nil
-	}
-	if ad.s >= 2*ad.kptAtS {
-		kpt, err := rrset.KptEstimateParallelCtx(e.ctx, ad.kptSrc, e.m, int64(e.n), ad.s, e.opt.Ell)
+	g := ad.group
+	if ad.s >= 2*g.kptAtS {
+		kpt, err := rrset.KptEstimateParallelCtx(e.ctx, g.kptSrc, e.m, int64(e.n), ad.s, e.opt.Ell)
 		if err != nil {
 			return e.canceled(err)
 		}
-		if kpt > ad.kpt {
-			ad.kpt = kpt
+		if kpt > g.kpt {
+			g.kpt = kpt
 		}
-		ad.kptAtS = ad.s
+		g.kptAtS = ad.s
+	}
+	if g.kpt > ad.kpt {
+		ad.kpt = g.kpt
 	}
 	return nil
 }

@@ -164,38 +164,28 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 			res.DroppedUniverses++
 			continue
 		}
+		// Invalidation is tracked per shard, so only the shards owning
+		// touched sets are repaired (each with its own deterministic repair
+		// stream), and the whole group is restreamed onto the new
+		// generation's pools.
 		probs := next.edgeProbsFor(sg.gamma).sampling
+		res.InvalidatedSets += sg.shg.Invalidate(remap.Touched)
+		if sg.shg.StaleCount() > 0 && sg.shg.StaleFraction() > e.opts.MaxStaleFraction {
+			for s := 0; s < sg.shg.NumShards(); s++ {
+				u := sg.shg.Universe(s)
+				if u.StaleCount() == 0 {
+					continue
+				}
+				res.RepairedSets += next.pools[s].RepairUniverse(u, probs, shard.StreamSeed(keys[i].seed, s))
+			}
+		}
+		sg.shg.Restream(next.pools, probs, mixSeed(keys[i].seed, ng.Generation()))
 		carried := &sharedGroup{
 			lock:  make(chan struct{}, 1),
+			shg:   sg.shg,
 			gamma: sg.gamma,
 		}
-		if sg.shg != nil {
-			// Sharded entry: invalidation is tracked per shard, so only the
-			// shards owning touched sets are repaired (each with its own
-			// deterministic repair stream), and the whole group is restreamed
-			// onto the new generation's pools.
-			res.InvalidatedSets += sg.shg.Invalidate(remap.Touched)
-			if sg.shg.StaleCount() > 0 && sg.shg.StaleFraction() > e.opts.MaxStaleFraction {
-				for s := 0; s < sg.shg.NumShards(); s++ {
-					u := sg.shg.Universe(s)
-					if u.StaleCount() == 0 {
-						continue
-					}
-					res.RepairedSets += next.pools[s].RepairUniverse(u, probs, shard.StreamSeed(keys[i].seed, s))
-				}
-			}
-			sg.shg.Restream(next.pools, probs, mixSeed(keys[i].seed, ng.Generation()))
-			carried.shg = sg.shg
-			carried.bytes.Store(sg.shg.MemoryFootprint())
-		} else {
-			res.InvalidatedSets += sg.universe.Invalidate(remap.Touched)
-			if sg.universe.StaleCount() > 0 && sg.universe.StaleFraction() > e.opts.MaxStaleFraction {
-				res.RepairedSets += next.pool.RepairUniverse(sg.universe, probs, keys[i].seed)
-			}
-			carried.universe = sg.universe
-			carried.sampler = next.pool.NewStream(probs, mixSeed(keys[i].seed, ng.Generation()))
-			carried.bytes.Store(sg.universe.MemoryFootprint())
-		}
+		carried.bytes.Store(sg.shg.MemoryFootprint())
 		next.mu.Lock()
 		next.universes[keys[i]] = carried
 		next.mu.Unlock()

@@ -28,15 +28,14 @@ type EngineOptions struct {
 	// Workers > 1 and the granularity of context-cancellation checks
 	// inside sampling.
 	SampleBatch int
-	// Shards partitions every RR-set store into this many independently
+	// Shards partitions every RR sample into this many independently
 	// sampled shards: global draw i lands in shard i mod Shards, each
 	// shard samples from its own deterministic stream
 	// (shard.StreamSeed(seed, s)) into its own universe, and selection
 	// runs on merged per-node counts that are provably equal to the
-	// single-universe oracle's. 0 keeps the historical unsharded path
-	// untouched; 1 routes through the shard layer and stays bit-identical
-	// to 0 (shard 0's stream seed is the base seed unchanged, and the
-	// merged view of one shard is a plain prefix view). Values above 1
+	// single-universe oracle's. 0 (and any value below 1) is read as 1,
+	// the single-shard layout whose draws are the historical sequence
+	// (shard 0's stream seed is the base seed unchanged). Values above 1
 	// parallelize sampling across shards — each shard gets its own
 	// scratch pool, so total scratch grows to O(Shards·Workers·n) — and
 	// let ApplyDelta repair only the shards owning touched sets.
@@ -57,8 +56,8 @@ func (o EngineOptions) withDefaults() EngineOptions {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	if o.Shards < 0 {
-		o.Shards = 0
+	if o.Shards < 1 {
+		o.Shards = 1
 	}
 	if o.MaxStaleFraction < 0 {
 		o.MaxStaleFraction = 0
@@ -99,27 +98,23 @@ type universeKey struct {
 	shards int
 }
 
-// sharedGroup is one cached (universe, sampler) pair. Its lock (a
+// sharedGroup is one cached RR sample: a shard.Group bundling S
+// universes with their per-shard deterministic streams. Its lock (a
 // 1-slot channel, so waiters can abandon on context cancellation) is
 // held by a solve session for the session's whole lifetime, serializing
 // the (rare) case of concurrent solves that share both topic
 // distribution and seed; solves with different seeds or gammas never
-// contend. The sampler's position always equals the universe's size, so
-// growing the universe from any session extends the same deterministic
+// contend. Each stream's position always equals its universe's size, so
+// growing the group from any session extends the same deterministic
 // sequence.
 type sharedGroup struct {
-	lock     chan struct{}
-	universe *rrset.Universe
-	sampler  *rrset.Stream
-	// shg replaces universe/sampler (both nil) when the Engine runs
-	// sharded: one shard.Group bundling S universes with their per-shard
-	// deterministic streams.
-	shg *shard.Group
+	lock chan struct{}
+	shg  *shard.Group
 	// gamma is the entry's (unnormalized) topic distribution, kept so a
 	// generation swap can re-materialize edge probabilities on the new
 	// model when carrying the universe forward.
 	gamma topic.Distribution
-	// bytes caches universe.MemoryFootprint(), refreshed by the holding
+	// bytes caches shg.MemoryFootprint(), refreshed by the holding
 	// session after growth, so monitors (CachedUniverseBytes) can read a
 	// consistent size without touching universe internals that a
 	// concurrent session may be appending to.
@@ -132,22 +127,18 @@ type sharedGroup struct {
 }
 
 // snapshot is one immutable graph generation plus every cache keyed by
-// it: the topic model, the sampling pool (whose scratch is sized by the
+// it: the topic model, the sampling pools (whose scratch is sized by the
 // graph), memoized edge probabilities and the shared-universe cache.
 // Sessions pin a snapshot at entry and run on it to completion, so an
 // ApplyDelta swapping in a successor never perturbs in-flight work.
 type snapshot struct {
 	graph *graph.Graph
 	model *topic.Model
-	// pool is the primary scratch pool (always pools[0]): KPT streams and
-	// every unsharded sampler draw from it.
-	pool *rrset.Pool
-	// pools holds one scratch pool per shard when shards > 0 (pools[0] ==
-	// pool), so shards sample concurrently without contending for slots.
-	// Pool scratch is lazily materialized, so idle pools cost little.
+	// pools holds one scratch pool per shard (len(pools) is the resolved
+	// EngineOptions.Shards), so shards sample concurrently without
+	// contending for slots; KPT streams draw from pools[0]. Pool scratch
+	// is lazily materialized, so idle pools cost little.
 	pools []*rrset.Pool
-	// shards is EngineOptions.Shards, frozen per generation.
-	shards int
 
 	mu        sync.Mutex
 	probs     map[string]adProbs
@@ -163,11 +154,7 @@ type adProbs struct {
 }
 
 func newSnapshot(g *graph.Graph, model *topic.Model, opts EngineOptions) *snapshot {
-	np := opts.Shards
-	if np < 1 {
-		np = 1
-	}
-	pools := make([]*rrset.Pool, np)
+	pools := make([]*rrset.Pool, opts.Shards)
 	for i := range pools {
 		pools[i] = rrset.NewPool(g, rrset.PoolOptions{
 			Workers:   opts.Workers,
@@ -177,9 +164,7 @@ func newSnapshot(g *graph.Graph, model *topic.Model, opts EngineOptions) *snapsh
 	return &snapshot{
 		graph:     g,
 		model:     model,
-		pool:      pools[0],
 		pools:     pools,
-		shards:    opts.Shards,
 		probs:     map[string]adProbs{},
 		universes: map[universeKey]*sharedGroup{},
 	}
@@ -234,9 +219,9 @@ func (sn *snapshot) evictSharedGroups(keys []universeKey, groups []*sharedGroup)
 // Construct it once with NewEngine, then issue any number of Solve /
 // Evaluate calls, concurrently if desired:
 //
-//   - the RR-sampling scratch pool (Workers visited arrays, O(Workers·n)
-//     bytes total) is allocated once per graph generation and shared by
-//     every call;
+//   - the RR-sampling scratch pools (Workers visited arrays per shard,
+//     O(Shards·Workers·n) bytes total) are allocated once per graph
+//     generation and shared by every call;
 //   - ad-specific edge-probability vectors are memoized per normalized
 //     topic distribution, so repeated solves over the same advertisers
 //     skip the O(m) materialization;
@@ -356,17 +341,15 @@ func (e *Engine) Current() (*graph.Graph, *topic.Model) {
 func (e *Engine) Generation() uint64 { return e.cur.Load().graph.Generation() }
 
 // Workers returns the Engine's resolved sampling-worker count.
-func (e *Engine) Workers() int { return e.cur.Load().pool.Workers() }
+func (e *Engine) Workers() int { return e.cur.Load().pools[0].Workers() }
 
-// Shards returns the Engine's configured RR-sampling shard count
-// (0 = the unsharded legacy path; 1 routes through the shard layer
-// bit-identically).
+// Shards returns the Engine's resolved RR-sampling shard count (≥ 1;
+// EngineOptions.Shards 0 reads as 1).
 func (e *Engine) Shards() int { return e.opts.Shards }
 
 // SamplerMemoryBytes returns the high-water scratch footprint of the
-// current generation's sampling pools — O(Workers·n) unsharded,
-// O(Shards·Workers·n) worst case when sharded (idle shard pools stay
-// lazily unmaterialized).
+// current generation's sampling pools — O(Shards·Workers·n) worst case
+// (idle shard pools stay lazily unmaterialized).
 func (e *Engine) SamplerMemoryBytes() int64 {
 	var total int64
 	for _, p := range e.cur.Load().pools {
@@ -465,13 +448,8 @@ func (e *Engine) lockSharedGroup(ctx context.Context, sn *snapshot, key universe
 		if !ok {
 			sg = &sharedGroup{
 				lock:  make(chan struct{}, 1),
+				shg:   shard.NewGroup(sn.graph.NumNodes(), sn.pools, probs, mixSeed(key.seed, sn.graph.Generation())),
 				gamma: append(topic.Distribution(nil), gamma...),
-			}
-			if sn.shards > 0 {
-				sg.shg = shard.NewGroup(sn.graph.NumNodes(), sn.pools, probs, mixSeed(key.seed, sn.graph.Generation()))
-			} else {
-				sg.universe = rrset.NewUniverse(sn.graph.NumNodes())
-				sg.sampler = sn.pool.NewStream(probs, mixSeed(key.seed, sn.graph.Generation()))
 			}
 			sn.universes[key] = sg
 		}
@@ -534,8 +512,8 @@ func (e *Engine) Solve(ctx context.Context, p *Problem, opt Options) (*Allocatio
 		e.solvesFailed.Add(1)
 		return nil, nil, err
 	}
-	opt.Workers = sn.pool.Workers()
-	opt.SampleBatch = sn.pool.BatchSize()
+	opt.Workers = sn.pools[0].Workers()
+	opt.SampleBatch = sn.pools[0].BatchSize()
 	// validateSolve already proved the mode is registered.
 	info, _ := ModeInfo(opt.Mode)
 	start := time.Now()
@@ -548,7 +526,6 @@ func (e *Engine) Solve(ctx context.Context, p *Problem, opt Options) (*Allocatio
 		info:     info,
 		n:        p.Graph.NumNodes(),
 		m:        p.Graph.NumEdges(),
-		pool:     sn.pool,
 		assigned: make([]bool, p.Graph.NumNodes()),
 		stats: &Stats{
 			Mode:          opt.Mode,
@@ -556,8 +533,8 @@ func (e *Engine) Solve(ctx context.Context, p *Problem, opt Options) (*Allocatio
 			Theta:         make([]int, p.NumAds()),
 			Kpt:           make([]float64, p.NumAds()),
 			SeedCounts:    make([]int, p.NumAds()),
-			SampleWorkers: sn.pool.Workers(),
-			Shards:        sn.shards,
+			SampleWorkers: sn.pools[0].Workers(),
+			Shards:        len(sn.pools),
 		},
 	}
 	// Deferred cleanup so that even a panic escaping the solve (e.g. from

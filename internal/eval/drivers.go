@@ -301,12 +301,12 @@ type ScalePoint struct {
 	H            int
 	Budget       float64
 	Duration     time.Duration
-	MemBytes     int64 // RR-set store footprint (collections/universes)
+	MemBytes     int64 // RR-set store footprint (shard universes and views)
 	SamplerBytes int64 // shared sampling-pool scratch, O(workers·n)
 	Seeds        int
 	RRSets       int64 // total RR sets sampled
 	Workers      int   // RR-sampling scratch slots for the run
-	Shards       int   // engine RR-shard count (0 = unsharded path)
+	Shards       int   // engine's resolved RR-shard count (≥ 1)
 }
 
 // RRThroughput returns RR sets sampled per second of algorithm runtime.
@@ -471,9 +471,9 @@ func ScalabilityBudget(ctx context.Context, dataset string, budgets []float64, p
 // ShardScaling measures RR-sampling behavior as the engine's shard
 // count grows, holding everything else (dataset, problem, seed, ε,
 // window) fixed: one TI-CSRM solve per shard count, each on its own
-// warm engine. The shards=1 point runs the shard layer itself (not the
-// unsharded path), so the sweep isolates the cost and parallel benefit
-// of sharding rather than comparing different code paths.
+// warm engine. Every point runs the same shard-group path, so the sweep
+// isolates the cost and parallel benefit of sharding rather than
+// comparing different code paths.
 func ShardScaling(ctx context.Context, dataset string, budget float64, shardCounts []int, params Params,
 	progress func(string)) ([]ScalePoint, error) {
 	params = params.withDefaults()

@@ -150,9 +150,8 @@ type Params struct {
 	// incrementally repaired only when their stale fraction exceeds this
 	// bound (0 = repair on any staleness, the exact default).
 	MaxStaleFraction float64
-	// Shards is the engine's RR-shard count (0 = the historical unsharded
-	// path, 1 = the shard layer with bit-identical output; see
-	// core.EngineOptions.Shards).
+	// Shards is the engine's RR-shard count (0 is read as 1, the
+	// single-shard layout; see core.EngineOptions.Shards).
 	Shards int
 	// AlphaPoints is the number of α grid points per incentive model
 	// (default 5, as in Figures 2–3).
@@ -428,12 +427,12 @@ type RunResult struct {
 	SeedCost      float64 // Σ c_i(S_i)
 	Seeds         int
 	Duration      time.Duration
-	MemBytes      int64 // RR-set store footprint (collections/universes)
+	MemBytes      int64 // RR-set store footprint (shard universes and views)
 	SamplerBytes  int64 // shared sampling pool scratch, O(workers·n)
 	Theta         []int
 	RRSets        int64 // total RR sets sampled across ads
 	SampleWorkers int   // RR-sampling scratch slots for the run
-	Shards        int   // engine RR-shard count (0 = unsharded path)
+	Shards        int   // engine's resolved RR-shard count (≥ 1)
 }
 
 // RRThroughput returns the sampling-dominated runs' headline rate: RR sets

@@ -31,7 +31,7 @@ type BenchReport struct {
 	Seed          uint64 `json:"seed"`
 	Workers       int    `json:"workers"`
 	// Shards is the engine RR-shard count the run was configured with
-	// (0 = the unsharded path).
+	// (-shards; 0 is read as 1, see core.EngineOptions.Shards).
 	Shards int `json:"shards"`
 	// PeakRSSBytes is the process's peak resident set (VmHWM) at report
 	// time — the whole-run memory high-water mark, the number the

@@ -129,7 +129,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(r engineRow) int64 { return r.samplerBytes })
 	emit("rmserved_engine_workers", "RR-sampling scratch slots of the engine.", "gauge",
 		func(r engineRow) int64 { return r.workers })
-	emit("rm_shards", "RR-shard count of the engine (0 = unsharded path).", "gauge",
+	emit("rm_shards", "Resolved RR-shard count of the engine (>= 1).", "gauge",
 		func(r engineRow) int64 { return r.shards })
 	emit("rmserved_graph_generation", "Serving graph generation of the engine (0 until its first mutate).", "gauge",
 		func(r engineRow) int64 { return r.generation })

@@ -79,9 +79,9 @@ type Config struct {
 	Workers     int
 	SampleBatch int
 	// Shards is every engine's RR-shard count (core.EngineOptions.Shards):
-	// 0 keeps the historical unsharded path, 1 exercises the shard layer
-	// with bit-identical results, >1 samples shards in parallel. Part of
-	// the engines' determinism key, fixed per server like Workers.
+	// 0 is read as 1, the single-shard layout; >1 samples shards in
+	// parallel. Part of the engines' determinism key, fixed per server
+	// like Workers.
 	Shards int
 	// SingletonRuns is the workbench's Monte-Carlo budget for singleton
 	// spreads on the quality datasets (0 = the eval default).
