@@ -284,13 +284,14 @@ func linearMaxCov(c *rrset.Collection, n int32) (int32, int32) {
 // BenchmarkMaxCovSelect pins the tentpole speedup of the indexed
 // bucket-queue selector on a selection-dominated workload (n = 100k
 // nodes, θ = 200k RR sets): the query/* pair measures one MaxCovCount
-// answer — the operation TIM-style greedy loops issue once per pick and
-// the engine issues per growth event (engine.go's eligibility-filtered
-// max) — indexed versus the pre-refactor O(n) scan; the greedy/* pair
-// runs k full picks including the (shared) CoverBy coverage updates.
-// Both arms are pinned to identical answers by the equivalence suite in
-// internal/rrset/select_equiv_test.go; ResetCoverage between iterations
-// is benchmark bookkeeping and runs off the clock.
+// answer — the operation TIM-style greedy loops issue once per pick —
+// indexed versus the pre-refactor O(n) scan. (The engine asks it only
+// once per growth event, so its shard views keep plain counts and scan.)
+// The greedy/* pair runs k full picks including the (shared) CoverBy
+// coverage updates. Both arms are pinned to identical answers by the
+// equivalence suite in internal/rrset/select_equiv_test.go;
+// ResetCoverage between iterations is benchmark bookkeeping and runs
+// off the clock.
 func BenchmarkMaxCovSelect(b *testing.B) {
 	rng := xrand.New(11)
 	g := gen.RMAT(100_000, 500_000, gen.DefaultRMAT, rng)

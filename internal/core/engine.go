@@ -648,9 +648,11 @@ func (e *solver) keyStale(ad *adState, ent candEntry) bool {
 
 // rebuildHeap reconstructs the candidate heap from all unassigned,
 // unpruned nodes — needed after sample growth, when coverage counts can
-// increase and lazy revalidation would be unsound.
+// increase and lazy revalidation would be unsound. The entries reuse the
+// heap's backing array, which already holds room for every node.
 func (e *solver) rebuildHeap(ad *adState) {
-	entries := make([]candEntry, 0, e.n)
+	ad.heap.Reset(int(e.n))
+	entries := ad.heap.a
 	for v := int32(0); v < e.n; v++ {
 		if e.assigned[v] || ad.pruned[v] {
 			continue

@@ -53,7 +53,7 @@ type AlgorithmInfo struct {
 }
 
 // registry holds every engine algorithm in canonical presentation order.
-// All modes run on the shared RR arena/bucket-queue substrate, so they
+// All modes run on the shared RR arena and shard-view substrate, so they
 // all support shards and dynamic-graph deltas; the flags exist so that a
 // future mode without that property degrades discoverably, not silently.
 var registry = []AlgorithmInfo{

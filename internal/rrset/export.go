@@ -2,11 +2,9 @@ package rrset
 
 // export.go is the narrow surface external coverage-state
 // implementations build on — today internal/shard's MergedView, which
-// composes per-shard Universes behind one merged bucket queue. The
-// exported types wrap the package-private substrate without widening
-// it: BucketQueue keeps the determinism contract of bucketQueue
-// (lowest-ID tie-break, count-only state), SetIter keeps the
-// ascending-ID iteration invariant of nodeIndex.
+// sums per-shard Universes' coverage into one count per node. SetIter
+// wraps the package-private inverted index without widening it and
+// keeps its ascending-ID iteration invariant.
 
 // NumNodes returns the node-space size the universe was built over.
 func (u *Universe) NumNodes() int32 { return u.n }
@@ -28,36 +26,3 @@ func (u *Universe) SetsContaining(v int32) SetIter {
 
 // Next returns the next set ID, or ok=false when exhausted.
 func (s *SetIter) Next() (id int32, ok bool) { return s.it.next() }
-
-// BucketQueue is the exported indexed max-coverage queue: every node's
-// live marginal count with O(1) Inc/Dec and an indexed maximum query.
-// Determinism contract: MaxEligible returns the lowest node ID among
-// the eligible nodes attaining the maximum count — a pure function of
-// the current counts, never of the Inc/Dec order that produced them —
-// so any composition of queues that reproduces a reference's counts
-// reproduces its pick sequence bit for bit.
-type BucketQueue struct {
-	q bucketQueue
-}
-
-// Init places all n nodes in bucket 0, reusing capacity when possible.
-func (b *BucketQueue) Init(n int32) { b.q.init(n) }
-
-// Count returns node v's live marginal coverage count.
-func (b *BucketQueue) Count(v int32) int32 { return b.q.count[v] }
-
-// Inc moves v one bucket up.
-func (b *BucketQueue) Inc(v int32) { b.q.inc(v) }
-
-// Dec moves v one bucket down.
-func (b *BucketQueue) Dec(v int32) { b.q.dec(v) }
-
-// MaxEligible returns the lowest-ID node with the maximum count among
-// nodes for which eligible returns true (nil = all), and that count;
-// (-1, 0) when none is eligible.
-func (b *BucketQueue) MaxEligible(eligible func(v int32) bool) (node int32, count int32) {
-	return b.q.maxEligible(eligible)
-}
-
-// Bytes reports the queue's heap footprint.
-func (b *BucketQueue) Bytes() int64 { return b.q.bytes() }

@@ -116,9 +116,14 @@ func TestOneShardBitIdentical(t *testing.T) {
 // oracleOf interleaves a group's shard contents back into global draw
 // order and returns the equivalent single universe.
 func oracleOf(g *Group) *rrset.Universe {
-	u := rrset.NewUniverse(g.NumNodes())
+	return extendOracle(rrset.NewUniverse(g.NumNodes()), g)
+}
+
+// extendOracle appends the group's global draws beyond u's size to u,
+// in global draw order, and returns u.
+func extendOracle(u *rrset.Universe, g *Group) *rrset.Universe {
 	s := g.NumShards()
-	for i := 0; i < g.Size(); i++ {
+	for i := u.Size(); i < g.Size(); i++ {
 		su := g.Universe(i % s)
 		u.Add(append([]int32(nil), su.Set(int32(i/s))...))
 	}
@@ -183,7 +188,10 @@ func checkGreedy(t *testing.T, a, b rrset.CoverageState, n int32, rounds int) {
 }
 
 // TestMergedPrefix asserts the cache-replay contract: a prefix view
-// over a pre-grown group equals the oracle's prefix view.
+// over a pre-grown group equals the oracle's prefix view — whether its
+// shards are seeded from their index degrees (long prefixes) or walked
+// forward (short ones) — and stays equal, eligibility-filtered maxima
+// included, when the group grows and the covered views sync further.
 func TestMergedPrefix(t *testing.T) {
 	g := newTestGraph(xrand.New(11))
 	probs := constProbs(g, 0.1)
@@ -192,11 +200,79 @@ func TestMergedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := oracleOf(grp)
-	for _, prefix := range []int{0, 1, 7, 100, 399, 400, 1000} {
-		mv := NewViewPrefix(grp, prefix)
-		ov := rrset.NewViewPrefix(oracle, prefix)
-		checkGreedy(t, mv, ov, g.NumNodes(), 4)
+	prefixes := []int{0, 1, 7, 100, 199, 201, 300, 399, 400, 1000}
+	mvs := make([]*MergedView, len(prefixes))
+	ovs := make([]*rrset.View, len(prefixes))
+	for i, prefix := range prefixes {
+		mvs[i] = NewViewPrefix(grp, prefix)
+		ovs[i] = rrset.NewViewPrefix(oracle, prefix)
+		checkGreedy(t, mvs[i], ovs[i], g.NumNodes(), 4)
 	}
+
+	if err := grp.Grow(context.Background(), 700); err != nil {
+		t.Fatal(err)
+	}
+	extendOracle(oracle, grp)
+	rng := xrand.New(12)
+	for i := range prefixes {
+		limit := mvs[i].Size() + 150
+		if a, b := mvs[i].SyncTo(limit), ovs[i].SyncTo(limit); a != b {
+			t.Fatalf("prefix %d SyncTo(%d): %d vs %d", prefixes[i], limit, a, b)
+		}
+		checkEligible(t, mvs[i], ovs[i], g.NumNodes(), rng)
+		checkGreedy(t, mvs[i], ovs[i], g.NumNodes(), 4)
+	}
+}
+
+// checkEligible compares eligibility-filtered MaxCovCount answers of two
+// states: a random banned third of the nodes, every node banned, and
+// every node but the highest ID banned.
+func checkEligible(t *testing.T, a, b rrset.CoverageState, n int32, rng *xrand.RNG) {
+	t.Helper()
+	banned := make([]bool, n)
+	for v := range banned {
+		banned[v] = rng.Int31n(3) == 0
+	}
+	for _, eligible := range []func(int32) bool{
+		func(v int32) bool { return !banned[v] },
+		func(int32) bool { return false },
+		func(v int32) bool { return v == n-1 },
+	} {
+		an, ac := a.MaxCovCount(eligible)
+		bn, bc := b.MaxCovCount(eligible)
+		if an != bn || ac != bc {
+			t.Fatalf("filtered MaxCovCount: (%d,%d) vs (%d,%d)", an, ac, bn, bc)
+		}
+	}
+}
+
+// TestMergedViewZeroAlloc pins the view's per-pick operations
+// allocation-free: CovCount per heap key, CoverBy per assignment and
+// the eligibility-filtered MaxCovCount per growth event.
+func TestMergedViewZeroAlloc(t *testing.T) {
+	g := newTestGraph(xrand.New(13))
+	grp := NewGroup(g.NumNodes(), newPools(g, 3, 1), constProbs(g, 0.1), 21)
+	if err := grp.Grow(context.Background(), 600); err != nil {
+		t.Fatal(err)
+	}
+	mv := NewView(grp)
+	n := g.NumNodes()
+	assigned := make([]bool, n)
+	eligible := func(v int32) bool { return !assigned[v] }
+	var node, sink int32
+	for _, op := range []struct {
+		name string
+		f    func()
+	}{
+		{"CovCount", func() { sink += mv.CovCount(node); node = (node + 1) % n }},
+		{"CoverBy", func() { mv.CoverBy(node); assigned[node] = true; node = (node + 1) % n }},
+		{"MaxCovCount", func() { v, _ := mv.MaxCovCount(eligible); sink += v }},
+	} {
+		if allocs := testing.AllocsPerRun(100, op.f); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", op.name, allocs)
+		}
+	}
+	_ = sink
 }
 
 func TestGroupInvalidateMatchesOracle(t *testing.T) {

@@ -5,26 +5,26 @@ import "repro/internal/rrset"
 // MergedView is one advertiser's coverage state over a sharded sample:
 // the shard-composition analogue of rrset.View. Per-shard state is a
 // packed coverage bitset and a synced prefix length; the marginal
-// coverage counts of all shards are summed into ONE merged bucket
-// queue, so CovCount/MaxCovCount answer over the union of the shards'
-// synced prefixes in the same O(1)/O(top-bucket) time as the unsharded
-// view — the selection loops cannot tell the difference.
+// coverage counts of all shards are summed into one plain []int32 per
+// node, so CovCount is a load and every sync or tombstone is a ±1 per
+// member. MaxCovCount pays for that with an O(n) scan; the engine asks
+// it once per growth event, beside the O(n) candidate-heap rebuild that
+// follows, and selects per pick from its own heap.
 //
 // Equivalence contract (fuzz-tested against the single-universe
 // oracle): a global prefix of T draws maps to shard-local prefixes
 // CountFor(T, s, S); every set of the conceptual single-stream sample
-// appears in exactly one shard, so the merged queue's counts equal the
-// oracle's counts set for set, and because the bucket queue's
-// MaxEligible is a pure function of counts (lowest node ID at the
-// maximum), the greedy pick sequence is identical too. Selection marks
-// covered sets shard-locally: CoverBy walks each shard's inverted index
-// up to that shard's synced prefix.
+// appears in exactly one shard, so the merged counts equal the oracle's
+// counts set for set, and because MaxCovCount is a pure function of
+// counts (lowest node ID at the maximum), the greedy pick sequence is
+// identical too. Selection marks covered sets shard-locally: CoverBy
+// walks each shard's inverted index up to that shard's synced prefix.
 type MergedView struct {
 	g       *Group
 	covered []bitset // per shard, indexed by local set ID
 	synced  []int    // per shard, local prefix length
 	total   int      // sum of synced — this view's θ
-	bq      rrset.BucketQueue
+	count   []int32  // node -> live marginal coverage over all shards
 	nCov    int
 }
 
@@ -39,15 +39,45 @@ func NewView(g *Group) *MergedView {
 // global draws of the group — the prefix semantics the engine's
 // cross-solve cache needs so a pre-grown group replays exactly the
 // sample sizes a cold run would have seen.
+//
+// A shard whose prefix is longer than the rest of it is seeded from its
+// inverted-index degrees minus the sets beyond the prefix, so attaching
+// a view to a fully grown sample costs O(n) per shard rather than a walk
+// over every stored member; the other shards walk their prefix forward.
 func NewViewPrefix(g *Group, limit int) *MergedView {
 	v := &MergedView{
 		g:       g,
 		covered: make([]bitset, g.NumShards()),
 		synced:  make([]int, g.NumShards()),
+		count:   make([]int32, g.n),
 	}
-	v.bq.Init(g.n)
+	limit = min(limit, g.Size())
+	for i, u := range g.universes {
+		ls := v.shardPrefix(i, limit)
+		if u.Size()-ls >= ls {
+			continue // SyncTo walks this shard forward
+		}
+		for x := range v.count {
+			v.count[x] += u.NumSetsContaining(int32(x))
+		}
+		for id := ls; id < u.Size(); id++ {
+			for _, x := range u.Set(int32(id)) {
+				v.count[x]--
+			}
+		}
+		v.covered[i].extend(ls)
+		v.synced[i] = ls
+		v.total += ls
+	}
 	v.SyncTo(limit)
 	return v
+}
+
+// shardPrefix returns shard i's local share of the first limit global
+// draws (limit ≤ Size()), capped at what the shard holds: after a
+// partial growth the view syncs only what exists.
+func (v *MergedView) shardPrefix(i, limit int) int {
+	return min(CountFor(limit, i, len(v.synced)), v.g.universes[i].Size())
 }
 
 // Sync integrates every group set added since the last sync; see SyncTo.
@@ -58,35 +88,28 @@ func (v *MergedView) Sync() int { return v.SyncTo(v.g.Size()) }
 // returning how many sets were integrated. A limit at or below the
 // current prefix is a no-op — views never shrink.
 func (v *MergedView) SyncTo(limit int) int {
-	if limit > v.g.Size() {
-		limit = v.g.Size()
-	}
-	s := len(v.synced)
+	limit = min(limit, v.g.Size())
 	added := 0
-	for i := 0; i < s; i++ {
-		u := v.g.universes[i]
-		ls := CountFor(limit, i, s)
-		if ls > u.Size() {
-			ls = u.Size() // partial growth: sync only what exists
-		}
+	for i, u := range v.g.universes {
+		ls := v.shardPrefix(i, limit)
 		if ls <= v.synced[i] {
 			continue
 		}
 		v.covered[i].extend(ls)
 		for id := v.synced[i]; id < ls; id++ {
 			for _, x := range u.Set(int32(id)) {
-				v.bq.Inc(x)
+				v.count[x]++
 			}
-			added++
 		}
-		v.total += ls - v.synced[i]
+		added += ls - v.synced[i]
 		v.synced[i] = ls
 	}
+	v.total += added
 	return added
 }
 
 // CovCount implements rrset.CoverageState on the merged counts.
-func (v *MergedView) CovCount(node int32) int32 { return v.bq.Count(node) }
+func (v *MergedView) CovCount(node int32) int32 { return v.count[node] }
 
 // CoverBy implements rrset.CoverageState: tombstone every live synced
 // set containing node, shard-locally, decrementing the merged counts of
@@ -105,7 +128,7 @@ func (v *MergedView) CoverBy(node int32) int {
 			v.covered[i].set(id)
 			newly++
 			for _, x := range u.Set(id) {
-				v.bq.Dec(x)
+				v.count[x]--
 			}
 		}
 	}
@@ -120,16 +143,25 @@ func (v *MergedView) NumCovered() int { return v.nCov }
 // view's θ.
 func (v *MergedView) Size() int { return v.total }
 
-// MaxCovCount implements rrset.CoverageState via the merged bucket
-// queue, with the unsharded reference's exact tie-break semantics.
+// MaxCovCount implements rrset.CoverageState by an ascending scan of the
+// merged counts, with the unsharded reference's exact semantics: the
+// lowest eligible node ID at the maximum count (nil eligible = all
+// nodes), hence the lowest eligible node when every eligible count is 0,
+// and (-1, 0) when no node is eligible.
 func (v *MergedView) MaxCovCount(eligible func(v int32) bool) (node int32, count int32) {
-	return v.bq.MaxEligible(eligible)
+	node = -1
+	for x, c := range v.count {
+		if (node < 0 || c > count) && (eligible == nil || eligible(int32(x))) {
+			node, count = int32(x), c
+		}
+	}
+	return node, count
 }
 
 // MemoryFootprint implements rrset.CoverageState: only the view's own
 // state — the shard universes are accounted by the group's owner.
 func (v *MergedView) MemoryFootprint() int64 {
-	total := v.bq.Bytes()
+	total := int64(cap(v.count)) * 4
 	for i := range v.covered {
 		total += v.covered[i].bytes()
 	}
