@@ -43,7 +43,9 @@ func NewView(g *Group) *MergedView {
 // A shard whose prefix is longer than the rest of it is seeded from its
 // inverted-index degrees minus the sets beyond the prefix, so attaching
 // a view to a fully grown sample costs O(n) per shard rather than a walk
-// over every stored member; the other shards walk their prefix forward.
+// over every stored member. The other shards walk their prefix forward,
+// which is cheaper when an earlier, larger solve grew a cached group far
+// past this view's prefix.
 func NewViewPrefix(g *Group, limit int) *MergedView {
 	v := &MergedView{
 		g:       g,
