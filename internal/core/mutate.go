@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/shard"
@@ -22,6 +23,10 @@ type DeltaResult struct {
 	// (staleness above the Engine's MaxStaleFraction; may include marks
 	// accumulated from earlier tolerated deltas).
 	RepairedSets int
+	// RepairDuration is the wall time spent repairing those slots: the
+	// per-shard repair loops of the carried universes, summed. It is
+	// exactly 0 when the swap repaired nothing.
+	RepairDuration time.Duration
 	// CarriedUniverses / DroppedUniverses count cached universes moved
 	// into the new generation vs left behind because an in-flight
 	// session held them (or a failed session had marked them dead).
@@ -171,6 +176,7 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 		probs := next.edgeProbsFor(sg.gamma).sampling
 		res.InvalidatedSets += sg.shg.Invalidate(remap.Touched)
 		if sg.shg.StaleCount() > 0 && sg.shg.StaleFraction() > e.opts.MaxStaleFraction {
+			t0 := time.Now()
 			for s := 0; s < sg.shg.NumShards(); s++ {
 				u := sg.shg.Universe(s)
 				if u.StaleCount() == 0 {
@@ -178,6 +184,7 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 				}
 				res.RepairedSets += next.pools[s].RepairUniverse(u, probs, shard.StreamSeed(keys[i].seed, s))
 			}
+			res.RepairDuration += time.Since(t0)
 		}
 		sg.shg.Restream(next.pools, probs, mixSeed(keys[i].seed, ng.Generation()))
 		carried := &sharedGroup{

@@ -54,7 +54,9 @@ const (
 // yields them ascending — the invariant prefix Views rely on to stop at
 // their synced boundary. Appends touch only the tail block and therefore
 // never move or rebuild earlier entries; allocation happens only when an
-// arena itself grows (amortized, chunk-quantized).
+// arena itself grows (amortized, chunk-quantized). rebuild builds the
+// index over a whole arena at once (Universe.Repair) with the same
+// iteration order, and later pushes extend its chains like any other.
 type nodeIndex struct {
 	blocks []int32 // flat overflow-block arena
 	inline []int32 // idxInline slots per node: the first IDs, in order
@@ -110,6 +112,66 @@ func (ix *nodeIndex) push(v, id int32) {
 	}
 	ix.blocks[ix.more[v]+1+slot] = id
 	ix.deg[v] = d + 1
+}
+
+// rebuild replaces the index with one over the sets of a CSR arena (set
+// id's members are data[offsets[id]:offsets[id+1]]) in three linear
+// passes — a counting sort, not one push per member. Pass 1 counts every
+// node's degree. Pass 2 lays each node's overflow chain out as one
+// contiguous run of [link, id×idxBlockIDs] blocks in the reused blocks
+// arena, linked in order with the tail's link pointing back at the
+// first, so later pushes extend it like any pushed chain. Pass 3 fills
+// the IDs in ascending set order, and a last O(n) sweep points more at
+// each chain's tail. Iteration order and deg equal what per-set pushes
+// of the same arena give; only the block layout differs.
+func (ix *nodeIndex) rebuild(data []int32, offsets []uint32) {
+	clear(ix.deg)
+	for _, v := range data {
+		ix.deg[v]++
+	}
+	total := 0
+	for v, d := range ix.deg {
+		if d <= idxInline {
+			ix.more[v] = -1
+			continue
+		}
+		ix.more[v] = int32(total) // first block until the last sweep
+		total += int(overflowBlocks(d)) * (idxBlockIDs + 1)
+	}
+	ix.blocks = grow(ix.blocks[:0], total)[:total]
+	for v, first := range ix.more {
+		if first >= 0 {
+			tail := first + (overflowBlocks(ix.deg[v])-1)*(idxBlockIDs+1)
+			for o := first; o < tail; o += idxBlockIDs + 1 {
+				ix.blocks[o] = o + idxBlockIDs + 1
+			}
+			ix.blocks[tail] = first
+		}
+		ix.deg[v] = 0 // pass 3's fill cursor
+	}
+	for id := 0; id+1 < len(offsets); id++ {
+		for _, v := range data[offsets[id]:offsets[id+1]] {
+			d := ix.deg[v]
+			if d < idxInline {
+				ix.inline[idxInline*v+d] = int32(id)
+			} else {
+				j := uint32(d - idxInline)
+				ix.blocks[uint32(ix.more[v])+j/idxBlockIDs*(idxBlockIDs+1)+1+j%idxBlockIDs] = int32(id)
+			}
+			ix.deg[v] = d + 1
+		}
+	}
+	for v, first := range ix.more {
+		if first >= 0 {
+			ix.more[v] = first + (overflowBlocks(ix.deg[v])-1)*(idxBlockIDs+1)
+		}
+	}
+}
+
+// overflowBlocks returns how many overflow blocks a node of degree
+// d > idxInline occupies.
+func overflowBlocks(d int32) int32 {
+	return (d - idxInline + idxBlockIDs - 1) / idxBlockIDs
 }
 
 // bytes reports the index's heap footprint.

@@ -18,8 +18,8 @@ type SetIter struct {
 }
 
 // SetsContaining starts an iteration over the IDs of all stored sets
-// containing v. The iterator is invalidated by Repair (which rebuilds
-// the index) but not by concurrent reads.
+// containing v. The iterator is invalidated by Repair, which lays the
+// whole index out afresh, but not by concurrent reads.
 func (u *Universe) SetsContaining(v int32) SetIter {
 	return SetIter{it: u.idx.iter(v)}
 }

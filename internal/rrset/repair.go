@@ -17,12 +17,12 @@ func repairSeed(seedKey uint64, slot int32) uint64 {
 
 // RepairUniverse resamples exactly the universe's stale slots in place
 // on the pool's graph, using one deterministic RNG per slot seeded from
-// (seedKey, slot). Cost is proportional to the stale count plus one
-// arena recompaction — the whole point of invalidation: a delta
-// touching few nodes repairs a few slots instead of resampling θ sets.
-// Returns the number of slots resampled. The caller must hold whatever
-// lock guards the universe; no View may be attached (see
-// Universe.Repair).
+// (seedKey, slot). A delta touching few nodes resamples a few slots
+// instead of θ sets — the point of invalidation — and then pays one bulk
+// pass over the whole universe: run-wise arena recompaction plus a
+// counting-sort index rebuild (see Universe.Repair). Returns the number
+// of slots resampled. The caller must hold whatever lock guards the
+// universe; no View may be attached (see Universe.Repair).
 func (p *Pool) RepairUniverse(u *Universe, probs SampleProbs, seedKey uint64) int {
 	if int64(len(probs.p)) != p.g.NumEdges() {
 		panic("rrset: repair probs length != graph edges")

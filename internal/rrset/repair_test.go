@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/topic"
 	"repro/internal/xrand"
 )
 
@@ -339,6 +341,141 @@ func BenchmarkDeltaRepair(b *testing.B) {
 	b.Run("cold-rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pool.RebuildUniverse(size, sp, seedKey)
+		}
+	})
+	b.Run("dblp-wc", benchmarkServedRepair)
+}
+
+// benchmarkServedRepair times Repair at the shape a served mutation
+// meets: the tiny dblp preset under weighted-cascade probabilities,
+// about 260k RR sets, and stale marks from invalidating the targets of
+// three random arcs — about 1.3% of the sets. Each op is one delta: it
+// re-weights the in-arcs of those targets, alternating between the
+// preset's weights and raised ones (perfbench's mutate-wal deltas set
+// arc probabilities in [0.01, 0.3]), so the replacement sets differ
+// from the ones they replace as in a served write. Besides ns/op it
+// reports the stale sets per op and ns per stored member, the
+// per-entry constant of the whole-universe recompaction and index
+// rebuild.
+func benchmarkServedRepair(b *testing.B) {
+	ds, err := gen.ByName("dblp", gen.ScaleTiny, xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := ds.Graph
+	probs := topic.NewWeightedCascade(g).EdgeProbs(topic.Distribution{1})
+	rng := xrand.New(3)
+	touched := make([]int32, 3)
+	raised := append([]float32(nil), probs...)
+	for i := range touched {
+		_, touched[i] = g.EdgeEndpoints(int64(rng.Uint64n(uint64(g.NumEdges()))))
+		for _, e := range g.InEdgeIDs(touched[i]) {
+			raised[e] = float32(0.01 + 0.29*rng.Float64())
+		}
+	}
+	weights := [2]SampleProbs{NewSampleProbs(g, probs), NewSampleProbs(g, raised)}
+	pool := NewPool(g, PoolOptions{Workers: 1})
+	const sets, seedKey = 260000, uint64(5)
+	u := pool.RebuildUniverse(sets, weights[0], seedKey)
+	stale, members := 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		stale += u.Invalidate(touched)
+		b.StartTimer()
+		pool.RepairUniverse(u, weights[(i+1)%2], seedKey)
+		members += len(u.data)
+	}
+	b.ReportMetric(float64(stale)/float64(b.N), "stale/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(members), "ns/member")
+}
+
+// sameIndex asserts that u's inverted index yields, for every node, the
+// same set-ID sequence and degree as the oracle's.
+func sameIndex(t *testing.T, u, oracle *Universe) {
+	t.Helper()
+	for v := int32(0); v < u.n; v++ {
+		if u.idx.deg[v] != oracle.idx.deg[v] {
+			t.Fatalf("node %d: deg %d, oracle %d", v, u.idx.deg[v], oracle.idx.deg[v])
+		}
+		it, want := u.idx.iter(v), oracle.idx.iter(v)
+		for {
+			got, ok := it.next()
+			exp, wok := want.next()
+			if ok != wok || got != exp {
+				t.Fatalf("node %d: index yields (%d, %v), oracle (%d, %v)", v, got, ok, exp, wok)
+			}
+			if !ok {
+				break
+			}
+		}
+	}
+}
+
+// FuzzUniverseRepair checks Repair's run-wise recompaction and
+// counting-sort index rebuild against RebuildUniverse, whose per-set
+// Adds push every member. A universe sampled on one set of arc
+// probabilities is invalidated at random touched nodes whose in-arc
+// probabilities then change; since a set not containing a touched node
+// never read those arcs, RepairUniverse on the new probabilities must
+// reproduce a cold rebuild on them: set bytes, every node's index chain
+// and degree. More sets are then pushed onto the bulk-laid chains and a
+// second delta is repaired the same way.
+func FuzzUniverseRepair(f *testing.F) {
+	f.Add(uint64(1), uint16(300), uint8(3), uint8(40), uint8(60))
+	f.Add(uint64(7), uint16(1), uint8(1), uint8(0), uint8(255))
+	f.Add(uint64(42), uint16(2000), uint8(20), uint8(200), uint8(20))
+	f.Fuzz(func(t *testing.T, seed uint64, size uint16, touch, extra, pct uint8) {
+		rng := xrand.New(seed)
+		n := 2 + rng.Int31n(120)
+		m := int(n) * (1 + rng.Intn(6))
+		b := graph.NewBuilder(n, m)
+		for i := 0; i < m; i++ {
+			b.AddEdge(rng.Int31n(n), rng.Int31n(n))
+		}
+		g := b.Build()
+		pool := NewPool(g, PoolOptions{Workers: 1})
+		scale := 0.02 + 0.98*float64(pct)/255
+		probs := make([]float32, g.NumEdges())
+		for i := range probs {
+			probs[i] = float32(scale * rng.Float64())
+		}
+		const seedKey = uint64(0xfeed)
+		total := 1 + int(size)%3000
+
+		u := NewUniverse(n)
+		ref := pool.RebuildUniverse(total, NewSampleProbs(g, probs), seedKey)
+		for id := int32(0); int(id) < total; id++ {
+			u.Add(ref.Set(id))
+		}
+		for round := 0; round < 2; round++ {
+			touched := make([]int32, 1+int(touch)%8)
+			for i := range touched {
+				touched[i] = rng.Int31n(n)
+				for _, e := range g.InEdgeIDs(touched[i]) {
+					probs[e] = float32(scale * rng.Float64())
+				}
+			}
+			sp := NewSampleProbs(g, probs)
+			marked := u.Invalidate(touched)
+			if got := pool.RepairUniverse(u, sp, seedKey); got != marked {
+				t.Fatalf("round %d: repaired %d slots, %d were marked", round, got, marked)
+			}
+			ref = pool.RebuildUniverse(total, sp, seedKey)
+			if !bytes.Equal(universeBytes(t, u), universeBytes(t, ref)) {
+				t.Fatalf("round %d: repair not bit-identical to rebuild", round)
+			}
+			checkIndexConsistent(t, u)
+			sameIndex(t, u, ref)
+
+			// Growth after a repair pushes onto the bulk-laid chains.
+			total += int(extra)
+			ref = pool.RebuildUniverse(total, sp, seedKey)
+			for id := int32(u.Size()); int(id) < total; id++ {
+				u.Add(ref.Set(id))
+			}
+			checkIndexConsistent(t, u)
+			sameIndex(t, u, ref)
 		}
 	})
 }

@@ -161,6 +161,13 @@ func (u *Universe) StaleFraction() float64 {
 // were all sampled with the repaired contents. Returns the number of
 // slots resampled.
 //
+// Besides the resampling, the cost is one bulk pass over the whole
+// universe, whatever the stale fraction: each maximal run of fresh sets
+// is copied with one append and its offsets shifted by one constant,
+// and the index is rebuilt by a counting sort (nodeIndex.rebuild) —
+// a touched hub appears in sets all over the arena, so patching single
+// chains would not touch less of the index.
+//
 // Repair invalidates every View over this universe — their coverage
 // counts reference the pre-repair contents. The engine only repairs
 // universes at generation-swap time, when no session (and therefore no
@@ -169,29 +176,34 @@ func (u *Universe) Repair(sample func(slot int32, dst []int32) []int32) int {
 	if u.nStale == 0 {
 		return 0
 	}
-	size := u.Size()
+	size := int32(u.Size())
 	newData := make([]int32, 0, len(u.data))
-	newOffsets := make([]uint32, 1, len(u.offsets))
+	newOffsets := make([]uint32, size+1)
 	repaired := 0
 	var buf []int32
-	for id := int32(0); int(id) < size; id++ {
+	for id := int32(0); id < size; {
 		if u.stale.get(id) {
 			buf = sample(id, buf[:0])
 			newData = append(newData, buf...)
 			repaired++
-		} else {
-			newData = append(newData, u.Set(id)...)
+			id++
+			newOffsets[id] = uint32(len(newData))
+			continue
 		}
-		newOffsets = append(newOffsets, uint32(len(newData)))
+		end := id + 1
+		for end < size && !u.stale.get(end) {
+			end++
+		}
+		shift := uint32(len(newData)) - u.offsets[id] // mod 2³²: runs may move either way
+		newData = append(newData, u.data[u.offsets[id]:u.offsets[end]]...)
+		for k := id + 1; k <= end; k++ {
+			newOffsets[k] = u.offsets[k] + shift
+		}
+		id = end
 	}
 	u.data = newData
 	u.offsets = newOffsets
-	u.idx.reset()
-	for id := int32(0); int(id) < size; id++ {
-		for _, v := range u.Set(id) {
-			u.idx.push(v, id)
-		}
-	}
+	u.idx.rebuild(u.data, u.offsets)
 	u.stale.clear()
 	u.nStale = 0
 	return repaired

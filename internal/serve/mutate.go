@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -56,6 +57,10 @@ type MutateResult struct {
 	RepairedSets     int    `json:"repaired_sets"`
 	CarriedUniverses int    `json:"carried_universes"`
 	DroppedUniverses int    `json:"dropped_universes"`
+	// RepairMS is the wall time the swap spent resampling the
+	// repaired_sets slots and rebuilding their universes; exactly 0 when
+	// repaired_sets is 0.
+	RepairMS float64 `json:"repair_ms"`
 }
 
 // handleMutate applies one batched graph delta to a warm engine and
@@ -124,6 +129,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		RepairedSets:     res.RepairedSets,
 		CarriedUniverses: res.CarriedUniverses,
 		DroppedUniverses: res.DroppedUniverses,
+		RepairMS:         float64(res.RepairDuration) / float64(time.Millisecond),
 	})
 }
 

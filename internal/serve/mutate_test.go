@@ -218,3 +218,51 @@ func TestMutateDrainingRejected(t *testing.T) {
 		t.Fatalf("mutate while draining: %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestMutateRepairTiming pins repair_ms against repaired_sets: exactly 0
+// when the swap repaired nothing (MaxStaleFraction 1 carries the stale
+// universe as-is), positive when it resampled sets (the default 0
+// repairs on any staleness).
+func TestMutateRepairTiming(t *testing.T) {
+	for i, maxStale := range []float64{1, 0} {
+		cfg := mutateConfig(uint64(95 + i))
+		cfg.MaxStaleFraction = maxStale
+		_, ts := newTestServer(t, cfg)
+		resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Dataset: "flixster", H: 4, Mode: "ti-csrm",
+			Seed: up(3), Alpha: fp(0.2), Epsilon: 0.3, MaxThetaPerAd: 20000, ShareSamples: true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve: %d %s", resp.StatusCode, body)
+		}
+
+		// Re-weight an arc into the node of highest in-degree, which the
+		// cached RR sets are sure to contain.
+		g := serverGraph(t, cfg, "flixster", 4)
+		hub := int32(0)
+		for v := int32(1); v < g.NumNodes(); v++ {
+			if g.InDegree(v) > g.InDegree(hub) {
+				hub = v
+			}
+		}
+		resp, body = postJSON(t, ts.URL+"/v1/mutate", MutateRequest{
+			Dataset:  "flixster",
+			SetProbs: []MutateProb{{U: g.InNeighbors(hub)[0], V: hub, Topic: 0, P: 0.5}},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("mutate: %d %s", resp.StatusCode, body)
+		}
+		var mr MutateResult
+		if err := json.Unmarshal(body, &mr); err != nil {
+			t.Fatal(err)
+		}
+		if mr.InvalidatedSets == 0 {
+			t.Fatalf("MaxStaleFraction %v: delta invalidated no sets: %s", maxStale, body)
+		}
+		if maxStale == 1 {
+			if mr.RepairedSets != 0 || mr.RepairMS != 0 {
+				t.Fatalf("MaxStaleFraction 1: repaired_sets %d, repair_ms %v; want both 0", mr.RepairedSets, mr.RepairMS)
+			}
+		} else if mr.RepairedSets == 0 || mr.RepairMS <= 0 {
+			t.Fatalf("MaxStaleFraction 0: repaired_sets %d, repair_ms %v; want both positive", mr.RepairedSets, mr.RepairMS)
+		}
+	}
+}
