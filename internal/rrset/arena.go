@@ -155,8 +155,10 @@ func (ix *nodeIndex) rebuild(data []int32, offsets []uint32) {
 			if d < idxInline {
 				ix.inline[idxInline*v+d] = int32(id)
 			} else {
+				// The j-th overflow ID sits past the first block's link
+				// and one more link per full block before it.
 				j := uint32(d - idxInline)
-				ix.blocks[uint32(ix.more[v])+j/idxBlockIDs*(idxBlockIDs+1)+1+j%idxBlockIDs] = int32(id)
+				ix.blocks[uint32(ix.more[v])+1+j+j/idxBlockIDs] = int32(id)
 			}
 			ix.deg[v] = d + 1
 		}
