@@ -10,8 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/im"
-
 	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -196,7 +194,8 @@ func BenchmarkAblationWindow(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.RunWith(context.Background(), nil, p, core.Options{
+				eng := core.NewEngine(p.Graph, p.Model, core.EngineOptions{})
+				if _, _, err := eng.Solve(context.Background(), p, core.Options{
 					Mode:    core.ModeCostSensitive,
 					Epsilon: 0.3, Seed: 9, Window: w, MaxThetaPerAd: 20000,
 				}); err != nil {
@@ -234,13 +233,13 @@ func BenchmarkParallelSampling(b *testing.B) {
 	rng := xrand.New(2)
 	g := gen.RMAT(4096, 32768, gen.DefaultRMAT, rng)
 	model := topic.NewWeightedCascade(g)
-	probs := model.EdgeProbs(topic.Distribution{1})
+	probs := rrset.NewSampleProbs(g, model.EdgeProbs(topic.Distribution{1}))
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			ps := rrset.NewParallelSampler(g, probs, rrset.SampleOptions{Workers: w, Seed: 7})
+			stream := rrset.NewPool(g, rrset.PoolOptions{Workers: w}).NewStream(probs, 7)
 			b.ResetTimer()
 			start := time.Now()
-			ps.SampleN(b.N, func([]int32, int64) {})
+			stream.SampleN(b.N, func([]int32, int64) {})
 			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "sets/sec")
 		})
 	}
@@ -248,19 +247,19 @@ func BenchmarkParallelSampling(b *testing.B) {
 
 // BenchmarkParallelCoverageFill measures the end-to-end path the engine
 // drives: parallel sampling plus single-goroutine merge indexing into a
-// Collection.
+// Universe.
 func BenchmarkParallelCoverageFill(b *testing.B) {
 	rng := xrand.New(2)
 	g := gen.RMAT(4096, 32768, gen.DefaultRMAT, rng)
 	model := topic.NewWeightedCascade(g)
-	probs := model.EdgeProbs(topic.Distribution{1})
+	probs := rrset.NewSampleProbs(g, model.EdgeProbs(topic.Distribution{1}))
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			ps := rrset.NewParallelSampler(g, probs, rrset.SampleOptions{Workers: w, Seed: 7})
+			stream := rrset.NewPool(g, rrset.PoolOptions{Workers: w}).NewStream(probs, 7)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				coll := rrset.NewCollection(g.NumNodes())
-				coll.AddFromParallel(ps, 10_000)
+				u := rrset.NewUniverse(g.NumNodes())
+				u.AddFromParallel(stream, 10_000)
 			}
 		})
 	}
@@ -268,7 +267,7 @@ func BenchmarkParallelCoverageFill(b *testing.B) {
 
 // linearMaxCov re-runs the pre-refactor O(n) selection scan over the
 // public CovCount API — the comparison reference for BenchmarkMaxCovSelect.
-func linearMaxCov(c *rrset.Collection, n int32) (int32, int32) {
+func linearMaxCov(c *rrset.View, n int32) (int32, int32) {
 	best, bestCnt := int32(-1), int32(0)
 	for v := int32(0); v < n; v++ {
 		if c.CovCount(v) > bestCnt {
@@ -284,22 +283,23 @@ func linearMaxCov(c *rrset.Collection, n int32) (int32, int32) {
 // BenchmarkMaxCovSelect pins the tentpole speedup of the indexed
 // bucket-queue selector on a selection-dominated workload (n = 100k
 // nodes, θ = 200k RR sets): the query/* pair measures one MaxCovCount
-// answer — the operation TIM-style greedy loops issue once per pick —
-// indexed versus the pre-refactor O(n) scan. (The engine asks it only
-// once per growth event, so its shard views keep plain counts and scan.)
-// The greedy/* pair runs k full picks including the (shared) CoverBy
-// coverage updates. Both arms are pinned to identical answers by the
-// equivalence suite in internal/rrset/select_equiv_test.go;
-// ResetCoverage between iterations is benchmark bookkeeping and runs
-// off the clock.
+// answer — the operation a greedy max-coverage loop issues once per
+// pick — on an rrset.View's bucket queue versus the pre-refactor O(n)
+// scan. (The engine asks it only once per growth event, so its shard
+// views keep plain counts and scan.) The greedy/* pair runs k full picks
+// including the (shared) CoverBy coverage updates. Both arms are pinned
+// to identical answers by the equivalence suite in
+// internal/rrset/select_equiv_test.go; the fresh View each iteration
+// starts from is built off the clock.
 func BenchmarkMaxCovSelect(b *testing.B) {
 	rng := xrand.New(11)
 	g := gen.RMAT(100_000, 500_000, gen.DefaultRMAT, rng)
 	model := topic.NewWeightedCascade(g)
 	probs := model.EdgeProbs(topic.Distribution{1})
 	pool := rrset.NewPool(g, rrset.PoolOptions{Workers: 1})
-	c := rrset.NewCollection(g.NumNodes())
-	c.AddFromParallel(pool.NewStream(rrset.NewSampleProbs(g, probs), 5), 200_000)
+	u := rrset.NewUniverse(g.NumNodes())
+	u.AddFromParallel(pool.NewStream(rrset.NewSampleProbs(g, probs), 5), 200_000)
+	c := rrset.NewView(u)
 	c.CoverBy(0) // a realistic mid-selection state: some coverage spent
 	var sinkNode, sinkCnt int32
 	b.Run("query/indexed", func(b *testing.B) {
@@ -313,7 +313,7 @@ func BenchmarkMaxCovSelect(b *testing.B) {
 		}
 	})
 	_, _ = sinkNode, sinkCnt
-	c.ResetCoverage()
+	c = rrset.NewView(u)
 	const k = 64
 	b.Run("greedy/indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -325,7 +325,7 @@ func BenchmarkMaxCovSelect(b *testing.B) {
 				c.CoverBy(v)
 			}
 			b.StopTimer()
-			c.ResetCoverage()
+			c = rrset.NewView(u)
 			b.StartTimer()
 		}
 	})
@@ -339,18 +339,18 @@ func BenchmarkMaxCovSelect(b *testing.B) {
 				c.CoverBy(best)
 			}
 			b.StopTimer()
-			c.ResetCoverage()
+			c = rrset.NewView(u)
 			b.StartTimer()
 		}
 	})
 }
 
-// BenchmarkArenaSampling pins the tentpole's memory win: filling a
-// coverage store with θ RR sets through the arena-backed Collection
-// versus the pre-refactor layout (one heap slice per set plus per-node
-// growable index slices). Each arm reports its store's heap footprint as
-// MB-footprint — the quantity Stats.RRMemoryBytes and Table 3 aggregate —
-// alongside allocs/op; the legacy arm's footprint counts its slice
+// BenchmarkArenaSampling pins the arena layout's memory win: filling a
+// coverage store with θ RR sets — an arena-backed Universe plus one View
+// over it — versus the pre-refactor layout (one heap slice per set plus
+// per-node growable index slices). Each arm reports its store's heap
+// footprint as MB-footprint — the quantity Stats.RRMemoryBytes and
+// Table 3 aggregate — alongside allocs/op; the legacy arm's footprint counts its slice
 // headers, which are real heap bytes the flat layout does not spend. The
 // workload is the standard IC benchmark — a uniform random digraph with
 // p = 0.1 arcs (subcritical, so RR sets stay small, the regime where a
@@ -378,9 +378,9 @@ func BenchmarkArenaSampling(b *testing.B) {
 		pool := rrset.NewPool(g, rrset.PoolOptions{Workers: 1})
 		var foot int64
 		for i := 0; i < b.N; i++ {
-			c := rrset.NewCollection(g.NumNodes())
-			c.AddFromParallel(pool.NewStream(sp, 7), theta)
-			foot = c.MemoryFootprint()
+			u := rrset.NewUniverse(g.NumNodes())
+			u.AddFromParallel(pool.NewStream(sp, 7), theta)
+			foot = u.MemoryFootprint() + rrset.NewView(u).MemoryFootprint()
 		}
 		b.ReportMetric(float64(foot)/(1<<20), "MB-footprint")
 	})
@@ -453,7 +453,8 @@ func BenchmarkEngineTICSRM(b *testing.B) {
 	p := &core.Problem{Graph: g, Model: model, Ads: ads, Incentives: incs}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.RunWith(context.Background(), nil, p, core.Options{
+		eng := core.NewEngine(p.Graph, p.Model, core.EngineOptions{})
+		if _, _, err := eng.Solve(context.Background(), p, core.Options{
 			Mode:    core.ModeCostSensitive,
 			Epsilon: 0.3, Seed: uint64(i), MaxThetaPerAd: 20000,
 		}); err != nil {
@@ -467,34 +468,4 @@ func BenchmarkGraphBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gen.RMAT(8192, 65536, gen.DefaultRMAT, rng)
 	}
-}
-
-// BenchmarkIMAlgorithms compares the standalone IM substrate's algorithms
-// on one instance (k = 10 seeds, WC model).
-func BenchmarkIMAlgorithms(b *testing.B) {
-	rng := xrand.New(6)
-	g := gen.RMAT(4096, 32768, gen.DefaultRMAT, rng)
-	model := topic.NewWeightedCascade(g)
-	probs := model.EdgeProbs(topic.Distribution{1})
-	const k = 10
-	b.Run("TIM", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			im.TIM(context.Background(), g, probs, k, im.TIMOptions{Epsilon: 0.3, MaxTheta: 100000}, xrand.New(uint64(i)))
-		}
-	})
-	b.Run("IMM", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			im.IMM(context.Background(), g, probs, k, im.TIMOptions{Epsilon: 0.3, MaxTheta: 100000}, xrand.New(uint64(i)))
-		}
-	})
-	b.Run("GreedyMC", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			im.GreedyMC(context.Background(), g, probs, k, 200, 2, xrand.New(uint64(i)))
-		}
-	})
-	b.Run("SingleDiscount", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			im.SingleDiscount(g, k)
-		}
-	})
 }

@@ -1,7 +1,8 @@
-// Package baseline implements the comparison algorithms of the paper's
-// experiments (Section 5): PageRank-GR and PageRank-RR, both built on
-// ad-specific weighted PageRank, plus two extra ablation baselines
-// (high-degree and random scoring).
+// Package baseline computes the candidate scores behind the comparison
+// algorithms of the paper's experiments (Section 5): ad-specific weighted
+// PageRank for PageRank-GR and PageRank-RR (the engine's ModePRGreedy and
+// ModePRRoundRobin consume them through Options.PRScores), plus two extra
+// ablation baselines (high-degree and random scoring).
 //
 // The PageRank variant ranks *influencers*: in the paper's graph semantics
 // an arc (u, v) means v follows u, so endorsement mass must flow from
@@ -16,8 +17,6 @@
 package baseline
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -122,37 +121,6 @@ func ScoresForProblem(p *core.Problem, opt PageRankOptions) [][]float64 {
 		scores[i] = PageRank(p.Graph, p.EdgeProbs(i), opt)
 	}
 	return scores
-}
-
-// PageRankGR runs the PageRank-GR baseline: ad-specific PageRank candidate
-// selection with greedy (max marginal revenue) cross-ad assignment. The
-// solve executes on eng (a long-lived session Engine for the problem's
-// graph/model); a nil eng uses a throwaway one, reproducing the historical
-// one-shot behavior.
-//
-// Deprecated: call Engine.Solve with core.ModePRGreedy and
-// Options.PRScores (ScoresForProblem computes them) instead; the registry
-// entry's NeedsPRScores flag tells callers when scores are required.
-func PageRankGR(ctx context.Context, eng *core.Engine, p *core.Problem, opt core.Options) (*core.Allocation, *core.Stats, error) {
-	opt.Mode = core.ModePRGreedy
-	if opt.PRScores == nil {
-		opt.PRScores = ScoresForProblem(p, PageRankOptions{})
-	}
-	return core.RunWith(ctx, eng, p, opt)
-}
-
-// PageRankRR runs the PageRank-RR baseline: ad-specific PageRank candidate
-// selection with round-robin assignment over advertisers. See PageRankGR
-// for the eng contract.
-//
-// Deprecated: call Engine.Solve with core.ModePRRoundRobin and
-// Options.PRScores (ScoresForProblem computes them) instead.
-func PageRankRR(ctx context.Context, eng *core.Engine, p *core.Problem, opt core.Options) (*core.Allocation, *core.Stats, error) {
-	opt.Mode = core.ModePRRoundRobin
-	if opt.PRScores == nil {
-		opt.PRScores = ScoresForProblem(p, PageRankOptions{})
-	}
-	return core.RunWith(ctx, eng, p, opt)
 }
 
 // HighDegreeScores returns out-degree score vectors for every ad — the

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"context"
-
 	"math"
 	"testing"
 
@@ -122,16 +121,26 @@ func smallProblem(h int, seed uint64) *core.Problem {
 	return &core.Problem{Graph: g, Model: model, Ads: ads, Incentives: incs}
 }
 
+// solve runs one mode on a fresh Engine, supplying PageRank scores to
+// the modes whose registry entry needs them.
+func solve(p *core.Problem, mode core.Mode, opt core.Options) (*core.Allocation, *core.Stats, error) {
+	opt.Mode = mode
+	if info, _ := core.ModeInfo(mode); info.NeedsPRScores {
+		opt.PRScores = ScoresForProblem(p, PageRankOptions{})
+	}
+	return core.NewEngine(p.Graph, p.Model, core.EngineOptions{}).Solve(context.Background(), p, opt)
+}
+
 func TestPageRankGRAndRREndToEnd(t *testing.T) {
 	p := smallProblem(3, 3)
-	gr, grStats, err := PageRankGR(context.Background(), nil, p, core.Options{Epsilon: 0.3, Seed: 5, MaxThetaPerAd: 30000})
+	gr, grStats, err := solve(p, core.ModePRGreedy, core.Options{Epsilon: 0.3, Seed: 5, MaxThetaPerAd: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := gr.ValidateSlack(p, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	rr, rrStats, err := PageRankRR(context.Background(), nil, p, core.Options{Epsilon: 0.3, Seed: 5, MaxThetaPerAd: 30000})
+	rr, rrStats, err := solve(p, core.ModePRRoundRobin, core.Options{Epsilon: 0.3, Seed: 5, MaxThetaPerAd: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,17 +161,15 @@ func TestPageRankGRAndRREndToEnd(t *testing.T) {
 func TestTICSRMBeatsPageRankBaselines(t *testing.T) {
 	p := smallProblem(3, 7)
 	opt := core.Options{Epsilon: 0.3, Seed: 9, MaxThetaPerAd: 50000}
-	csOpt := opt
-	csOpt.Mode = core.ModeCostSensitive
-	cs, _, err := core.RunWith(context.Background(), nil, p, csOpt)
+	cs, _, err := solve(p, core.ModeCostSensitive, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, _, err := PageRankGR(context.Background(), nil, p, opt)
+	gr, _, err := solve(p, core.ModePRGreedy, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, _, err := PageRankRR(context.Background(), nil, p, opt)
+	rr, _, err := solve(p, core.ModePRRoundRobin, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestAdaptiveRespectsForbiddenAndExcluded(t *testing.T) {
 	// Directly exercise the engine options the adaptive loop relies on.
 	forbidden := []int32{0, 1, 2, 3, 4}
 	excluded := [][]int32{{5, 6}, {7, 8}}
-	alloc, _, err := Run(p, Options{
+	alloc, _, err := solveFresh(p, Options{
 		Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 5, MaxThetaPerAd: 20000,
 		ForbiddenNodes: forbidden, ExcludedNodes: excluded,
 	})
@@ -138,7 +138,7 @@ func TestAdaptiveRespectsForbiddenAndExcluded(t *testing.T) {
 	}
 	// Excluded-for-ad-0 nodes may still serve ad 1 — verify no error and
 	// shape only; membership is allowed but not required.
-	if _, _, err := Run(p, Options{
+	if _, _, err := solveFresh(p, Options{
 		Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 5, MaxThetaPerAd: 20000,
 		ExcludedNodes: [][]int32{{0}},
 	}); err == nil {

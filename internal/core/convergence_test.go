@@ -28,7 +28,7 @@ func TestEngineConvergesToReferenceGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engCA, _, err := TICARM(p, Options{Epsilon: 0.05, Seed: uint64(trial), MaxThetaPerAd: 800_000})
+		engCA, _, err := solveFresh(p, Options{Mode: ModeCostAgnostic, Epsilon: 0.05, Seed: uint64(trial), MaxThetaPerAd: 800_000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestEngineConvergesToReferenceGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engCS, _, err := TICSRM(p, Options{Epsilon: 0.05, Seed: uint64(trial), MaxThetaPerAd: 800_000})
+		engCS, _, err := solveFresh(p, Options{Mode: ModeCostSensitive, Epsilon: 0.05, Seed: uint64(trial), MaxThetaPerAd: 800_000})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,11 +102,11 @@ type Options struct {
 	// parallelize sampling while keeping runs deterministic for a fixed
 	// (Seed, Workers, SampleBatch).
 	//
-	// Consulted only by the legacy one-shot entry points (Run, TICARM,
-	// TICSRM, ...), which size their throwaway Engine from it. A solve on
-	// a caller-constructed Engine always samples at the Engine's own
-	// Workers/SampleBatch — the pool is the session's shared resource —
-	// and Stats.SampleWorkers reports the value actually used.
+	// Consulted only by the free function AdaptiveRun, which sizes its
+	// throwaway Engine from it. A solve on a caller-constructed Engine
+	// always samples at the Engine's own Workers/SampleBatch — the pool
+	// is the session's shared resource — and Stats.SampleWorkers reports
+	// the value actually used.
 	//
 	// Memory note: every advertiser's sampling streams share the
 	// engine-wide rrset.Pools (one per shard), so worker scratch (a
@@ -121,7 +121,7 @@ type Options struct {
 	Workers int
 	// SampleBatch is the parallel sampler's per-worker batch size
 	// (0 = rrset.DefaultBatchSize). Only meaningful with Workers > 1;
-	// like Workers, consulted only by the legacy one-shot entry points.
+	// like Workers, consulted only by the free function AdaptiveRun.
 	SampleBatch int
 	// Progress, when non-nil, receives solver progress events — per-ad θ
 	// growth and committed seeds with the running revenue estimate —
@@ -147,7 +147,7 @@ func (o *Options) withDefaults() Options {
 		out.MaxThetaPerAd = 3_000_000
 	}
 	if out.Workers <= 0 {
-		// Unlike rrset.SampleOptions (whose zero value means NumCPU), the
+		// Unlike rrset.PoolOptions (whose zero value means NumCPU), the
 		// engine's zero value stays single-worker so that pre-existing
 		// seed-pinned results are reproduced exactly by default.
 		out.Workers = 1
@@ -187,52 +187,6 @@ type Stats struct {
 	// Shards is the Engine's resolved RR-shard count for the run (≥ 1;
 	// see EngineOptions.Shards).
 	Shards int
-}
-
-// TICARM runs the scalable cost-agnostic algorithm.
-//
-// Deprecated: construct an Engine once and use Engine.Solve with
-// ModeCostAgnostic; this one-shot wrapper builds a throwaway Engine per
-// call. Retained for bit-compatible historical runs.
-func TICARM(p *Problem, opt Options) (*Allocation, *Stats, error) {
-	opt.Mode = ModeCostAgnostic
-	return Run(p, opt)
-}
-
-// TICSRM runs the scalable cost-sensitive algorithm.
-//
-// Deprecated: construct an Engine once and use Engine.Solve with
-// ModeCostSensitive; this one-shot wrapper builds a throwaway Engine per
-// call. Retained for bit-compatible historical runs.
-func TICSRM(p *Problem, opt Options) (*Allocation, *Stats, error) {
-	opt.Mode = ModeCostSensitive
-	return Run(p, opt)
-}
-
-// Run executes one solve in the configured mode on a throwaway Engine
-// sized from the options — the legacy one-shot entry point, bit-for-bit
-// compatible with the historical engine under a fixed
-// (Seed, Workers, SampleBatch).
-//
-// Deprecated: use Engine.Solve on a long-lived Engine (NewEngine); Run
-// rebuilds scratch pools and edge-probability caches on every call.
-func Run(p *Problem, opt Options) (*Allocation, *Stats, error) {
-	return RunWith(context.Background(), nil, p, opt)
-}
-
-// RunWith executes one solve on the given Engine, constructing a
-// throwaway Engine from the options when eng is nil. It is the shared
-// dispatch used by the legacy wrappers, the baselines and the experiment
-// harness.
-func RunWith(ctx context.Context, eng *Engine, p *Problem, opt Options) (*Allocation, *Stats, error) {
-	if eng == nil {
-		o := opt.withDefaults()
-		eng = NewEngine(p.Graph, p.Model, EngineOptions{
-			Workers:     o.Workers,
-			SampleBatch: o.SampleBatch,
-		})
-	}
-	return eng.Solve(ctx, p, opt)
 }
 
 // adGroup is one RR sample and the advertisers selecting on it: a

@@ -40,7 +40,7 @@ func engineGadget() *Problem {
 
 func TestEngineGadgetCAvsCS(t *testing.T) {
 	p := engineGadget()
-	ca, caStats, err := TICARM(p, Options{Seed: 1})
+	ca, caStats, err := solveFresh(p, Options{Mode: ModeCostAgnostic, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestEngineGadgetCAvsCS(t *testing.T) {
 		t.Errorf("TI-CARM revenue = %v, want ≈4", ca.TotalRevenue())
 	}
 
-	cs, csStats, err := TICSRM(p, Options{Seed: 1})
+	cs, csStats, err := solveFresh(p, Options{Mode: ModeCostSensitive, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestEngineGadgetCAvsCS(t *testing.T) {
 // estimates on the gadget.
 func TestEvaluateMCAgreesWithEngine(t *testing.T) {
 	p := engineGadget()
-	cs, _, err := TICSRM(p, Options{Seed: 2})
+	cs, _, err := solveFresh(p, Options{Mode: ModeCostSensitive, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func smallWCProblem(h int, seed uint64) *Problem {
 func TestEngineMultiAdFeasibility(t *testing.T) {
 	p := smallWCProblem(4, 5)
 	for _, mode := range []Mode{ModeCostAgnostic, ModeCostSensitive} {
-		alloc, stats, err := Run(p, Options{Mode: mode, Epsilon: 0.3, Seed: 3, MaxThetaPerAd: 50000})
+		alloc, stats, err := solveFresh(p, Options{Mode: mode, Epsilon: 0.3, Seed: 3, MaxThetaPerAd: 50000})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -147,11 +147,11 @@ func TestEngineMultiAdFeasibility(t *testing.T) {
 func TestEngineDeterminism(t *testing.T) {
 	p := smallWCProblem(3, 6)
 	opt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 42, MaxThetaPerAd: 30000}
-	a1, _, err := Run(p, opt)
+	a1, _, err := solveFresh(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := Run(p, opt)
+	a2, _, err := solveFresh(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +183,11 @@ func TestEngineConstantIncentivesNullifyCostSensitivity(t *testing.T) {
 	}
 	p := &Problem{Graph: g, Model: model, Ads: ads, Incentives: incs}
 
-	ca, _, err := Run(p, Options{Mode: ModeCostAgnostic, Epsilon: 0.3, Seed: 11, MaxThetaPerAd: 30000})
+	ca, _, err := solveFresh(p, Options{Mode: ModeCostAgnostic, Epsilon: 0.3, Seed: 11, MaxThetaPerAd: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, _, err := Run(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 11, MaxThetaPerAd: 30000})
+	cs, _, err := solveFresh(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 11, MaxThetaPerAd: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,11 @@ func TestEngineConstantIncentivesNullifyCostSensitivity(t *testing.T) {
 // The windowed search with w = n must match the full cost-sensitive rule.
 func TestEngineFullWindowEquivalence(t *testing.T) {
 	p := smallWCProblem(2, 8)
-	full, _, err := Run(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 13, MaxThetaPerAd: 30000})
+	full, _, err := solveFresh(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 13, MaxThetaPerAd: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	windowed, _, err := Run(p, Options{
+	windowed, _, err := solveFresh(p, Options{
 		Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 13,
 		Window: int(p.Graph.NumNodes()), MaxThetaPerAd: 30000,
 	})
@@ -221,7 +221,7 @@ func TestEngineFullWindowEquivalence(t *testing.T) {
 
 func TestEngineMaxThetaCap(t *testing.T) {
 	p := smallWCProblem(2, 9)
-	_, stats, err := Run(p, Options{Mode: ModeCostAgnostic, Epsilon: 0.3, Seed: 17, MaxThetaPerAd: 500})
+	_, stats, err := solveFresh(p, Options{Mode: ModeCostAgnostic, Epsilon: 0.3, Seed: 17, MaxThetaPerAd: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestEnginePageRankModes(t *testing.T) {
 		}
 	}
 	for _, mode := range []Mode{ModePRGreedy, ModePRRoundRobin} {
-		alloc, _, err := Run(p, Options{
+		alloc, _, err := solveFresh(p, Options{
 			Mode: mode, Epsilon: 0.3, Seed: 19, MaxThetaPerAd: 30000, PRScores: scores,
 		})
 		if err != nil {
@@ -258,7 +258,7 @@ func TestEnginePageRankModes(t *testing.T) {
 		}
 	}
 	// Missing scores must error.
-	if _, _, err := Run(p, Options{Mode: ModePRGreedy, Seed: 1}); err == nil {
+	if _, _, err := solveFresh(p, Options{Mode: ModePRGreedy, Seed: 1}); err == nil {
 		t.Error("expected error for missing PRScores")
 	}
 }
@@ -274,7 +274,7 @@ func TestEngineRoundRobinOrder(t *testing.T) {
 			scores[i][u] = float64(p.Graph.OutDegree(u))
 		}
 	}
-	alloc, _, err := Run(p, Options{
+	alloc, _, err := solveFresh(p, Options{
 		Mode: ModePRRoundRobin, Epsilon: 0.3, Seed: 23, MaxThetaPerAd: 30000, PRScores: scores,
 	})
 	if err != nil {

@@ -265,7 +265,7 @@ func TestApplyDeltaDuringInflightSolve(t *testing.T) {
 		// Reference allocation on the untouched graph.
 		refOpt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 31,
 			MaxThetaPerAd: 20000, ShareSamples: share, Workers: 2}
-		want, _, err := Run(p, refOpt)
+		want, _, err := solveFresh(p, refOpt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,13 +32,13 @@ func allocationsEqual(t *testing.T, a, b *Allocation) {
 func TestEngineWorkersOneIsDefault(t *testing.T) {
 	p := smallWCProblem(3, 21)
 	base := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 9, MaxThetaPerAd: 30000}
-	a1, s1, err := Run(p, base)
+	a1, s1, err := solveFresh(p, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withOne := base
 	withOne.Workers = 1
-	a2, s2, err := Run(p, withOne)
+	a2, s2, err := solveFresh(p, withOne)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestEngineParallelDeterministicAndFeasible(t *testing.T) {
 	for _, share := range []bool{false, true} {
 		opt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 11,
 			MaxThetaPerAd: 30000, Workers: 4, SampleBatch: 64, ShareSamples: share}
-		a1, s1, err := Run(p, opt)
+		a1, s1, err := solveFresh(p, opt)
 		if err != nil {
 			t.Fatalf("share=%v: %v", share, err)
 		}
-		a2, s2, err := Run(p, opt)
+		a2, s2, err := solveFresh(p, opt)
 		if err != nil {
 			t.Fatalf("share=%v: %v", share, err)
 		}
@@ -89,11 +89,11 @@ func TestEngineParallelDeterministicAndFeasible(t *testing.T) {
 // statistical sanity check that the parallel path isn't biased.
 func TestEngineParallelRevenueCloseToSequential(t *testing.T) {
 	p := smallWCProblem(3, 23)
-	seq, _, err := TICSRM(p, Options{Epsilon: 0.3, Seed: 13, MaxThetaPerAd: 30000})
+	seq, _, err := solveFresh(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 13, MaxThetaPerAd: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := TICSRM(p, Options{Epsilon: 0.3, Seed: 13, MaxThetaPerAd: 30000, Workers: 4})
+	par, _, err := solveFresh(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 13, MaxThetaPerAd: 30000, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestEngineSamplerMemoryIndependentOfAds(t *testing.T) {
 		for _, h := range []int{2, 6} {
 			p := smallWCProblem(h, 61)
 			n := int64(p.Graph.NumNodes())
-			_, stats, err := Run(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3,
+			_, stats, err := solveFresh(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3,
 				Seed: 17, MaxThetaPerAd: 20000, Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d h=%d: %v", workers, h, err)
@@ -99,7 +99,7 @@ func TestEngineShareSamplesNegativeZeroGamma(t *testing.T) {
 		MaxThetaPerAd: 20000, ShareSamples: true}
 
 	mixed := twoTopicProblem([]topic.Distribution{{1, 0}, {1, negZero}}, 73)
-	aMixed, sMixed, err := Run(mixed, opt)
+	aMixed, sMixed, err := solveFresh(mixed, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestEngineShareSamplesNegativeZeroGamma(t *testing.T) {
 	}
 
 	plain := twoTopicProblem([]topic.Distribution{{1, 0}, {1, 0}}, 73)
-	aPlain, sPlain, err := Run(plain, opt)
+	aPlain, sPlain, err := solveFresh(plain, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

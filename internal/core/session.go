@@ -239,9 +239,7 @@ func (sn *snapshot) evictSharedGroups(keys []universeKey, groups []*sharedGroup)
 //
 // Every method honors context cancellation and returns sentinel errors
 // (ErrInvalidProblem, ErrInfeasible, ErrCanceled, ErrSwapInProgress)
-// instead of panicking. The legacy free functions (TICSRM, TICARM, Run)
-// remain as thin wrappers over a throwaway Engine and reproduce
-// historical results bit for bit.
+// instead of panicking.
 type Engine struct {
 	opts EngineOptions
 
@@ -495,8 +493,8 @@ func (e *Engine) snapshotFor(p *Problem) (*snapshot, error) {
 // (returning an error chain matching ErrCanceled and the context's own
 // error, alongside Stats for the partial work), and audits the final
 // allocation (ErrInfeasible). Concurrent Solve calls on one Engine are
-// race-free; for a fixed Options.Seed the allocation is bit-identical to
-// the legacy one-shot entry points at the Engine's Workers/SampleBatch.
+// race-free; for a fixed Options.Seed and Engine Workers/SampleBatch the
+// allocation is bit-identical across runs and across Engines.
 //
 // The session pins the snapshot its problem resolves to (Stats records
 // the generation) and completes on it even if ApplyDelta swaps in a new

@@ -16,9 +16,16 @@ func engineFor(p *Problem, workers int) *Engine {
 	return NewEngine(p.Graph, p.Model, EngineOptions{Workers: workers})
 }
 
-// The Engine path must be bit-identical to the legacy one-shot entry
-// points for a fixed Seed, at both the sequential and the parallel
-// sampler configuration — the API redesign's compatibility contract.
+// solveFresh runs one solve on a throwaway Engine sized from the
+// options' Workers and SampleBatch.
+func solveFresh(p *Problem, opt Options) (*Allocation, *Stats, error) {
+	eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: opt.Workers, SampleBatch: opt.SampleBatch})
+	return eng.Solve(context.Background(), p, opt)
+}
+
+// A long-lived Engine reused across modes and sharing settings must be
+// bit-identical to a fresh Engine per solve for a fixed Seed, at both
+// the sequential and the parallel sampler configuration.
 func TestEngineSolveMatchesLegacy(t *testing.T) {
 	p := smallWCProblem(4, 31)
 	for _, workers := range []int{1, 4} {
@@ -27,19 +34,19 @@ func TestEngineSolveMatchesLegacy(t *testing.T) {
 			for _, share := range []bool{false, true} {
 				opt := Options{Mode: mode, Epsilon: 0.3, Seed: 17,
 					MaxThetaPerAd: 30000, Workers: workers, ShareSamples: share}
-				legacy, legacyStats, err := Run(p, opt)
+				fresh, freshStats, err := solveFresh(p, opt)
 				if err != nil {
-					t.Fatalf("legacy workers=%d mode=%v share=%v: %v", workers, mode, share, err)
+					t.Fatalf("fresh workers=%d mode=%v share=%v: %v", workers, mode, share, err)
 				}
 				got, gotStats, err := eng.Solve(context.Background(), p, opt)
 				if err != nil {
 					t.Fatalf("engine workers=%d mode=%v share=%v: %v", workers, mode, share, err)
 				}
-				allocationsEqual(t, legacy, got)
-				for i := range legacyStats.Theta {
-					if legacyStats.Theta[i] != gotStats.Theta[i] {
+				allocationsEqual(t, fresh, got)
+				for i := range freshStats.Theta {
+					if freshStats.Theta[i] != gotStats.Theta[i] {
 						t.Errorf("workers=%d mode=%v share=%v: θ[%d] %d vs %d",
-							workers, mode, share, i, legacyStats.Theta[i], gotStats.Theta[i])
+							workers, mode, share, i, freshStats.Theta[i], gotStats.Theta[i])
 					}
 				}
 				if gotStats.SampleWorkers != workers {
@@ -52,7 +59,7 @@ func TestEngineSolveMatchesLegacy(t *testing.T) {
 
 // One Engine serving 8 concurrent Solve calls must be race-free (this
 // test is the -race acceptance criterion) and every session must land on
-// the same allocation a cold legacy run with its seed produces.
+// the same allocation a cold run on a fresh Engine with its seed produces.
 func TestEngineConcurrentSolves(t *testing.T) {
 	p := smallWCProblem(3, 32)
 	eng := engineFor(p, 2)
@@ -90,7 +97,7 @@ func TestEngineConcurrentSolves(t *testing.T) {
 	for i, j := range jobs {
 		opt := Options{Mode: j.mode, Epsilon: 0.3, Seed: j.seed,
 			MaxThetaPerAd: 20000, ShareSamples: j.share, Workers: 2}
-		want, _, err := Run(p, opt)
+		want, _, err := solveFresh(p, opt)
 		if err != nil {
 			t.Fatalf("reference solve %d: %v", i, err)
 		}
@@ -218,7 +225,7 @@ func TestEngineSolveCanceledMidRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("share=%v: solve after cancellation: %v", share, err)
 		}
-		want, _, err := Run(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 2,
+		want, _, err := solveFresh(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 2,
 			MaxThetaPerAd: 20000, ShareSamples: share, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -355,7 +362,7 @@ func TestEngineProgressEvents(t *testing.T) {
 		t.Error("no growth events observed")
 	}
 	// The hook must not have perturbed the solve.
-	want, _, err := Run(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 6, MaxThetaPerAd: 200000})
+	want, _, err := solveFresh(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 6, MaxThetaPerAd: 200000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +433,7 @@ func TestEnginePanicReleasesCacheLocks(t *testing.T) {
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
-		want, _, err := Run(p, opt)
+		want, _, err := solveFresh(p, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -532,9 +539,8 @@ func TestEngineEvictionChecksEntryIdentity(t *testing.T) {
 	}
 }
 
-// The legacy wrappers now route through a throwaway Engine; the adaptive
-// loop keeps one Engine across its replanning rounds. Both must keep
-// producing deterministic results.
+// The adaptive loop keeps one Engine across its replanning rounds and
+// must keep producing deterministic results.
 func TestEngineAdaptiveReuse(t *testing.T) {
 	p := smallWCProblem(2, 41)
 	opt := AdaptiveOptions{

@@ -12,13 +12,13 @@ func TestEngineShareSamples(t *testing.T) {
 	p := smallWCProblem(4, 21) // L=1: all ads share one distribution
 	base := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 33, MaxThetaPerAd: 40000}
 
-	exclusive, exclStats, err := Run(p, base)
+	exclusive, exclStats, err := solveFresh(p, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := base
 	shared.ShareSamples = true
-	sharedAlloc, sharedStats, err := Run(p, shared)
+	sharedAlloc, sharedStats, err := solveFresh(p, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestEngineShareSamplesOtherModes(t *testing.T) {
 		}
 	}
 	for _, mode := range []Mode{ModeCostAgnostic, ModePRGreedy, ModePRRoundRobin} {
-		alloc, stats, err := Run(p, Options{
+		alloc, stats, err := solveFresh(p, Options{
 			Mode: mode, Epsilon: 0.3, Seed: 44, MaxThetaPerAd: 30000,
 			ShareSamples: true, PRScores: scores,
 		})
@@ -81,11 +81,11 @@ func TestEngineShareSamplesDeterministic(t *testing.T) {
 	p := smallWCProblem(3, 23)
 	opt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 55,
 		MaxThetaPerAd: 30000, ShareSamples: true}
-	a1, _, err := Run(p, opt)
+	a1, _, err := solveFresh(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := Run(p, opt)
+	a2, _, err := solveFresh(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func ticProblem(h int, seed uint64) *Problem {
 func TestEngineMultiTopicTIC(t *testing.T) {
 	p := ticProblem(4, 71)
 	for _, mode := range []Mode{ModeCostAgnostic, ModeCostSensitive} {
-		alloc, stats, err := Run(p, Options{
+		alloc, stats, err := solveFresh(p, Options{
 			Mode: mode, Epsilon: 0.3, Seed: 9, MaxThetaPerAd: 30000,
 		})
 		if err != nil {
@@ -60,13 +60,13 @@ func TestEngineMultiTopicTIC(t *testing.T) {
 func TestEngineSharingGroupsByTopic(t *testing.T) {
 	p := ticProblem(4, 72)
 	base := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 9, MaxThetaPerAd: 20000}
-	_, exclStats, err := Run(p, base)
+	_, exclStats, err := solveFresh(p, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := base
 	shared.ShareSamples = true
-	sharedAlloc, sharedStats, err := Run(p, shared)
+	sharedAlloc, sharedStats, err := solveFresh(p, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestEngineSharingGroupsByTopic(t *testing.T) {
 // latent size estimate s=1.
 func TestEngineGrowthEvents(t *testing.T) {
 	p := smallWCProblem(2, 73)
-	_, stats, err := Run(p, Options{
+	_, stats, err := solveFresh(p, Options{
 		Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 9, MaxThetaPerAd: 30000,
 	})
 	if err != nil {

@@ -28,19 +28,20 @@ func TestHeadlineCSRMBeatsCARM(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := w.Problem(incentive.Linear, 0.3)
+	eng := core.NewEngine(p.Graph, p.Model, core.EngineOptions{})
 
 	var caRev, csRev, caCost, csCost float64
 	for _, seed := range []uint64{7, 8, 9} {
 		opt := core.Options{Epsilon: 0.1, Seed: seed, MaxThetaPerAd: 400_000}
 		caOpt := opt
 		caOpt.Mode = core.ModeCostAgnostic
-		ca, _, err := core.RunWith(context.Background(), nil, p, caOpt)
+		ca, _, err := eng.Solve(context.Background(), p, caOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		csOpt := opt
 		csOpt.Mode = core.ModeCostSensitive
-		cs, _, err := core.RunWith(context.Background(), nil, p, csOpt)
+		cs, _, err := eng.Solve(context.Background(), p, csOpt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,8 +11,8 @@
 //
 // where α > 0 is a host-chosen scale (dollar cents). Singleton spreads can
 // come from Monte-Carlo simulation (the paper's FLIXSTER/EPINIONS setup,
-// 5K runs), from the out-degree proxy (the paper's DBLP/LIVEJOURNAL
-// setup), or from an RR-set estimate.
+// 5K runs) or from the out-degree proxy (the paper's DBLP/LIVEJOURNAL
+// setup).
 package incentive
 
 import (
@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/cascade"
 	"repro/internal/graph"
-	"repro/internal/rrset"
 	"repro/internal/xrand"
 )
 
@@ -160,21 +159,6 @@ func SingletonsOutDegree(g *graph.Graph) []float64 {
 	out := make([]float64, g.NumNodes())
 	for u := int32(0); u < g.NumNodes(); u++ {
 		out[u] = float64(g.OutDegree(u))
-	}
-	return out
-}
-
-// SingletonsRR estimates singleton spreads from an RR-set collection:
-// σ̂({u}) = n · |{R : u ∈ R}| / θ. The collection must be fresh
-// (no CoverBy calls).
-func SingletonsRR(c *rrset.Collection, n int32) []float64 {
-	out := make([]float64, n)
-	if c.Size() == 0 {
-		return out
-	}
-	scale := float64(n) / float64(c.Size())
-	for u := int32(0); u < n; u++ {
-		out[u] = float64(c.NumSetsContaining(u)) * scale
 	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/rrset"
 	"repro/internal/xrand"
 )
 
@@ -122,32 +121,5 @@ func TestSingletonsMCLine(t *testing.T) {
 	s := SingletonsMC(g, []float32{1}, 50, 1, xrand.New(1))
 	if s[0] != 2 || s[1] != 1 {
 		t.Errorf("MC singletons = %v, want [2 1]", s)
-	}
-}
-
-func TestSingletonsRR(t *testing.T) {
-	// Hand-built collection over 3 nodes: nodes 0 and 1 each appear in
-	// 3 of the 4 sets, node 2 in none.
-	c := rrset.NewCollection(3)
-	c.Add([]int32{0})
-	c.Add([]int32{0, 1})
-	c.Add([]int32{1, 0})
-	c.Add([]int32{1})
-	s := SingletonsRR(c, 3)
-	if got, want := s[0], 3.0*3.0/4.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("RR singleton(0) = %v, want %v", got, want)
-	}
-	if got, want := s[1], 3.0*3.0/4.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("RR singleton(1) = %v, want %v", got, want)
-	}
-	if s[2] != 0 {
-		t.Errorf("RR singleton(2) = %v, want 0", s[2])
-	}
-	// Empty collection yields zeros, not NaN.
-	empty := SingletonsRR(rrset.NewCollection(3), 3)
-	for _, v := range empty {
-		if v != 0 {
-			t.Error("empty collection should give zero estimates")
-		}
 	}
 }

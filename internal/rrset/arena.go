@@ -1,13 +1,13 @@
 package rrset
 
-// This file holds the flat storage substrate shared by Collection and
-// Universe: chunk-quantized slice growth, and the inverted node → set-ID
-// index stored as per-node chains of fixed-size blocks inside one flat
-// arena. Together with the []int32 member arena + []uint32 offset table
-// (CSR-style, like internal/dataset's graph snapshot) they replace the
-// pre-refactor layout of one heap allocation per RR set plus one growable
-// slice per node — the layout whose pointer chasing and per-set headers
-// dominated both runtime and resident memory at scale.
+// This file holds the flat storage substrate of Universe: chunk-quantized
+// slice growth, and the inverted node → set-ID index stored as per-node
+// chains of fixed-size blocks inside one flat arena. Together with the
+// []int32 member arena + []uint32 offset table (CSR-style, like
+// internal/dataset's graph snapshot) they replace the pre-refactor layout
+// of one heap allocation per RR set plus one growable slice per node —
+// the layout whose pointer chasing and per-set headers dominated both
+// runtime and resident memory at scale.
 
 // arenaChunk is the growth quantum (in elements) of the flat arenas.
 // Growth is geometric (×1.25) but rounded up to whole chunks, so small

@@ -10,8 +10,8 @@ type bitset struct {
 }
 
 // appendZero extends the bitset by one cleared bit. Words are always
-// materialized through append(…, 0) — including after a capacity-keeping
-// reset — so a freshly entered word never carries stale bits.
+// materialized through append(…, 0), so a freshly entered word never
+// carries stale bits.
 func (b *bitset) appendZero() {
 	if b.n>>6 == len(b.words) {
 		b.words = append(b.words, 0)
@@ -34,12 +34,6 @@ func (b *bitset) clear() {
 	for i := range b.words {
 		b.words[i] = 0
 	}
-}
-
-// reset empties the bitset, keeping capacity.
-func (b *bitset) reset() {
-	b.words = b.words[:0]
-	b.n = 0
 }
 
 // bytes reports the bitset's heap footprint.

@@ -8,37 +8,39 @@ import (
 	"repro/internal/xrand"
 )
 
-// A 4-worker pool fills a coverage collection deterministically: for a
-// fixed (Seed, Workers, BatchSize) the emitted set stream never depends on
-// goroutine scheduling. On the certain star graph, every RR set contains
-// the hub, so the hub's marginal coverage equals the collection size.
-func ExampleParallelSampler() {
+// A Stream draws one ad's RR sets on a shared 4-worker scratch pool; for
+// a fixed (seed, Workers, BatchSize) the emitted set sequence never
+// depends on goroutine scheduling. On the certain star graph every RR
+// set contains the hub.
+func ExampleStream() {
 	b := graph.NewBuilder(5, 4)
 	for v := int32(1); v <= 4; v++ {
 		b.AddEdge(0, v) // hub 0 influences everyone with probability 1
 	}
 	g := b.Build()
-	probs := []float32{1, 1, 1, 1}
+	probs := rrset.NewSampleProbs(g, []float32{1, 1, 1, 1})
 
-	ps := rrset.NewParallelSampler(g, probs, rrset.SampleOptions{
-		Workers: 4, BatchSize: 64, Seed: 1,
+	pool := rrset.NewPool(g, rrset.PoolOptions{Workers: 4, BatchSize: 64})
+	sets, withHub := 0, 0
+	pool.NewStream(probs, 1).SampleN(1000, func(nodes []int32, _ int64) {
+		sets++
+		for _, v := range nodes {
+			if v == 0 {
+				withHub++
+			}
+		}
 	})
-	coll := rrset.NewCollection(g.NumNodes())
-	coll.AddFromParallel(ps, 1000)
-
-	hub, count := coll.MaxCovCount(nil)
-	fmt.Println("sets:", coll.Size())
-	fmt.Println("best seed:", hub)
-	fmt.Println("covers all sets:", int(count) == coll.Size())
+	fmt.Println("sets:", sets)
+	fmt.Println("sets containing the hub:", withHub)
 	// Output:
 	// sets: 1000
-	// best seed: 0
-	// covers all sets: true
+	// sets containing the hub: 1000
 }
 
-// Greedy max-coverage over a sequentially sampled collection: choosing the
-// hub covers every live RR set, so one seed saturates the estimate.
-func ExampleCollection_CoverBy() {
+// Greedy max-coverage on a view over a sequentially sampled universe:
+// choosing the hub covers every live RR set, so one seed saturates the
+// estimate.
+func ExampleView_CoverBy() {
 	b := graph.NewBuilder(4, 3)
 	b.AddEdge(0, 1)
 	b.AddEdge(0, 2)
@@ -46,13 +48,14 @@ func ExampleCollection_CoverBy() {
 	g := b.Build()
 	probs := []float32{1, 1, 1}
 
-	coll := rrset.NewCollection(g.NumNodes())
-	coll.AddFrom(rrset.NewSampler(g, probs, xrand.New(7)), 400)
+	u := rrset.NewUniverse(g.NumNodes())
+	u.AddFrom(rrset.NewSampler(g, probs, xrand.New(7)), 400)
+	view := rrset.NewView(u)
 
-	seed, _ := coll.MaxCovCount(nil)
-	covered := coll.CoverBy(seed)
+	seed, _ := view.MaxCovCount(nil)
+	covered := view.CoverBy(seed)
 	fmt.Println("seed:", seed)
-	fmt.Println("covered everything:", covered == coll.Size() && coll.NumCovered() == coll.Size())
+	fmt.Println("covered everything:", covered == view.Size() && view.NumCovered() == view.Size())
 	// Output:
 	// seed: 0
 	// covered everything: true

@@ -16,9 +16,9 @@ func testProbs(n int64, p float32) []float32 {
 	return probs
 }
 
-// collectionsEqual reports whether two collections hold the same sets in
-// the same order, with identical coverage counters.
-func collectionsEqual(t *testing.T, a, b *Collection) {
+// universesEqual reports whether two universes hold the same sets in the
+// same order, with identical inverted-index degrees.
+func universesEqual(t *testing.T, a, b *Universe) {
 	t.Helper()
 	if a.Size() != b.Size() {
 		t.Fatalf("sizes differ: %d vs %d", a.Size(), b.Size())
@@ -35,29 +35,30 @@ func collectionsEqual(t *testing.T, a, b *Collection) {
 		}
 	}
 	for v := int32(0); v < a.n; v++ {
-		if a.CovCount(v) != b.CovCount(v) {
-			t.Fatalf("covCount[%d] differs: %d vs %d", v, a.CovCount(v), b.CovCount(v))
+		if a.NumSetsContaining(v) != b.NumSetsContaining(v) {
+			t.Fatalf("degree[%d] differs: %d vs %d", v, a.NumSetsContaining(v), b.NumSetsContaining(v))
 		}
 	}
 }
 
-// A single-worker pool must reproduce the sequential sampler bit for bit:
-// same sets, same order, same coverage counters — this is the contract
-// that lets the engine switch to ParallelSampler without disturbing any
-// seed-pinned result.
+// A single-worker pool must reproduce the sequential sampler bit for bit
+// whatever its batch size: same sets, same order, same index — this is
+// the contract that lets the engine sample through a pool without
+// disturbing any seed-pinned result. The batch of 7 puts a batch
+// boundary every few sets.
 func TestParallelSingleWorkerBitIdentical(t *testing.T) {
 	g := newTestGraph(xrand.New(41))
 	probs := testProbs(g.NumEdges(), 0.1)
 	const seed, count = 7, 500
 
-	seq := NewCollection(g.NumNodes())
+	seq := NewUniverse(g.NumNodes())
 	seq.AddFrom(NewSampler(g, probs, xrand.New(seed)), count)
 
-	par := NewCollection(g.NumNodes())
-	ps := NewParallelSampler(g, probs, SampleOptions{Workers: 1, Seed: seed})
-	par.AddFromParallel(ps, count)
+	par := NewUniverse(g.NumNodes())
+	pool := NewPool(g, PoolOptions{Workers: 1, BatchSize: 7})
+	par.AddFromParallel(pool.NewStream(NewSampleProbs(g, probs), seed), count)
 
-	collectionsEqual(t, seq, par)
+	universesEqual(t, seq, par)
 }
 
 // KptEstimateParallel on a single-worker pool must equal KptEstimate on a
@@ -69,8 +70,8 @@ func TestKptEstimateParallelSingleWorkerMatches(t *testing.T) {
 	for _, size := range []int{1, 5} {
 		seq := KptEstimate(NewSampler(g, probs, xrand.New(seed)),
 			g.NumEdges(), int64(g.NumNodes()), size, 1)
-		par := KptEstimateParallel(
-			NewParallelSampler(g, probs, SampleOptions{Workers: 1, Seed: seed}),
+		pool := NewPool(g, PoolOptions{Workers: 1})
+		par := KptEstimateParallel(pool.NewStream(NewSampleProbs(g, probs), seed),
 			g.NumEdges(), int64(g.NumNodes()), size, 1)
 		if seq != par {
 			t.Errorf("size=%d: sequential KPT %v != single-worker parallel KPT %v", size, seq, par)
@@ -85,54 +86,28 @@ func TestKptEstimateParallelSingleWorkerMatches(t *testing.T) {
 func TestParallelDeterministic(t *testing.T) {
 	g := newTestGraph(xrand.New(43))
 	probs := testProbs(g.NumEdges(), 0.1)
-	opts := SampleOptions{Workers: 4, BatchSize: 32, Seed: 13}
+	const seed = 13
 	grow := []int{100, 37, 411}
-
-	build := func() *Collection {
-		c := NewCollection(g.NumNodes())
-		ps := NewParallelSampler(g, probs, opts)
-		for _, n := range grow {
-			c.AddFromParallel(ps, n)
-		}
-		return c
+	stream := func() *Stream {
+		pool := NewPool(g, PoolOptions{Workers: 4, BatchSize: 32})
+		return pool.NewStream(NewSampleProbs(g, probs), seed)
 	}
-	collectionsEqual(t, build(), build())
+
+	build := func() *Universe {
+		u := NewUniverse(g.NumNodes())
+		s := stream()
+		for _, n := range grow {
+			u.AddFromParallel(s, n)
+		}
+		return u
+	}
+	universesEqual(t, build(), build())
 
 	kpt := func() float64 {
-		return KptEstimateParallel(NewParallelSampler(g, probs, opts),
-			g.NumEdges(), int64(g.NumNodes()), 3, 1)
+		return KptEstimateParallel(stream(), g.NumEdges(), int64(g.NumNodes()), 3, 1)
 	}
 	if a, b := kpt(), kpt(); a != b {
 		t.Errorf("KptEstimateParallel not deterministic: %v vs %v", a, b)
-	}
-}
-
-// Multi-worker universes must match multi-worker collections set for set:
-// both consume the same deterministic emission stream.
-func TestParallelUniverseMatchesCollection(t *testing.T) {
-	g := newTestGraph(xrand.New(44))
-	probs := testProbs(g.NumEdges(), 0.1)
-	opts := SampleOptions{Workers: 3, BatchSize: 16, Seed: 17}
-	const count = 300
-
-	c := NewCollection(g.NumNodes())
-	c.AddFromParallel(NewParallelSampler(g, probs, opts), count)
-	u := NewUniverse(g.NumNodes())
-	u.AddFromParallel(NewParallelSampler(g, probs, opts), count)
-
-	if c.Size() != u.Size() {
-		t.Fatalf("sizes differ: %d vs %d", c.Size(), u.Size())
-	}
-	for id := int32(0); id < int32(c.Size()); id++ {
-		cs, us := c.Set(id), u.Set(id)
-		if len(cs) != len(us) {
-			t.Fatalf("set %d: lengths differ", id)
-		}
-		for i := range cs {
-			if cs[i] != us[i] {
-				t.Fatalf("set %d differs at %d", id, i)
-			}
-		}
 	}
 }
 
@@ -153,11 +128,9 @@ func TestParallelCounts(t *testing.T) {
 		{8, 1000, 3}, // more workers than batches
 		{2, 7, 700},
 	} {
-		ps := NewParallelSampler(g, probs, SampleOptions{
-			Workers: tc.workers, BatchSize: tc.batch, Seed: 19,
-		})
+		pool := NewPool(g, PoolOptions{Workers: tc.workers, BatchSize: tc.batch})
 		got := 0
-		ps.SampleN(tc.count, func(nodes []int32, width int64) {
+		pool.NewStream(NewSampleProbs(g, probs), 19).SampleN(tc.count, func(nodes []int32, width int64) {
 			if len(nodes) == 0 {
 				t.Fatalf("%+v: empty RR set", tc)
 			}
@@ -169,49 +142,45 @@ func TestParallelCounts(t *testing.T) {
 	}
 }
 
-// The engine initializes every advertiser concurrently, each filling its
-// own collection from its own multi-worker pool. This mirrors that pattern
+// Universes filled concurrently, each from its own multi-worker pool,
 // so `go test -race` guards the merge path.
 func TestParallelConcurrentAddFrom(t *testing.T) {
 	g := newTestGraph(xrand.New(46))
 	probs := testProbs(g.NumEdges(), 0.1)
 	const ads = 6
+	fill := func(seed uint64) *Universe {
+		pool := NewPool(g, PoolOptions{Workers: 4, BatchSize: 32})
+		u := NewUniverse(g.NumNodes())
+		u.AddFromParallel(pool.NewStream(NewSampleProbs(g, probs), seed), 400)
+		return u
+	}
 
-	colls := make([]*Collection, ads)
+	univs := make([]*Universe, ads)
 	var wg sync.WaitGroup
 	for i := 0; i < ads; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ps := NewParallelSampler(g, probs, SampleOptions{
-				Workers: 4, BatchSize: 32, Seed: uint64(100 + i),
-			})
-			c := NewCollection(g.NumNodes())
-			c.AddFromParallel(ps, 400)
-			colls[i] = c
+			univs[i] = fill(uint64(100 + i))
 		}(i)
 	}
 	wg.Wait()
 
-	for i, c := range colls {
-		if c.Size() != 400 {
-			t.Errorf("ad %d: %d sets, want 400", i, c.Size())
+	for i, u := range univs {
+		if u.Size() != 400 {
+			t.Errorf("ad %d: %d sets, want 400", i, u.Size())
 		}
 	}
 	// Same-seed pools must agree regardless of the concurrency around them.
-	ref := NewCollection(g.NumNodes())
-	ref.AddFromParallel(NewParallelSampler(g, probs, SampleOptions{
-		Workers: 4, BatchSize: 32, Seed: 100,
-	}), 400)
-	collectionsEqual(t, ref, colls[0])
+	universesEqual(t, fill(100), univs[0])
 }
 
 // Zero-probability arcs must yield singleton RR sets through the parallel
 // path too (the lazy coin flips never expand the frontier).
 func TestParallelZeroProb(t *testing.T) {
 	g, probs := line3(0.0)
-	ps := NewParallelSampler(g, probs, SampleOptions{Workers: 2, BatchSize: 4, Seed: 3})
-	ps.SampleN(40, func(nodes []int32, _ int64) {
+	pool := NewPool(g, PoolOptions{Workers: 2, BatchSize: 4})
+	pool.NewStream(NewSampleProbs(g, probs), 3).SampleN(40, func(nodes []int32, _ int64) {
 		if len(nodes) != 1 {
 			t.Fatalf("p=0 RR set has %d nodes, want 1", len(nodes))
 		}

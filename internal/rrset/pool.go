@@ -265,9 +265,8 @@ func (p *Pool) NewStream(probs SampleProbs, seed uint64) *Stream {
 // w(R) — to yield, which runs on the calling goroutine. The node slice
 // is a window into a reused batch buffer: it is valid only for the
 // duration of the yield call and must be copied to be retained (the
-// arena-backed Collection/Universe ingest paths copy into their flat
-// storage). The emission order is deterministic for a fixed stream
-// configuration.
+// arena-backed Universe ingest path copies into its flat storage). The
+// emission order is deterministic for a fixed stream configuration.
 func (s *Stream) SampleN(count int, yield func(nodes []int32, width int64)) {
 	s.SampleNCtx(context.Background(), count, yield)
 }

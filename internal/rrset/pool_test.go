@@ -7,22 +7,21 @@ import (
 	"repro/internal/xrand"
 )
 
-// A single-slot pool stream must reproduce the sequential sampler bit for
-// bit — the same contract ParallelSampler pins, re-pinned here directly
-// through the shared-pool path the engine now uses.
+// A single-slot pool stream at the default batch size must reproduce the
+// sequential sampler bit for bit.
 func TestPoolStreamSingleWorkerBitIdentical(t *testing.T) {
 	g := newTestGraph(xrand.New(51))
 	probs := testProbs(g.NumEdges(), 0.1)
 	const seed, count = 7, 500
 
-	seq := NewCollection(g.NumNodes())
+	seq := NewUniverse(g.NumNodes())
 	seq.AddFrom(NewSampler(g, probs, xrand.New(seed)), count)
 
 	pool := NewPool(g, PoolOptions{Workers: 1})
-	par := NewCollection(g.NumNodes())
+	par := NewUniverse(g.NumNodes())
 	par.AddFromParallel(pool.NewStream(NewSampleProbs(g, probs), seed), count)
 
-	collectionsEqual(t, seq, par)
+	universesEqual(t, seq, par)
 }
 
 // Streams sharing one pool must emit exactly what isolated per-ad pools
@@ -36,25 +35,24 @@ func TestPoolSharedStreamsMatchIsolatedPools(t *testing.T) {
 	const ads, count = 6, 400
 
 	shared := NewPool(g, PoolOptions{Workers: 3, BatchSize: 32})
-	colls := make([]*Collection, ads)
+	univs := make([]*Universe, ads)
 	var wg sync.WaitGroup
 	for i := 0; i < ads; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := NewCollection(g.NumNodes())
-			c.AddFromParallel(shared.NewStream(NewSampleProbs(g, probs), uint64(100+i)), count)
-			colls[i] = c
+			u := NewUniverse(g.NumNodes())
+			u.AddFromParallel(shared.NewStream(NewSampleProbs(g, probs), uint64(100+i)), count)
+			univs[i] = u
 		}(i)
 	}
 	wg.Wait()
 
 	for i := 0; i < ads; i++ {
-		ref := NewCollection(g.NumNodes())
-		ref.AddFromParallel(NewParallelSampler(g, probs, SampleOptions{
-			Workers: 3, BatchSize: 32, Seed: uint64(100 + i),
-		}), count)
-		collectionsEqual(t, ref, colls[i])
+		private := NewPool(g, PoolOptions{Workers: 3, BatchSize: 32})
+		ref := NewUniverse(g.NumNodes())
+		ref.AddFromParallel(private.NewStream(NewSampleProbs(g, probs), uint64(100+i)), count)
+		universesEqual(t, ref, univs[i])
 	}
 }
 
@@ -102,8 +100,8 @@ func TestPoolInterleavedGrowthDeterministic(t *testing.T) {
 	grow := []int{100, 37, 211}
 
 	pool := NewPool(g, PoolOptions{Workers: 2, BatchSize: 16})
-	a := NewCollection(g.NumNodes())
-	b := NewCollection(g.NumNodes())
+	a := NewUniverse(g.NumNodes())
+	b := NewUniverse(g.NumNodes())
 	sa := pool.NewStream(NewSampleProbs(g, probs), 5)
 	sb := pool.NewStream(NewSampleProbs(g, probs), 6)
 	for _, n := range grow {
@@ -112,19 +110,19 @@ func TestPoolInterleavedGrowthDeterministic(t *testing.T) {
 	}
 
 	onePool := NewPool(g, PoolOptions{Workers: 2, BatchSize: 16})
-	refA := NewCollection(g.NumNodes())
+	refA := NewUniverse(g.NumNodes())
 	sra := onePool.NewStream(NewSampleProbs(g, probs), 5)
 	for _, n := range grow {
 		refA.AddFromParallel(sra, n)
 	}
-	collectionsEqual(t, refA, a)
+	universesEqual(t, refA, a)
 
-	refB := NewCollection(g.NumNodes())
+	refB := NewUniverse(g.NumNodes())
 	srb := onePool.NewStream(NewSampleProbs(g, probs), 6)
 	for _, n := range grow {
 		refB.AddFromParallel(srb, n)
 	}
-	collectionsEqual(t, refB, b)
+	universesEqual(t, refB, b)
 }
 
 // KptEstimateParallel through a shared pool matches the sequential

@@ -76,77 +76,65 @@ func TestSpreadEstimateUnbiased(t *testing.T) {
 		seeds := []int32{rng.Int31n(n), rng.Int31n(n)}
 		exact := cascade.ExactSpread(g, probs, seeds)
 
-		c := NewCollection(n)
-		c.AddFrom(NewSampler(g, probs, rng.Split()), 60000)
-		est := c.SpreadEstimate(seeds)
+		u := NewUniverse(n)
+		u.AddFrom(NewSampler(g, probs, rng.Split()), 60000)
+		v := NewView(u)
+		for _, s := range seeds {
+			v.CoverBy(s)
+		}
+		est := float64(n) * float64(v.NumCovered()) / float64(v.Size())
 		if math.Abs(est-exact) > 0.06*math.Max(1, exact) {
 			t.Errorf("trial %d: RR estimate %v vs exact %v", trial, est, exact)
 		}
 	}
 }
 
-func TestCollectionCoverage(t *testing.T) {
-	c := NewCollection(4)
-	c.Add([]int32{0, 1})
-	c.Add([]int32{1, 2})
-	c.Add([]int32{3})
-	if c.Size() != 3 {
-		t.Fatalf("Size = %d, want 3", c.Size())
+func TestViewCoverage(t *testing.T) {
+	u := NewUniverse(4)
+	u.Add([]int32{0, 1})
+	u.Add([]int32{1, 2})
+	u.Add([]int32{3})
+	view := NewView(u)
+	if view.Size() != 3 {
+		t.Fatalf("Size = %d, want 3", view.Size())
 	}
-	if c.CovCount(1) != 2 || c.CovCount(0) != 1 || c.CovCount(3) != 1 {
-		t.Fatalf("initial covCounts wrong: %d %d %d", c.CovCount(1), c.CovCount(0), c.CovCount(3))
+	if view.CovCount(1) != 2 || view.CovCount(0) != 1 || view.CovCount(3) != 1 {
+		t.Fatalf("initial covCounts wrong: %d %d %d", view.CovCount(1), view.CovCount(0), view.CovCount(3))
 	}
-	newly := c.CoverBy(1)
+	newly := view.CoverBy(1)
 	if newly != 2 {
 		t.Errorf("CoverBy(1) covered %d sets, want 2", newly)
 	}
-	if c.NumCovered() != 2 {
-		t.Errorf("NumCovered = %d, want 2", c.NumCovered())
+	if view.NumCovered() != 2 {
+		t.Errorf("NumCovered = %d, want 2", view.NumCovered())
 	}
 	// Node 0 and 2 lose their sets; node 3 unaffected.
-	if c.CovCount(0) != 0 || c.CovCount(2) != 0 || c.CovCount(3) != 1 {
-		t.Errorf("covCounts after cover: %d %d %d", c.CovCount(0), c.CovCount(2), c.CovCount(3))
+	if view.CovCount(0) != 0 || view.CovCount(2) != 0 || view.CovCount(3) != 1 {
+		t.Errorf("covCounts after cover: %d %d %d", view.CovCount(0), view.CovCount(2), view.CovCount(3))
 	}
 	// Covering again is a no-op.
-	if again := c.CoverBy(1); again != 0 {
+	if again := view.CoverBy(1); again != 0 {
 		t.Errorf("re-CoverBy(1) covered %d sets, want 0", again)
 	}
 }
 
 func TestMaxCovCount(t *testing.T) {
-	c := NewCollection(4)
-	c.Add([]int32{0, 1})
-	c.Add([]int32{1, 2})
-	c.Add([]int32{1})
-	node, count := c.MaxCovCount(nil)
+	u := NewUniverse(4)
+	u.Add([]int32{0, 1})
+	u.Add([]int32{1, 2})
+	u.Add([]int32{1})
+	view := NewView(u)
+	node, count := view.MaxCovCount(nil)
 	if node != 1 || count != 3 {
 		t.Errorf("MaxCovCount = (%d,%d), want (1,3)", node, count)
 	}
-	node, count = c.MaxCovCount(func(v int32) bool { return v != 1 })
+	node, count = view.MaxCovCount(func(v int32) bool { return v != 1 })
 	if node == 1 || count != 1 {
 		t.Errorf("MaxCovCount excluding 1 = (%d,%d), want count 1", node, count)
 	}
-	node, _ = c.MaxCovCount(func(v int32) bool { return false })
+	node, _ = view.MaxCovCount(func(v int32) bool { return false })
 	if node != -1 {
 		t.Errorf("MaxCovCount with nothing eligible = %d, want -1", node)
-	}
-}
-
-func TestCoverageOf(t *testing.T) {
-	c := NewCollection(5)
-	c.Add([]int32{0, 1})
-	c.Add([]int32{2})
-	c.Add([]int32{3, 4})
-	if got := c.CoverageOf([]int32{1, 2}); got != 2 {
-		t.Errorf("CoverageOf = %d, want 2", got)
-	}
-	if got := c.CoverageOf(nil); got != 0 {
-		t.Errorf("CoverageOf(nil) = %d, want 0", got)
-	}
-	// Coverage ignores tombstones: after covering, totals stay the same.
-	c.CoverBy(0)
-	if got := c.CoverageOf([]int32{1, 2}); got != 2 {
-		t.Errorf("CoverageOf after CoverBy = %d, want 2", got)
 	}
 }
 
@@ -209,15 +197,16 @@ func TestKptEstimateBounds(t *testing.T) {
 	}
 	// Compare against the greedy RR solution's estimated spread (a lower
 	// bound on OPT_s): KPT must not be wildly above it.
-	c := NewCollection(g.NumNodes())
-	c.AddFrom(NewSampler(g, probs, rng.Split()), 20000)
+	u := NewUniverse(g.NumNodes())
+	u.AddFrom(NewSampler(g, probs, rng.Split()), 20000)
+	view := NewView(u)
 	var seeds []int32
 	for i := 0; i < s; i++ {
-		v, _ := c.MaxCovCount(nil)
-		c.CoverBy(v)
+		v, _ := view.MaxCovCount(nil)
+		view.CoverBy(v)
 		seeds = append(seeds, v)
 	}
-	greedySpread := float64(g.NumNodes()) * float64(c.NumCovered()) / float64(c.Size())
+	greedySpread := float64(g.NumNodes()) * float64(view.NumCovered()) / float64(view.Size())
 	if kpt > 1.5*greedySpread {
 		t.Errorf("KPT = %v far above greedy spread %v (should lower-bound OPT_s)", kpt, greedySpread)
 	}
@@ -233,12 +222,12 @@ func TestKptEstimateDegenerate(t *testing.T) {
 }
 
 func TestMemoryFootprintGrows(t *testing.T) {
-	c := NewCollection(10)
-	before := c.MemoryFootprint()
+	u := NewUniverse(10)
+	before := u.MemoryFootprint()
 	for i := 0; i < 100; i++ {
-		c.Add([]int32{0, 1, 2})
+		u.Add([]int32{0, 1, 2})
 	}
-	if c.MemoryFootprint() <= before {
+	if u.MemoryFootprint() <= before {
 		t.Error("memory footprint did not grow after adds")
 	}
 }
@@ -265,9 +254,9 @@ func TestGreedyPicksHub(t *testing.T) {
 	for i := range probs {
 		probs[i] = 0.5
 	}
-	c := NewCollection(10)
-	c.AddFrom(NewSampler(g, probs, xrand.New(6)), 5000)
-	v, _ := c.MaxCovCount(nil)
+	u := NewUniverse(10)
+	u.AddFrom(NewSampler(g, probs, xrand.New(6)), 5000)
+	v, _ := NewView(u).MaxCovCount(nil)
 	if v != 0 {
 		t.Errorf("greedy picked %d, want hub 0", v)
 	}

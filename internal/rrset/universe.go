@@ -1,12 +1,12 @@
 package rrset
 
 // CoverageState is the coverage-bookkeeping interface the allocation
-// engine works against. Collection implements it with exclusive storage;
-// View implements it on top of a shared Universe, addressing the paper's
-// future-work item (i) — making TI-CSRM more memory efficient — for ads
-// with identical topic distributions (the paper's pure-competition pairs),
-// whose RR-set distributions coincide and whose samples can therefore be
-// shared.
+// engine works against. View implements it on top of a shared Universe,
+// addressing the paper's future-work item (i) — making TI-CSRM more
+// memory efficient — for ads with identical topic distributions (the
+// paper's pure-competition pairs), whose RR-set distributions coincide
+// and whose samples can therefore be shared; internal/shard's MergedView
+// implements it over several shard universes.
 type CoverageState interface {
 	// CovCount returns the marginal coverage of node v.
 	CovCount(v int32) int32
@@ -23,18 +23,15 @@ type CoverageState interface {
 	MemoryFootprint() int64
 }
 
-var (
-	_ CoverageState = (*Collection)(nil)
-	_ CoverageState = (*View)(nil)
-)
+var _ CoverageState = (*View)(nil)
 
 // Universe is an append-only store of RR sets with an inverted index,
 // shareable by multiple Views. Set IDs are assigned in insertion order,
 // so per-node index chains are ascending — Views exploit this to stop at
-// their synced prefix. Storage is the same chunked flat arena layout as
-// Collection: one []int32 member buffer, a []uint32 offset table and the
-// block-chained inverted index, so steady-state appends allocate nothing
-// per set and MemoryFootprint is O(1).
+// their synced prefix. Storage is a chunked flat arena: one []int32
+// member buffer, a []uint32 offset table and the block-chained inverted
+// index, so steady-state appends allocate nothing per set and
+// MemoryFootprint is O(1).
 type Universe struct {
 	n       int32
 	data    []int32

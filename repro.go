@@ -32,15 +32,9 @@
 //	alloc, stats, _ := eng.Solve(ctx, p, repro.Options{Mode: repro.ModeCostSensitive, Epsilon: 0.3})
 //	ev, _ := eng.Evaluate(ctx, p, alloc, 2000, 2, 1) // ... solve and score many times
 //	fmt.Println("revenue:", ev.TotalRevenue(), "in", stats.Duration)
-//
-// The legacy one-shot helpers (TICSRM, TICARM, PageRankGR/RR) remain as
-// deprecated thin wrappers over a throwaway Engine and reproduce
-// historical results bit for bit.
 package repro
 
 import (
-	"context"
-
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -246,43 +240,6 @@ func NewRNG(seed uint64) *RNG { return xrand.New(seed) }
 // preset ("flixster", "epinions", "dblp", "livejournal").
 func NewWorkbench(dataset string, params Params) (*Workbench, error) {
 	return eval.NewWorkbench(dataset, params)
-}
-
-// TICSRM runs the scalable cost-sensitive algorithm (the paper's winner)
-// on a throwaway Engine — the legacy one-shot entry point.
-//
-// Deprecated: construct an Engine once (NewEngine or Workbench.Engine)
-// and use Engine.Solve with ModeCostSensitive. Retained for bit-
-// compatible historical runs.
-func TICSRM(p *Problem, opt Options) (*Allocation, *Stats, error) {
-	return core.TICSRM(p, opt)
-}
-
-// TICARM runs the scalable cost-agnostic algorithm on a throwaway Engine.
-//
-// Deprecated: use Engine.Solve with ModeCostAgnostic. Retained for
-// bit-compatible historical runs.
-func TICARM(p *Problem, opt Options) (*Allocation, *Stats, error) {
-	return core.TICARM(p, opt)
-}
-
-// PageRankGR runs the PageRank + greedy-assignment baseline. A nil eng
-// uses a throwaway Engine (the historical one-shot behavior).
-//
-// Deprecated: use Engine.Solve with ModePRGreedy and Options.PRScores
-// (see baseline.ScoresForProblem). Retained for bit-compatible
-// historical runs.
-func PageRankGR(ctx context.Context, eng *Engine, p *Problem, opt Options) (*Allocation, *Stats, error) {
-	return baseline.PageRankGR(ctx, eng, p, opt)
-}
-
-// PageRankRR runs the PageRank + round-robin baseline. A nil eng uses a
-// throwaway Engine.
-//
-// Deprecated: use Engine.Solve with ModePRRoundRobin and
-// Options.PRScores. Retained for bit-compatible historical runs.
-func PageRankRR(ctx context.Context, eng *Engine, p *Problem, opt Options) (*Allocation, *Stats, error) {
-	return baseline.PageRankRR(ctx, eng, p, opt)
 }
 
 // CAGreedy runs the reference cost-agnostic greedy (Algorithm 1) against a

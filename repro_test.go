@@ -17,7 +17,9 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := w.Problem(Linear, 0.2)
-	alloc, stats, err := TICSRM(p, Options{Epsilon: 0.3, Seed: 42, MaxThetaPerAd: 30000})
+	eng := NewEngine(p.Graph, p.Model, EngineOptions{})
+	alloc, stats, err := eng.Solve(context.Background(), p,
+		Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 42, MaxThetaPerAd: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,32 +48,27 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
-// TestPublicAPIAllAlgorithms runs the four compared algorithms through
-// the facade on one problem.
+// TestPublicAPIAllAlgorithms solves one problem through the facade in
+// every registered mode, supplying PageRank scores to the modes that
+// need them, and checks each allocation against the paper's constraints.
 func TestPublicAPIAllAlgorithms(t *testing.T) {
 	w, err := NewWorkbench("epinions", Params{Scale: ScaleTiny, Seed: 7, H: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := w.Problem(Sublinear, 12)
-	opt := Options{Epsilon: 0.3, Seed: 7, MaxThetaPerAd: 30000}
-	ctx := context.Background()
-	for name, run := range map[string]func(*Problem, Options) (*Allocation, *Stats, error){
-		"TI-CSRM": TICSRM,
-		"TI-CARM": TICARM,
-		"PageRank-GR": func(p *Problem, opt Options) (*Allocation, *Stats, error) {
-			return PageRankGR(ctx, nil, p, opt)
-		},
-		"PageRank-RR": func(p *Problem, opt Options) (*Allocation, *Stats, error) {
-			return PageRankRR(ctx, nil, p, opt)
-		},
-	} {
-		alloc, _, err := run(p, opt)
+	eng := NewEngine(p.Graph, p.Model, EngineOptions{})
+	for _, info := range Algorithms() {
+		opt := Options{Mode: info.Mode, Epsilon: 0.3, Seed: 7, MaxThetaPerAd: 30000}
+		if info.NeedsPRScores {
+			opt.PRScores = PageRankScores(p)
+		}
+		alloc, _, err := eng.Solve(context.Background(), p, opt)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", info.Name, err)
 		}
 		if err := alloc.ValidateSlack(p, 0.3); err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", info.Name, err)
 		}
 	}
 }
@@ -95,9 +92,8 @@ func TestPublicAPIReferenceGreedy(t *testing.T) {
 	}
 }
 
-// TestPublicAPIIMAndLearning smoke-tests the IM and model-learning
-// surfaces.
-func TestPublicAPIIMAndLearning(t *testing.T) {
+// TestPublicAPILearning smoke-tests the model-learning surface.
+func TestPublicAPILearning(t *testing.T) {
 	rng := NewRNG(3)
 	w, err := NewWorkbench("epinions", Params{Scale: ScaleTiny, Seed: 3, H: 1})
 	if err != nil {
@@ -105,24 +101,6 @@ func TestPublicAPIIMAndLearning(t *testing.T) {
 	}
 	g := w.Dataset.Graph
 	probs := w.Model.EdgeProbs(w.Ads[0].Gamma)
-
-	tim, err := TIM(context.Background(), g, probs, 3, TIMOptions{Epsilon: 0.3, MaxTheta: 20000}, rng.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tim.Seeds) != 3 {
-		t.Fatalf("TIM returned %d seeds", len(tim.Seeds))
-	}
-	greedy, err := GreedyIM(context.Background(), g, probs, 3, 500, 2, rng.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(greedy.Seeds) != 3 {
-		t.Fatalf("GreedyIM returned %d seeds", len(greedy.Seeds))
-	}
-	if len(DegreeSeeds(g, 3)) != 3 || len(SingleDiscountSeeds(g, 3)) != 3 {
-		t.Fatal("heuristics returned wrong seed counts")
-	}
 
 	eps := SimulateEpisodes(g, probs, 200, 2, rng.Split())
 	learned := EstimateIC(g, eps, LearnOptions{Iterations: 5})
