@@ -113,11 +113,18 @@ type Options struct {
 	// visited array of 8n bytes per slot, lazily built) is bounded by
 	// ~Shards·Workers·8n bytes regardless of the number of ads or
 	// concurrent solves, and is reported in Stats.SamplerMemoryBytes.
-	// The slot count also caps concurrently sampling goroutines for the
-	// whole Engine: with Workers=1 even the per-ad initialization
-	// goroutines sample one at a time (results stay bit-identical to the
-	// sequential engine), so raise Workers to parallelize sampling
-	// across ads as well as within one.
+	// The slot count also caps the goroutines that sample for solves:
+	// with Workers=1 even the per-ad initialization goroutines sample
+	// one at a time (results stay bit-identical to the sequential
+	// engine), so raise Workers to parallelize sampling across ads as
+	// well as within one.
+	//
+	// ApplyDelta's RR-universe repair is the exception. It runs one swap
+	// at a time under the swap lock and fans out to GOMAXPROCS
+	// goroutines whatever Workers says, borrowing the pool's free slots
+	// first and keeping one repair-only scratch (8n bytes, also in
+	// Stats.SamplerMemoryBytes) per goroutine beyond them. Its output is
+	// byte-identical at every Workers and GOMAXPROCS.
 	Workers int
 	// SampleBatch is the parallel sampler's per-worker batch size
 	// (0 = rrset.DefaultBatchSize). Only meaningful with Workers > 1;

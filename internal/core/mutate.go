@@ -218,5 +218,6 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 	e.mutations.Add(1)
 	e.rrSetsInvalid.Add(int64(res.InvalidatedSets))
 	e.rrSetsRepaired.Add(int64(res.RepairedSets))
+	e.repairNanos.Add(int64(res.RepairDuration))
 	return res, nil
 }

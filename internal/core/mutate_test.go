@@ -208,7 +208,8 @@ func TestApplyDeltaCarriesUniverses(t *testing.T) {
 	c := eng.Counters()
 	if c.Mutations != 1 ||
 		c.RRSetsInvalidated != int64(res.InvalidatedSets) ||
-		c.RRSetsRepaired != int64(res.RepairedSets) {
+		c.RRSetsRepaired != int64(res.RepairedSets) ||
+		c.RepairDuration != res.RepairDuration || c.RepairDuration <= 0 {
 		t.Fatalf("counters %+v disagree with DeltaResult %+v", c, res)
 	}
 

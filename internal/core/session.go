@@ -22,6 +22,8 @@ type EngineOptions struct {
 	// whole Engine) and the number of concurrently sampling goroutines
 	// across every Solve in flight. 0 and 1 both select the single-worker
 	// path that is bit-identical to the historical sequential sampler.
+	// ApplyDelta's repair is not bounded by it: it runs at GOMAXPROCS
+	// (see Options.Workers).
 	Workers int
 	// SampleBatch is the pool's per-worker batch size
 	// (0 = rrset.DefaultBatchSize); part of the determinism key for
@@ -265,6 +267,7 @@ type Engine struct {
 	mutations       atomic.Int64
 	rrSetsInvalid   atomic.Int64
 	rrSetsRepaired  atomic.Int64
+	repairNanos     atomic.Int64
 }
 
 // EngineCounters is a snapshot of an Engine's cumulative work across all
@@ -293,6 +296,8 @@ type EngineCounters struct {
 	// generation swaps and stale slots resampled during swaps.
 	RRSetsInvalidated int64
 	RRSetsRepaired    int64
+	// RepairDuration sums DeltaResult.RepairDuration over those swaps.
+	RepairDuration time.Duration
 }
 
 // Counters returns a consistent-enough snapshot of the Engine's
@@ -311,6 +316,7 @@ func (e *Engine) Counters() EngineCounters {
 		Mutations:           e.mutations.Load(),
 		RRSetsInvalidated:   e.rrSetsInvalid.Load(),
 		RRSetsRepaired:      e.rrSetsRepaired.Load(),
+		RepairDuration:      time.Duration(e.repairNanos.Load()),
 	}
 }
 
@@ -346,8 +352,9 @@ func (e *Engine) Workers() int { return e.cur.Load().pools[0].Workers() }
 func (e *Engine) Shards() int { return e.opts.Shards }
 
 // SamplerMemoryBytes returns the high-water scratch footprint of the
-// current generation's sampling pools — O(Shards·Workers·n) worst case
-// (idle shard pools stay lazily unmaterialized).
+// current generation's sampling pools, repair-only scratch included —
+// O(Shards·max(Workers, GOMAXPROCS)·n) worst case (idle shard pools
+// stay lazily unmaterialized).
 func (e *Engine) SamplerMemoryBytes() int64 {
 	var total int64
 	for _, p := range e.cur.Load().pools {

@@ -1,5 +1,7 @@
 package rrset
 
+import "sort"
+
 // This file holds the flat storage substrate of Universe: chunk-quantized
 // slice growth, and the inverted node → set-ID index stored as per-node
 // chains of fixed-size blocks inside one flat arena. Together with the
@@ -115,22 +117,51 @@ func (ix *nodeIndex) push(v, id int32) {
 }
 
 // rebuild replaces the index with one over the sets of a CSR arena (set
-// id's members are data[offsets[id]:offsets[id+1]]) in three linear
-// passes — a counting sort, not one push per member. Pass 1 counts every
-// node's degree. Pass 2 lays each node's overflow chain out as one
-// contiguous run of [link, id×idxBlockIDs] blocks in the reused blocks
-// arena, linked in order with the tail's link pointing back at the
-// first, so later pushes extend it like any pushed chain. Pass 3 fills
-// the IDs in ascending set order, and a last O(n) sweep points more at
-// each chain's tail. Iteration order and deg equal what per-set pushes
-// of the same arena give; only the block layout differs.
-func (ix *nodeIndex) rebuild(data []int32, offsets []uint32) {
-	clear(ix.deg)
-	for _, v := range data {
-		ix.deg[v]++
+// id's members are data[offsets[id]:offsets[id+1]]) by a counting sort,
+// not one push per member, split over chunks contiguous set-ID ranges of
+// about equal member counts. Each range counts its nodes' occurrences
+// concurrently; a sequential pass turns the counts into every range's
+// per-node fill cursors, takes each node's degree, and lays the node's
+// overflow chain out as one contiguous run of [link, id×idxBlockIDs]
+// blocks in the reused blocks arena, linked in order with the tail's
+// link pointing back at the first, so later pushes extend it like any
+// pushed chain. The ranges then fill their IDs concurrently into the
+// disjoint positions their cursors own, and a last O(n) sweep points
+// more at each chain's tail. Every chunk count lays deg, inline, blocks
+// and more out byte for byte alike; iteration order and deg equal what
+// per-set pushes of the same arena give, only the block layout differs.
+func (ix *nodeIndex) rebuild(data []int32, offsets []uint32, chunks int) {
+	sets := len(offsets) - 1
+	bounds := make([]int, chunks+1) // range k holds sets [bounds[k], bounds[k+1])
+	for k := 1; k < chunks; k++ {
+		at := uint32(uint64(len(data)) * uint64(k) / uint64(chunks))
+		bounds[k] = sort.Search(sets, func(id int) bool { return offsets[id] >= at })
 	}
+	bounds[chunks] = sets
+	// cur[k] holds range k's per-node counts, then its fill cursors. The
+	// last range's array is deg, so its cursors end at every degree.
+	n := len(ix.deg)
+	counts := make([]int32, (chunks-1)*n)
+	cur := make([][]int32, chunks)
+	for k := range cur[:chunks-1] {
+		cur[k] = counts[k*n : (k+1)*n : (k+1)*n]
+	}
+	cur[chunks-1] = ix.deg
+	fanOut(chunks, func(k int) {
+		c := cur[k]
+		if k == chunks-1 {
+			clear(c)
+		}
+		for _, v := range data[offsets[bounds[k]]:offsets[bounds[k+1]]] {
+			c[v]++
+		}
+	})
 	total := 0
-	for v, d := range ix.deg {
+	for v := range ix.more {
+		d := int32(0)
+		for _, c := range cur {
+			c[v], d = d, d+c[v]
+		}
 		if d <= idxInline {
 			ix.more[v] = -1
 			continue
@@ -139,33 +170,49 @@ func (ix *nodeIndex) rebuild(data []int32, offsets []uint32) {
 		total += int(overflowBlocks(d)) * (idxBlockIDs + 1)
 	}
 	ix.blocks = grow(ix.blocks[:0], total)[:total]
+	end := int32(total) // chains are laid in node order: v's ends where v+1's starts
+	for v := len(ix.more) - 1; v >= 0; v-- {
+		first := ix.more[v]
+		if first < 0 {
+			continue
+		}
+		tail := end - (idxBlockIDs + 1)
+		for o := first; o < tail; o += idxBlockIDs + 1 {
+			ix.blocks[o] = o + idxBlockIDs + 1
+		}
+		ix.blocks[tail] = first
+		end = first
+	}
+	fanOut(chunks, func(k int) {
+		ix.fill(cur[k], data, offsets[bounds[k]:bounds[k+1]+1], int32(bounds[k]))
+	})
 	for v, first := range ix.more {
 		if first >= 0 {
-			tail := first + (overflowBlocks(ix.deg[v])-1)*(idxBlockIDs+1)
-			for o := first; o < tail; o += idxBlockIDs + 1 {
-				ix.blocks[o] = o + idxBlockIDs + 1
-			}
-			ix.blocks[tail] = first
+			ix.more[v] = first + (overflowBlocks(ix.deg[v])-1)*(idxBlockIDs+1)
 		}
-		ix.deg[v] = 0 // pass 3's fill cursor
 	}
-	for id := 0; id+1 < len(offsets); id++ {
-		for _, v := range data[offsets[id]:offsets[id+1]] {
-			d := ix.deg[v]
+}
+
+// fill is one rebuild range's fill pass: it writes the IDs of the sets
+// first, first+1, … (members data[ends[i]:ends[i+1]] for the i-th) at
+// the positions the range's per-node cursors cur point at, advancing
+// them. It is a method rather than a closure over rebuild's locals:
+// the closure spilled its loop counters to the stack and filled about
+// 20% slower on one goroutine.
+func (ix *nodeIndex) fill(cur, data []int32, ends []uint32, first int32) {
+	for i := 0; i+1 < len(ends); i++ {
+		id := first + int32(i)
+		for _, v := range data[ends[i]:ends[i+1]] {
+			d := cur[v]
 			if d < idxInline {
-				ix.inline[idxInline*v+d] = int32(id)
+				ix.inline[idxInline*v+d] = id
 			} else {
 				// The j-th overflow ID sits past the first block's link
 				// and one more link per full block before it.
 				j := uint32(d - idxInline)
-				ix.blocks[uint32(ix.more[v])+1+j+j/idxBlockIDs] = int32(id)
+				ix.blocks[uint32(ix.more[v])+1+j+j/idxBlockIDs] = id
 			}
-			ix.deg[v] = d + 1
-		}
-	}
-	for v, first := range ix.more {
-		if first >= 0 {
-			ix.more[v] = first + (overflowBlocks(ix.deg[v])-1)*(idxBlockIDs+1)
+			cur[v] = d + 1
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package rrset
 
+import "math/bits"
+
 // bitset is a packed grow-only bit vector used for per-set coverage
 // tombstones: 1 bit per RR set instead of the 1 byte of a []bool, an 8×
 // cut of per-advertiser coverage state that Table 3's memory columns
@@ -27,6 +29,16 @@ func (b *bitset) get(i int32) bool {
 // set sets bit i.
 func (b *bitset) set(i int32) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
+}
+
+// appendSet appends the indices of the set bits to dst, ascending.
+func (b *bitset) appendSet(dst []int32) []int32 {
+	for w, word := range b.words {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
 }
 
 // clear zeroes every bit, keeping the length.

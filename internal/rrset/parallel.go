@@ -1,6 +1,9 @@
 package rrset
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 // DefaultBatchSize is the number of RR sets a worker accumulates locally
 // before handing them to the merger. Large enough to amortize channel
@@ -42,4 +45,19 @@ func KptEstimateParallelCtx(ctx context.Context, src *Stream, m, n int64, size i
 	return kptEstimate(func(count int, yield func(width int64)) error {
 		return src.SampleNCtx(ctx, count, func(_ []int32, width int64) { yield(width) })
 	}, m, n, size, ell)
+}
+
+// fanOut runs work(0) … work(k-1) concurrently, work(0) on the calling
+// goroutine, and returns once every call has.
+func fanOut(k int, work func(chunk int)) {
+	var wg sync.WaitGroup
+	wg.Add(k - 1)
+	for c := 1; c < k; c++ {
+		go func() {
+			defer wg.Done()
+			work(c)
+		}()
+	}
+	work(0)
+	wg.Wait()
 }

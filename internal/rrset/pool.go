@@ -113,7 +113,9 @@ type PoolOptions struct {
 	// Workers is the number of scratch slots, which bounds both scratch
 	// memory (Workers visited arrays of 8n bytes) and the number of
 	// concurrently sampling goroutines across every stream sharing the
-	// pool. 0 means runtime.NumCPU().
+	// pool. 0 means runtime.NumCPU(). RepairUniverse alone goes beyond
+	// it: it fans out to GOMAXPROCS goroutines, on repair-only scratch
+	// slots where the pool's run out (see Pool.borrowScratch).
 	Workers int
 	// BatchSize is how many RR sets a stream worker produces per slot
 	// checkout and per merge flush (0 = DefaultBatchSize). It is part of
@@ -152,6 +154,9 @@ type Pool struct {
 	// scratchBytes is the scratch footprint: visited arrays are added at
 	// materialization.
 	scratchBytes atomic.Int64
+	// extra holds the idle repair-only scratch slots (see borrowScratch).
+	extraMu sync.Mutex
+	extra   []*scratch
 }
 
 // NewPool builds a pool of opts.Workers scratch slots for the graph.
@@ -182,7 +187,11 @@ func (p *Pool) BatchSize() int { return p.batch }
 // acquire checks out a scratch slot, blocking until one is free, and
 // materializes its visited array on first use.
 func (p *Pool) acquire() *scratch {
-	sc := <-p.free
+	return p.materialize(<-p.free)
+}
+
+// materialize builds sc's visited array if it has none yet.
+func (p *Pool) materialize(sc *scratch) *scratch {
 	if sc.visited == nil {
 		sc.visited = make([]int64, p.g.NumNodes())
 		p.scratchBytes.Add(int64(p.g.NumNodes()) * 8)
@@ -193,9 +202,49 @@ func (p *Pool) acquire() *scratch {
 // release returns a slot.
 func (p *Pool) release(sc *scratch) { p.free <- sc }
 
+// borrowScratch checks out k scratch slots for one RepairUniverse
+// fan-out without blocking: the pool's free slots first, then
+// repair-only extras, made on first need and kept for the pool's life.
+// It returns the slots and how many of them are pool slots.
+func (p *Pool) borrowScratch(k int) (scs []*scratch, pooled int) {
+	scs = make([]*scratch, 0, k)
+take:
+	for len(scs) < k {
+		select {
+		case sc := <-p.free:
+			scs = append(scs, p.materialize(sc))
+		default:
+			break take
+		}
+	}
+	pooled = len(scs)
+	p.extraMu.Lock()
+	defer p.extraMu.Unlock()
+	for len(scs) < k {
+		if n := len(p.extra); n > 0 {
+			scs = append(scs, p.extra[n-1])
+			p.extra = p.extra[:n-1]
+		} else {
+			scs = append(scs, p.materialize(&scratch{}))
+		}
+	}
+	return scs, pooled
+}
+
+// returnScratch hands back what borrowScratch lent.
+func (p *Pool) returnScratch(scs []*scratch, pooled int) {
+	for _, sc := range scs[:pooled] {
+		p.release(sc)
+	}
+	p.extraMu.Lock()
+	p.extra = append(p.extra, scs[pooled:]...)
+	p.extraMu.Unlock()
+}
+
 // MemoryFootprint returns the pool's scratch footprint in bytes: the
-// materialized visited arrays. It is O(Workers·n) by construction and
-// safe to read concurrently with sampling.
+// materialized visited arrays, the pool's Workers slots and any
+// repair-only extras. It is O(max(Workers, GOMAXPROCS)·n) by
+// construction and safe to read concurrently with sampling.
 func (p *Pool) MemoryFootprint() int64 { return p.scratchBytes.Load() }
 
 // Stream draws random RR sets for one ad (one arc-probability slice) on a

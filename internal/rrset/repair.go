@@ -1,6 +1,10 @@
 package rrset
 
-import "repro/internal/xrand"
+import (
+	"runtime"
+
+	"repro/internal/xrand"
+)
 
 // repairSeedMix is the splitmix64 increment, the same odd constant the
 // engine uses to derive per-round and per-generation seeds.
@@ -15,6 +19,13 @@ func repairSeed(seedKey uint64, slot int32) uint64 {
 	return seedKey ^ (uint64(slot)+1)*repairSeedMix
 }
 
+// repairChunkMembers is the fewest stored members per RepairUniverse
+// chunk: a universe below twice this repairs on the calling goroutine
+// alone. On a 2-core VM a two-way split gains nothing at 30k members
+// (BenchmarkDeltaRepair/repair-5pct) and 25% at 64k (a delta's repair
+// on the tiny dblp preset under weighted cascade).
+const repairChunkMembers = 1 << 15
+
 // RepairUniverse resamples exactly the universe's stale slots in place
 // on the pool's graph, using one deterministic RNG per slot seeded from
 // (seedKey, slot). A delta touching few nodes resamples a few slots
@@ -23,17 +34,66 @@ func repairSeed(seedKey uint64, slot int32) uint64 {
 // counting-sort index rebuild (see Universe.Repair). Returns the number
 // of slots resampled. The caller must hold whatever lock guards the
 // universe; no View may be attached (see Universe.Repair).
+//
+// The resampling and the index rebuild fan out over up to GOMAXPROCS
+// goroutines, one chunk of stale slots or of set IDs each, whatever the
+// pool's Workers: the goroutines borrow the pool's free scratch slots
+// first and repair-only extras beyond them (see borrowScratch). Every
+// slot's set depends only on its seed and the index rebuild lays out
+// alike at any chunk count, so the result is byte-identical to a
+// sequential repair and to RebuildUniverse, at any GOMAXPROCS.
 func (p *Pool) RepairUniverse(u *Universe, probs SampleProbs, seedKey uint64) int {
+	chunks := min(runtime.GOMAXPROCS(0), max(1, len(u.data)/repairChunkMembers))
+	return p.repairUniverse(u, probs, seedKey, chunks)
+}
+
+// repairUniverse is RepairUniverse over exactly chunks chunks (fewer
+// when there are fewer stale slots to resample).
+func (p *Pool) repairUniverse(u *Universe, probs SampleProbs, seedKey uint64, chunks int) int {
 	if int64(len(probs.p)) != p.g.NumEdges() {
 		panic("rrset: repair probs length != graph edges")
 	}
-	sc := p.acquire()
-	defer p.release(sc)
-	return u.Repair(func(slot int32, dst []int32) []int32 {
-		rng := xrand.New(repairSeed(seedKey, slot))
-		nodes, _ := sc.sampleInto(dst, p.g, probs.p, rng)
-		return nodes
+	if u.nStale == 0 {
+		return 0
+	}
+	// Each chunk resamples a contiguous run of the stale slots into its
+	// own CSR buffer, sized from the members the slots held before.
+	slots := u.stale.appendSet(make([]int32, 0, u.nStale))
+	k := min(chunks, len(slots))
+	bufs := make([]struct {
+		data []int32
+		ends []uint32
+	}, k)
+	scs, pooled := p.borrowScratch(k)
+	fanOut(k, func(c int) {
+		own := slots[c*len(slots)/k : (c+1)*len(slots)/k]
+		members := 0
+		for _, slot := range own {
+			members += int(u.offsets[slot+1] - u.offsets[slot])
+		}
+		b := &bufs[c]
+		b.data = make([]int32, 0, members+members/4)
+		b.ends = make([]uint32, len(own))
+		var rng xrand.RNG
+		for i, slot := range own {
+			rng.Seed(repairSeed(seedKey, slot))
+			b.data, _ = scs[c].sampleInto(b.data, p.g, probs.p, &rng)
+			b.ends[i] = uint32(len(b.data))
+		}
 	})
+	p.returnScratch(scs, pooled)
+	// Repair asks for the stale slots in ascending order: the chunks'
+	// sets in turn.
+	c, i, start := 0, 0, uint32(0)
+	return u.repair(func(_ int32, dst []int32) []int32 {
+		for i == len(bufs[c].ends) {
+			c, i, start = c+1, 0, 0
+		}
+		end := bufs[c].ends[i]
+		dst = append(dst, bufs[c].data[start:end]...)
+		i, start = i+1, end
+		return dst
+	}, chunks)
 }
 
 // RebuildUniverse samples a fresh universe of size sets with the same

@@ -3,6 +3,9 @@ package rrset
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -478,4 +481,233 @@ func FuzzUniverseRepair(f *testing.F) {
 			sameIndex(t, u, ref)
 		}
 	})
+}
+
+// sameIndexBytes asserts that two indexes hold byte-identical arrays:
+// degrees, inline slots, the overflow-block arena and the tail pointers.
+func sameIndexBytes(t *testing.T, got, want *nodeIndex) {
+	t.Helper()
+	for _, a := range []struct {
+		name      string
+		got, want []int32
+	}{
+		{"deg", got.deg, want.deg},
+		{"inline", got.inline, want.inline},
+		{"blocks", got.blocks, want.blocks},
+		{"more", got.more, want.more},
+	} {
+		if !slices.Equal(a.got, a.want) {
+			t.Fatalf("index %s differs from the one-chunk rebuild", a.name)
+		}
+	}
+}
+
+// repairChunkCounts are the fan-outs the chunk-count tests force: one
+// chunk (the sequential path), small splits, a prime, and more chunks
+// than the smaller universes have sets.
+var repairChunkCounts = []int{1, 2, 3, 7, 64}
+
+// TestRepairChunkCountIdentity pins the parallel repair's contract: at
+// every chunk count, resampling and the index rebuild give the same
+// set bytes and the same index arrays, byte for byte, as one chunk,
+// and the set bytes and chains of a cold RebuildUniverse. The shapes
+// include universes with fewer sets than chunks (empty ranges) and a
+// single-slot pool whose fan-out runs on repair-only scratch.
+func TestRepairChunkCountIdentity(t *testing.T) {
+	rng := xrand.New(17)
+	g := newTestGraph(rng)
+	probs := make([]float32, g.NumEdges())
+	for i := range probs {
+		probs[i] = 0.1
+	}
+	touched := []int32{0, 5, 42}
+	moved := append([]float32(nil), probs...)
+	for _, v := range touched {
+		for _, e := range g.InEdgeIDs(v) {
+			moved[e] = 0.3
+		}
+	}
+	before, after := NewSampleProbs(g, probs), NewSampleProbs(g, moved)
+	const seedKey = uint64(77)
+	for _, tc := range []struct {
+		size, workers int
+		all           bool
+	}{
+		{1, 1, true}, {3, 2, true}, {5, 1, false}, {600, 1, false}, {600, 3, true}, {4000, 2, false},
+	} {
+		pool := NewPool(g, PoolOptions{Workers: tc.workers})
+		base := pool.RebuildUniverse(tc.size, before, seedKey)
+		ref := pool.RebuildUniverse(tc.size, after, seedKey)
+		var one *Universe
+		for _, chunks := range repairChunkCounts {
+			u := NewUniverse(g.NumNodes())
+			for id := int32(0); int(id) < tc.size; id++ {
+				u.Add(base.Set(id))
+			}
+			marked := u.Invalidate(touched)
+			if tc.all {
+				marked += u.InvalidateAll()
+			}
+			if got := pool.repairUniverse(u, after, seedKey, chunks); got != marked {
+				t.Fatalf("size %d, %d chunks: repaired %d slots, %d were marked", tc.size, chunks, got, marked)
+			}
+			if !bytes.Equal(universeBytes(t, u), universeBytes(t, ref)) {
+				t.Fatalf("size %d, %d chunks: repair differs from a cold rebuild", tc.size, chunks)
+			}
+			sameIndex(t, u, ref)
+			checkIndexConsistent(t, u)
+			if one == nil {
+				one = u
+				continue
+			}
+			sameIndexBytes(t, &u.idx, &one.idx)
+		}
+	}
+}
+
+// TestRepairConcurrentOnOnePool repairs several universes at once on
+// one single-slot pool, so the fan-outs contend for its slot and its
+// repair-only scratch; each must still equal a cold rebuild.
+func TestRepairConcurrentOnOnePool(t *testing.T) {
+	g := newTestGraph(xrand.New(23))
+	probs := make([]float32, g.NumEdges())
+	for i := range probs {
+		probs[i] = 0.1
+	}
+	sp := NewSampleProbs(g, probs)
+	pool := NewPool(g, PoolOptions{Workers: 1})
+	const size = 800
+	us := make([]*Universe, 4)
+	for i := range us {
+		us[i] = pool.RebuildUniverse(size, sp, uint64(i))
+		us[i].InvalidateAll()
+	}
+	var wg sync.WaitGroup
+	for i, u := range us {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pool.repairUniverse(u, sp, uint64(100+i), 3)
+		}()
+	}
+	wg.Wait()
+	for i, u := range us {
+		ref := pool.RebuildUniverse(size, sp, uint64(100+i))
+		if !bytes.Equal(universeBytes(t, u), universeBytes(t, ref)) {
+			t.Fatalf("universe %d: concurrent repair differs from a cold rebuild", i)
+		}
+		sameIndex(t, u, ref)
+	}
+}
+
+// TestRebuildChunkCountIdentity drives the index rebuild alone over a
+// hand-made arena with empty sets, a hub in every set and a run of sets
+// holding no overflow node, so member-balanced ranges come out empty or
+// split one node's chain several ways.
+func TestRebuildChunkCountIdentity(t *testing.T) {
+	const n = 9
+	var data []int32
+	offsets := []uint32{0}
+	for id := 0; id < 40; id++ {
+		switch {
+		case id%5 == 0: // empty set
+		case id < 30:
+			data = append(data, 0, int32(1+id%3))
+		default:
+			data = append(data, 0, int32(4+id%5))
+		}
+		offsets = append(offsets, uint32(len(data)))
+	}
+	var one nodeIndex
+	one.init(n)
+	one.rebuild(data, offsets, 1)
+	for _, chunks := range repairChunkCounts {
+		var ix nodeIndex
+		ix.init(n)
+		ix.rebuild(data, offsets, chunks)
+		sameIndexBytes(t, &ix, &one)
+	}
+	// Every set ID must come back from its members' chains, ascending.
+	for v := int32(0); v < n; v++ {
+		var got []int32
+		it := one.iter(v)
+		for id, ok := it.next(); ok; id, ok = it.next() {
+			got = append(got, id)
+		}
+		var want []int32
+		for id := 0; id+1 < len(offsets); id++ {
+			if slices.Contains(data[offsets[id]:offsets[id+1]], v) {
+				want = append(want, int32(id))
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("node %d chain %v, want %v", v, got, want)
+		}
+	}
+}
+
+// TestRepairWarmAllocations pins that a warm repair allocates no new
+// arena: once two repairs have run, each further RepairUniverse at the
+// same shape recompacts into the arena the one before it displaced,
+// allocates a constant number of objects whatever the universe size,
+// and allocates far fewer bytes than the arena holds. The spare arena
+// counts in the universe's footprint and the repair-only scratch in
+// the pool's.
+func TestRepairWarmAllocations(t *testing.T) {
+	g := repairBenchGraph()
+	probs := make([]float32, g.NumEdges())
+	for i := range probs {
+		probs[i] = 0.05
+	}
+	touched := []int32{3, 700}
+	raised := append([]float32(nil), probs...)
+	for _, v := range touched {
+		for _, e := range g.InEdgeIDs(v) {
+			raised[e] = 0.2
+		}
+	}
+	weights := [2]SampleProbs{NewSampleProbs(g, probs), NewSampleProbs(g, raised)}
+	const seedKey, chunks = uint64(9), 3
+	pool := NewPool(g, PoolOptions{Workers: 1})
+	allocs := make(map[int]float64)
+	for _, size := range []int{10000, 40000} {
+		u := pool.RebuildUniverse(size, weights[0], seedKey)
+		round := 0
+		repair := func() {
+			round++
+			u.Invalidate(touched)
+			pool.repairUniverse(u, weights[round%2], seedKey, chunks)
+		}
+		cold := u.MemoryFootprint()
+		repair()
+		if got, spare := u.MemoryFootprint(), int64(len(u.spareData)+len(u.spareOffsets))*4; got < cold+spare {
+			t.Fatalf("size %d: footprint %d after the first repair, want at least %d + the %d B spare", size, got, cold, spare)
+		}
+		if got, want := pool.MemoryFootprint(), int64(chunks)*8*int64(g.NumNodes()); got != want {
+			t.Fatalf("size %d: pool footprint %d B after a %d-chunk repair on one slot, want %d", size, got, chunks, want)
+		}
+		for i := 0; i < 3; i++ {
+			repair()
+		}
+		arenas := [2]*int32{&u.data[0], &u.spareData[0]}
+		footprint := u.MemoryFootprint()
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		allocs[size] = testing.AllocsPerRun(8, repair)
+		runtime.ReadMemStats(&ms1)
+		if &u.data[0] != arenas[round%2] || &u.spareData[0] != arenas[1-round%2] {
+			t.Fatalf("size %d: a warm repair moved the universe to a new arena", size)
+		}
+		if got := u.MemoryFootprint(); got != footprint {
+			t.Fatalf("size %d: warm repairs changed MemoryFootprint %d -> %d", size, footprint, got)
+		}
+		perRepair := (ms1.TotalAlloc - ms0.TotalAlloc) / 9 // AllocsPerRun's warm-up run included
+		if arena := uint64(len(u.data)) * 4; perRepair > arena/4 {
+			t.Fatalf("size %d: a warm repair allocates %d B, arena holds %d B", size, perRepair, arena)
+		}
+	}
+	t.Logf("allocations per warm repair: %v", allocs)
+	if allocs[40000] > allocs[10000] || allocs[10000] > 8*chunks+16 {
+		t.Fatalf("allocations per warm repair %v: want a small constant", allocs)
+	}
 }

@@ -44,6 +44,12 @@ type Universe struct {
 	// slots in place.
 	stale  bitset
 	nStale int
+
+	// spareData and spareOffsets are the arena and offset table the last
+	// Repair displaced: the next Repair recompacts into them instead of
+	// allocating a fresh arena.
+	spareData    []int32
+	spareOffsets []uint32
 }
 
 // NewUniverse creates an empty universe over n nodes.
@@ -92,9 +98,11 @@ func (u *Universe) Set(id int32) []int32 {
 }
 
 // MemoryFootprint returns the universe's heap bytes (arena, offsets,
-// index, staleness bitset) in O(1).
+// index, staleness bitset, and the spare arena and offsets a Repair
+// left behind) in O(1).
 func (u *Universe) MemoryFootprint() int64 {
-	return int64(cap(u.data))*4 + int64(cap(u.offsets))*4 + u.idx.bytes() + u.stale.bytes()
+	return int64(cap(u.data)+cap(u.spareData))*4 + int64(cap(u.offsets)+cap(u.spareOffsets))*4 +
+		u.idx.bytes() + u.stale.bytes()
 }
 
 // Invalidate marks every stored set containing any of the touched nodes
@@ -163,25 +171,36 @@ func (u *Universe) StaleFraction() float64 {
 // is copied with one append and its offsets shifted by one constant,
 // and the index is rebuilt by a counting sort (nodeIndex.rebuild) —
 // a touched hub appears in sets all over the arena, so patching single
-// chains would not touch less of the index.
+// chains would not touch less of the index. The recompaction writes
+// into the arena and offset table the previous Repair displaced, so a
+// repeated repair at one shape allocates no new arena.
 //
 // Repair invalidates every View over this universe — their coverage
 // counts reference the pre-repair contents. The engine only repairs
 // universes at generation-swap time, when no session (and therefore no
 // View) is attached.
 func (u *Universe) Repair(sample func(slot int32, dst []int32) []int32) int {
+	return u.repair(sample, 1)
+}
+
+// repair is Repair with the index rebuild split over chunks set ranges.
+func (u *Universe) repair(sample func(slot int32, dst []int32) []int32, chunks int) int {
 	if u.nStale == 0 {
 		return 0
 	}
 	size := int32(u.Size())
-	newData := make([]int32, 0, len(u.data))
-	newOffsets := make([]uint32, size+1)
+	newData, newOffsets := u.spareData[:0], u.spareOffsets[:0]
+	if cap(newData) < len(u.data) {
+		newData = make([]int32, 0, len(u.data))
+	}
+	if cap(newOffsets) <= int(size) {
+		newOffsets = make([]uint32, 0, size+1)
+	}
+	newOffsets = newOffsets[:size+1]
 	repaired := 0
-	var buf []int32
 	for id := int32(0); id < size; {
 		if u.stale.get(id) {
-			buf = sample(id, buf[:0])
-			newData = append(newData, buf...)
+			newData = sample(id, newData)
 			repaired++
 			id++
 			newOffsets[id] = uint32(len(newData))
@@ -198,9 +217,9 @@ func (u *Universe) Repair(sample func(slot int32, dst []int32) []int32) int {
 		}
 		id = end
 	}
-	u.data = newData
-	u.offsets = newOffsets
-	u.idx.rebuild(u.data, u.offsets)
+	u.data, u.spareData = newData, u.data
+	u.offsets, u.spareOffsets = newOffsets, u.offsets
+	u.idx.rebuild(u.data, u.offsets, chunks)
 	u.stale.clear()
 	u.nStale = 0
 	return repaired

@@ -139,6 +139,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(r engineRow) int64 { return r.counters.RRSetsInvalidated })
 	emit("rmserved_rrsets_repaired_total", "Stale RR-set slots resampled during generation swaps.", "counter",
 		func(r engineRow) int64 { return r.counters.RRSetsRepaired })
+	b.WriteString("# HELP rmserved_engine_repair_seconds_total Wall seconds generation swaps spent repairing stale RR-set slots.\n" +
+		"# TYPE rmserved_engine_repair_seconds_total counter\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "rmserved_engine_repair_seconds_total{%s} %.6f\n", r.labels, r.counters.RepairDuration.Seconds())
+	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -219,10 +220,30 @@ func TestMutateDrainingRejected(t *testing.T) {
 	}
 }
 
+// repairSeconds scrapes the flixster h=4 engine's
+// rmserved_engine_repair_seconds_total from /metrics.
+func repairSeconds(t *testing.T, url string) float64 {
+	t.Helper()
+	_, body := getBody(t, url+"/metrics")
+	const prefix = `rmserved_engine_repair_seconds_total{dataset="flixster",h="4"} `
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			secs, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			return secs
+		}
+	}
+	t.Fatalf("metrics have no %q line", prefix)
+	return 0
+}
+
 // TestMutateRepairTiming pins repair_ms against repaired_sets: exactly 0
 // when the swap repaired nothing (MaxStaleFraction 1 carries the stale
 // universe as-is), positive when it resampled sets (the default 0
-// repairs on any staleness).
+// repairs on any staleness). The engine's repair-seconds counter in
+// /metrics follows: 0 before the mutate, positive only after a repair.
 func TestMutateRepairTiming(t *testing.T) {
 	for i, maxStale := range []float64{1, 0} {
 		cfg := mutateConfig(uint64(95 + i))
@@ -232,6 +253,9 @@ func TestMutateRepairTiming(t *testing.T) {
 			Seed: up(3), Alpha: fp(0.2), Epsilon: 0.3, MaxThetaPerAd: 20000, ShareSamples: true})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve: %d %s", resp.StatusCode, body)
+		}
+		if secs := repairSeconds(t, ts.URL); secs != 0 {
+			t.Fatalf("repair seconds %v before any mutate, want 0", secs)
 		}
 
 		// Re-weight an arc into the node of highest in-degree, which the
@@ -263,6 +287,9 @@ func TestMutateRepairTiming(t *testing.T) {
 			}
 		} else if mr.RepairedSets == 0 || mr.RepairMS <= 0 {
 			t.Fatalf("MaxStaleFraction 0: repaired_sets %d, repair_ms %v; want both positive", mr.RepairedSets, mr.RepairMS)
+		}
+		if secs := repairSeconds(t, ts.URL); (secs > 0) != (mr.RepairedSets > 0) {
+			t.Fatalf("MaxStaleFraction %v: repair seconds %v after repairing %d sets", maxStale, secs, mr.RepairedSets)
 		}
 	}
 }

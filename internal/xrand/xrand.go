@@ -32,6 +32,13 @@ type RNG struct {
 // decorrelated streams thanks to splitmix64 expansion.
 func New(seed uint64) *RNG {
 	var r RNG
+	r.Seed(seed)
+	return &r
+}
+
+// Seed resets r to the state New(seed) starts from, so a hot loop can
+// reseed one generator instead of allocating one per seed.
+func (r *RNG) Seed(seed uint64) {
 	st := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&st)
@@ -40,7 +47,6 @@ func New(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
 }
 
 // Split derives a new independent generator from r, advancing r.
