@@ -62,8 +62,8 @@ var (
 	gitDate    = flag.String("gitdate", "", "git commit date recorded in the -json report")
 	snapFlag   = flag.String("snapshot", "", "register file-backed datasets as comma-separated name=path entries (snapshot or edge-list files)")
 	quiet      = flag.Bool("quiet", false, "suppress progress output")
-	workers    = flag.Int("workers", 1, "RR-sampling scratch slots shared by all ads per run (0 = all CPU cores; 1 = sequential-identical, the paper's setting)")
-	batch      = flag.Int("batch", 0, "per-worker RR sampling batch size (0 = default; part of the determinism key for workers > 1)")
+	workers    = flag.Int("workers", 1, "RR-sampling scratch slots shared by all ads per run (0 = all CPU cores; results do not depend on it)")
+	batch      = flag.Int("batch", 0, "per-worker RR sampling batch size (0 = default; sets only cancellation granularity)")
 	shardsFl   = flag.Int("shards", 0, "RR-shard count for every experiment engine (0 is read as 1)")
 	shardSweep = flag.String("shardsweep", "1,2,4", "shard counts for -experiment=shards")
 	timeout    = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); Ctrl-C also cancels gracefully")

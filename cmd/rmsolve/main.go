@@ -49,8 +49,8 @@ var (
 	topSeeds  = flag.Int("top", 5, "how many seeds to list per ad")
 	outPath   = flag.String("out", "", "write the allocation as JSON to this file")
 	share     = flag.Bool("share", false, "share RR samples across ads with identical topics")
-	workers   = flag.Int("workers", 1, "RR-sampling scratch slots shared by all ads (1 = sequential-identical, machine-independent; 0 = all CPU cores)")
-	batch     = flag.Int("batch", 0, "per-worker RR sampling batch size (0 = default; part of the determinism key for workers > 1)")
+	workers   = flag.Int("workers", 1, "RR-sampling scratch slots shared by all ads (0 = all CPU cores; results do not depend on it)")
+	batch     = flag.Int("batch", 0, "per-worker RR sampling batch size (0 = default; sets only cancellation granularity)")
 	shardsFl  = flag.Int("shards", 0, "RR-shard count (0 is read as 1; >1 = parallel shards)")
 	rssFlag   = flag.Bool("rss", false, "report the process peak RSS (VmHWM) after the solve")
 	timeout   = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit); Ctrl-C also cancels gracefully")

@@ -68,12 +68,7 @@ type AdaptiveResult struct {
 // over-perform — the advantage the paper anticipates for the online
 // setting.
 func AdaptiveRun(p *Problem, opt AdaptiveOptions) (*AdaptiveResult, error) {
-	o := opt.Engine.withDefaults()
-	eng := NewEngine(p.Graph, p.Model, EngineOptions{
-		Workers:     o.Workers,
-		SampleBatch: o.SampleBatch,
-	})
-	return eng.AdaptiveRun(context.Background(), p, opt)
+	return NewEngine(p.Graph, p.Model, EngineOptions{}).AdaptiveRun(context.Background(), p, opt)
 }
 
 // AdaptiveRun is the Engine-hosted adaptive loop: the observe-then-replan

@@ -95,41 +95,6 @@ type Options struct {
 	// adaptive setting for users already engaged with ad i). nil means no
 	// per-ad exclusions.
 	ExcludedNodes [][]int32
-	// Workers is the number of RR-sampling scratch slots (and the bound
-	// on concurrently sampling goroutines) for the whole run. 0 and 1
-	// both select the single-worker path, which is bit-identical to the
-	// historical sequential sampler under the same Seed; larger values
-	// parallelize sampling while keeping runs deterministic for a fixed
-	// (Seed, Workers, SampleBatch).
-	//
-	// Consulted only by the free function AdaptiveRun, which sizes its
-	// throwaway Engine from it. A solve on a caller-constructed Engine
-	// always samples at the Engine's own Workers/SampleBatch — the pool
-	// is the session's shared resource — and Stats.SampleWorkers reports
-	// the value actually used.
-	//
-	// Memory note: every advertiser's sampling streams share the
-	// engine-wide rrset.Pools (one per shard), so worker scratch (a
-	// visited array of 8n bytes per slot, lazily built) is bounded by
-	// ~Shards·Workers·8n bytes regardless of the number of ads or
-	// concurrent solves, and is reported in Stats.SamplerMemoryBytes.
-	// The slot count also caps the goroutines that sample for solves:
-	// with Workers=1 even the per-ad initialization goroutines sample
-	// one at a time (results stay bit-identical to the sequential
-	// engine), so raise Workers to parallelize sampling across ads as
-	// well as within one.
-	//
-	// ApplyDelta's RR-universe repair is the exception. It runs one swap
-	// at a time under the swap lock and fans out to GOMAXPROCS
-	// goroutines whatever Workers says, borrowing the pool's free slots
-	// first and keeping one repair-only scratch (8n bytes, also in
-	// Stats.SamplerMemoryBytes) per goroutine beyond them. Its output is
-	// byte-identical at every Workers and GOMAXPROCS.
-	Workers int
-	// SampleBatch is the parallel sampler's per-worker batch size
-	// (0 = rrset.DefaultBatchSize). Only meaningful with Workers > 1;
-	// like Workers, consulted only by the free function AdaptiveRun.
-	SampleBatch int
 	// Progress, when non-nil, receives solver progress events — per-ad θ
 	// growth and committed seeds with the running revenue estimate —
 	// synchronously on the solving goroutine. Keep the hook cheap (hand
@@ -152,12 +117,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.MaxThetaPerAd == 0 {
 		out.MaxThetaPerAd = 3_000_000
-	}
-	if out.Workers <= 0 {
-		// Unlike rrset.PoolOptions (whose zero value means NumCPU), the
-		// engine's zero value stays single-worker so that pre-existing
-		// seed-pinned results are reproduced exactly by default.
-		out.Workers = 1
 	}
 	return out
 }
@@ -291,13 +250,12 @@ type solver struct {
 	m      int64
 	ads    []*adState
 	groups []*adGroup // one per distinct sample: per ad, or per shared gamma
-	// locked/lockedKeys are the Engine cache entries this session holds
-	// (mutexes taken in first-occurrence ad order, released at the end of
-	// the solve; evicted instead if the solve fails).
-	locked     []*sharedGroup
-	lockedKeys []universeKey
-	assigned   []bool
-	stats      *Stats
+	// locked are the Engine cache entries this session holds (mutexes
+	// taken in first-occurrence ad order, released at the end of the
+	// solve).
+	locked   []*sharedGroup
+	assigned []bool
+	stats    *Stats
 	// totalPi is the running Σ_i π_i estimate, maintained incrementally
 	// by setPi so progress events report the revenue curve in O(1).
 	totalPi float64
@@ -340,8 +298,8 @@ func (e *solver) solve() (*Allocation, error) {
 			g, ok := byGamma[key]
 			if !ok {
 				probs := e.snap.edgeProbsFor(e.p.Ads[i].Gamma).sampling
-				// Seeds drawn in the same order the sequential code called
-				// rng.Split(), so Workers<=1 reproduces it bit for bit.
+				// Stream seeds are drawn positionally from the solve seed,
+				// in first-occurrence ad order.
 				sSeed, kSeed := rng.Uint64(), rng.Uint64()
 				uk := universeKey{gamma: key, seed: sSeed, shards: len(e.snap.pools)}
 				sg, err := e.eng.lockSharedGroup(e.ctx, e.snap, uk, probs, e.p.Ads[i].Gamma)
@@ -349,7 +307,6 @@ func (e *solver) solve() (*Allocation, error) {
 					return nil, e.canceled(err)
 				}
 				e.locked = append(e.locked, sg)
-				e.lockedKeys = append(e.lockedKeys, uk)
 				g = &adGroup{shg: sg.shg, sg: sg}
 				// The KPT stream replays from scratch every session, so
 				// refresh sequences depend only on this session's seed —

@@ -29,7 +29,7 @@ type DeltaResult struct {
 	RepairDuration time.Duration
 	// CarriedUniverses / DroppedUniverses count cached universes moved
 	// into the new generation vs left behind because an in-flight
-	// session held them (or a failed session had marked them dead).
+	// session held them.
 	CarriedUniverses int
 	DroppedUniverses int
 }
@@ -42,7 +42,7 @@ type DeltaResult struct {
 // invalidated against the delta's touched nodes (only sets containing a
 // mutated arc's target go stale), incrementally repaired if staleness
 // exceeds EngineOptions.MaxStaleFraction, and re-keyed into the new
-// generation with a fresh generation-mixed sampler stream. Entries
+// generation with its streams resumed on the new graph. Entries
 // locked by in-flight sessions are left on the old snapshot — those
 // sessions finish on their pinned generation and the new generation
 // re-samples on demand.
@@ -141,7 +141,6 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 	defer e.swapMu.Unlock()
 
 	old, next, remap, res := p.old, p.next, p.remap, p.res
-	ng := next.graph
 
 	// Carry the universe cache. Entries are TryLock'd: an entry held by
 	// an in-flight session is simply not carried — blocking the swap on
@@ -164,15 +163,11 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 			res.DroppedUniverses++
 			continue
 		}
-		if sg.dead {
-			<-sg.lock
-			res.DroppedUniverses++
-			continue
-		}
 		// Invalidation is tracked per shard, so only the shards owning
-		// touched sets are repaired (each with its own deterministic repair
-		// stream), and the whole group is restreamed onto the new
-		// generation's pools.
+		// touched sets are repaired, each with its own stream's seed, and
+		// the whole group is restreamed onto the new generation's pools
+		// at the same seeds: the carried group equals one built cold on
+		// the new generation.
 		probs := next.edgeProbsFor(sg.gamma).sampling
 		res.InvalidatedSets += sg.shg.Invalidate(remap.Touched)
 		if sg.shg.StaleCount() > 0 && sg.shg.StaleFraction() > e.opts.MaxStaleFraction {
@@ -186,7 +181,7 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 			}
 			res.RepairDuration += time.Since(t0)
 		}
-		sg.shg.Restream(next.pools, probs, mixSeed(keys[i].seed, ng.Generation()))
+		sg.shg.Restream(next.pools, probs, keys[i].seed)
 		carried := &sharedGroup{
 			lock:  make(chan struct{}, 1),
 			shg:   sg.shg,

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -265,7 +267,7 @@ func TestApplyDeltaDuringInflightSolve(t *testing.T) {
 
 		// Reference allocation on the untouched graph.
 		refOpt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 31,
-			MaxThetaPerAd: 20000, ShareSamples: share, Workers: 2}
+			MaxThetaPerAd: 20000, ShareSamples: share}
 		want, _, err := solveFresh(p, refOpt)
 		if err != nil {
 			t.Fatal(err)
@@ -364,4 +366,78 @@ func TestApplyDeltaDeterministic(t *testing.T) {
 		allocs = append(allocs, a)
 	}
 	allocationsEqual(t, allocs[0], allocs[1])
+}
+
+// cachedSets returns the member lists of every universe in the current
+// generation's cache, shard by shard, under its cache key.
+func cachedSets(e *Engine) map[universeKey][][][]int32 {
+	sn := e.cur.Load()
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	out := map[universeKey][][][]int32{}
+	for k, sg := range sn.universes {
+		for s := 0; s < sg.shg.NumShards(); s++ {
+			u := sg.shg.Universe(s)
+			sets := make([][]int32, u.Size())
+			for id := range sets {
+				sets[id] = append([]int32(nil), u.Set(int32(id))...)
+			}
+			out[k] = append(out[k], sets)
+		}
+	}
+	return out
+}
+
+// After an ApplyDelta that adds and removes an arc, with repair on any
+// staleness, a carried universe is exactly what a cold Engine samples on
+// the new generation: a ShareSamples solve on the carried Workers=4
+// Engine equals the same solve on a fresh Workers=1 Engine over
+// Current() — allocation, θ, and every cached set.
+func TestApplyDeltaCarriedEqualsCold(t *testing.T) {
+	p := smallWCProblem(4, 57)
+	eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: 4})
+	opt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 23,
+		MaxThetaPerAd: 100000, ShareSamples: true}
+	if _, _, err := eng.Solve(context.Background(), p, opt); err != nil {
+		t.Fatal(err)
+	}
+	au, av := pickMissingEdge(t, p.Graph)
+	eu, ev := pickExistingEdge(t, p.Graph)
+	res, err := eng.ApplyDelta(context.Background(), &graph.Delta{
+		AddEdges: []graph.Edge{{U: au, V: av}}, RemoveEdges: []graph.Edge{{U: eu, V: ev}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CarriedUniverses == 0 || res.RepairedSets == 0 {
+		t.Fatalf("delta carried %d universes and repaired %d sets; the test needs both", res.CarriedUniverses, res.RepairedSets)
+	}
+	p1 := rebindProblem(eng, p)
+	got, gotStats, err := eng.Solve(context.Background(), p1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, m := eng.Current()
+	cold := NewEngine(g, m, EngineOptions{Workers: 1})
+	want, wantStats, err := cold.Solve(context.Background(), p1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocationsEqual(t, want, got)
+	if fmt.Sprint(gotStats.Theta) != fmt.Sprint(wantStats.Theta) {
+		t.Fatalf("θ %v on the carried Engine, %v on a cold one", gotStats.Theta, wantStats.Theta)
+	}
+	carried := cachedSets(eng)
+	for k, shards := range cachedSets(cold) {
+		for s, sets := range shards {
+			c := carried[k][s]
+			if len(c) < len(sets) {
+				t.Fatalf("shard %d: carried universe holds %d sets, cold %d", s, len(c), len(sets))
+			}
+			for id, set := range sets {
+				if !slices.Equal(c[id], set) {
+					t.Fatalf("shard %d set %d: carried %v, cold %v", s, id, c[id], set)
+				}
+			}
+		}
+	}
 }

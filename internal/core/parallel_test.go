@@ -27,8 +27,7 @@ func allocationsEqual(t *testing.T, a, b *Allocation) {
 	}
 }
 
-// Workers=1 must travel the exact code path equivalent of the historical
-// sequential engine: the zero value and the explicit 1 coincide.
+// An Engine's zero Workers and an explicit 1 coincide.
 func TestEngineWorkersOneIsDefault(t *testing.T) {
 	p := smallWCProblem(3, 21)
 	base := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 9, MaxThetaPerAd: 30000}
@@ -36,9 +35,7 @@ func TestEngineWorkersOneIsDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withOne := base
-	withOne.Workers = 1
-	a2, s2, err := solveFresh(p, withOne)
+	a2, s2, err := solveWith(p, EngineOptions{Workers: 1}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +48,20 @@ func TestEngineWorkersOneIsDefault(t *testing.T) {
 	}
 }
 
-// A multi-worker engine run is deterministic for a fixed (Seed, Workers,
-// SampleBatch) and still produces a feasible allocation in every mode
-// combination the sampler touches (exclusive and shared storage).
+// A multi-worker engine run is deterministic for a fixed Seed and still
+// produces a feasible allocation in every mode combination the sampler
+// touches (exclusive and shared storage).
 func TestEngineParallelDeterministicAndFeasible(t *testing.T) {
 	p := smallWCProblem(4, 22)
+	eo := EngineOptions{Workers: 4, SampleBatch: 64}
 	for _, share := range []bool{false, true} {
 		opt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 11,
-			MaxThetaPerAd: 30000, Workers: 4, SampleBatch: 64, ShareSamples: share}
-		a1, s1, err := solveFresh(p, opt)
+			MaxThetaPerAd: 30000, ShareSamples: share}
+		a1, s1, err := solveWith(p, eo, opt)
 		if err != nil {
 			t.Fatalf("share=%v: %v", share, err)
 		}
-		a2, s2, err := solveFresh(p, opt)
+		a2, s2, err := solveWith(p, eo, opt)
 		if err != nil {
 			t.Fatalf("share=%v: %v", share, err)
 		}
@@ -93,7 +91,7 @@ func TestEngineParallelRevenueCloseToSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := solveFresh(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 13, MaxThetaPerAd: 30000, Workers: 4})
+	par, _, err := solveWith(p, EngineOptions{Workers: 4}, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 13, MaxThetaPerAd: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}

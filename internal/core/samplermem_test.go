@@ -21,8 +21,8 @@ func TestEngineSamplerMemoryIndependentOfAds(t *testing.T) {
 		for _, h := range []int{2, 6} {
 			p := smallWCProblem(h, 61)
 			n := int64(p.Graph.NumNodes())
-			_, stats, err := solveFresh(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3,
-				Seed: 17, MaxThetaPerAd: 20000, Workers: workers})
+			_, stats, err := solveWith(p, EngineOptions{Workers: workers}, Options{Mode: ModeCostSensitive,
+				Epsilon: 0.3, Seed: 17, MaxThetaPerAd: 20000})
 			if err != nil {
 				t.Fatalf("workers=%d h=%d: %v", workers, h, err)
 			}

@@ -19,16 +19,21 @@ import (
 type EngineOptions struct {
 	// Workers is the number of RR-sampling scratch slots in the Engine's
 	// shared pool, bounding both scratch memory (O(Workers·n) for the
-	// whole Engine) and the number of concurrently sampling goroutines
-	// across every Solve in flight. 0 and 1 both select the single-worker
-	// path that is bit-identical to the historical sequential sampler.
-	// ApplyDelta's repair is not bounded by it: it runs at GOMAXPROCS
-	// (see Options.Workers).
+	// whole Engine, a visited array of 8n bytes per slot, lazily built)
+	// and the number of concurrently sampling goroutines across every
+	// Solve in flight. 0 reads as 1, which samples on one goroutine at a
+	// time. It never changes an answer: every RR set is drawn from its
+	// own per-slot seed, so a solve is bit-identical at every Workers.
+	//
+	// ApplyDelta's RR-universe repair is not bounded by it. It runs one
+	// swap at a time under the swap lock and fans out to GOMAXPROCS
+	// goroutines, borrowing the pool's free slots first and keeping one
+	// repair-only scratch (8n bytes, also in Stats.SamplerMemoryBytes)
+	// per goroutine beyond them.
 	Workers int
 	// SampleBatch is the pool's per-worker batch size
-	// (0 = rrset.DefaultBatchSize); part of the determinism key for
-	// Workers > 1 and the granularity of context-cancellation checks
-	// inside sampling.
+	// (0 = rrset.DefaultBatchSize). It sets only the granularity of
+	// context-cancellation checks inside sampling.
 	SampleBatch int
 	// Shards partitions every RR sample into this many independently
 	// sampled shards: global draw i lands in shard i mod Shards, each
@@ -70,22 +75,6 @@ func (o EngineOptions) withDefaults() EngineOptions {
 	return o
 }
 
-// seedMix is the splitmix64 increment used to derive decorrelated seeds
-// (per adaptive round, per graph generation) from a base seed.
-const seedMix = 0x9e3779b97f4a7c15
-
-// mixSeed folds the graph generation into a stream seed. Generation 0
-// returns the seed unchanged, preserving the historical bit-identity of
-// every static-graph test and cache; later generations decorrelate so a
-// carried universe's post-swap growth never re-consumes the RNG
-// sequence its pre-swap contents were drawn from.
-func mixSeed(seed, gen uint64) uint64 {
-	if gen == 0 {
-		return seed
-	}
-	return seed ^ gen*seedMix
-}
-
 // universeKey identifies one cross-solve shared RR-set universe: the
 // normalized topic distribution (gammaKey) determines the RR-set
 // distribution, the stream seed pins the exact deterministic sample
@@ -121,10 +110,9 @@ type sharedGroup struct {
 	// consistent size without touching universe internals that a
 	// concurrent session may be appending to.
 	bytes atomic.Int64
-	// dead marks an entry evicted after a canceled/failed solve left the
-	// sampler's deterministic replay misaligned, or carried into a newer
-	// generation by a swap; waiters re-fetch a fresh entry from the cache
-	// instead of using it. Written and read only while holding lock.
+	// dead marks an entry a swap carried into a newer generation; waiters
+	// re-fetch a fresh entry from the cache instead of using it. Written
+	// and read only while holding lock.
 	dead bool
 }
 
@@ -194,26 +182,6 @@ func (sn *snapshot) edgeProbsFor(gamma topic.Distribution) adProbs {
 	}
 	sn.mu.Unlock()
 	return ps
-}
-
-// evictSharedGroups removes cache entries whose deterministic replay a
-// failed solve has invalidated (cancellation can abandon drawn-but-
-// unmerged samples, desynchronizing sampler and universe). The caller
-// must hold each entry's lock. Entries are removed only if the map still
-// points at the very instance the caller holds — after a Reset, a fresh
-// healthy entry may live under the same key and must survive a stale
-// session's eviction.
-func (sn *snapshot) evictSharedGroups(keys []universeKey, groups []*sharedGroup) {
-	for _, sg := range groups {
-		sg.dead = true
-	}
-	sn.mu.Lock()
-	for i, k := range keys {
-		if cur, ok := sn.universes[k]; ok && cur == groups[i] {
-			delete(sn.universes, k)
-		}
-	}
-	sn.mu.Unlock()
 }
 
 // Engine is a long-lived, concurrent-safe solver session factory for one
@@ -321,9 +289,8 @@ func (e *Engine) Counters() EngineCounters {
 }
 
 // NewEngine builds an Engine for the graph and topic model. The options'
-// Workers/SampleBatch fix the sampling configuration — and therefore the
-// determinism key — for every solve served by this Engine (per-solve
-// Options.Workers/SampleBatch are ignored).
+// Workers/SampleBatch size the sampling pools every solve served by this
+// Engine shares; they change no answer.
 func NewEngine(g *graph.Graph, model *topic.Model, opts EngineOptions) *Engine {
 	opts = opts.withDefaults()
 	e := &Engine{opts: opts}
@@ -453,7 +420,7 @@ func (e *Engine) lockSharedGroup(ctx context.Context, sn *snapshot, key universe
 		if !ok {
 			sg = &sharedGroup{
 				lock:  make(chan struct{}, 1),
-				shg:   shard.NewGroup(sn.graph.NumNodes(), sn.pools, probs, mixSeed(key.seed, sn.graph.Generation())),
+				shg:   shard.NewGroup(sn.graph.NumNodes(), sn.pools, probs, key.seed),
 				gamma: append(topic.Distribution(nil), gamma...),
 			}
 			sn.universes[key] = sg
@@ -475,7 +442,7 @@ func (e *Engine) lockSharedGroup(ctx context.Context, sn *snapshot, key universe
 		if !sg.dead {
 			return sg, nil
 		}
-		<-sg.lock // evicted while we waited: retry against a fresh entry
+		<-sg.lock // carried away while we waited: retry against a fresh entry
 	}
 }
 
@@ -500,8 +467,8 @@ func (e *Engine) snapshotFor(p *Problem) (*snapshot, error) {
 // (returning an error chain matching ErrCanceled and the context's own
 // error, alongside Stats for the partial work), and audits the final
 // allocation (ErrInfeasible). Concurrent Solve calls on one Engine are
-// race-free; for a fixed Options.Seed and Engine Workers/SampleBatch the
-// allocation is bit-identical across runs and across Engines.
+// race-free; for a fixed Options.Seed the allocation is bit-identical
+// across runs and across Engines, at any Workers/SampleBatch.
 //
 // The session pins the snapshot its problem resolves to (Stats records
 // the generation) and completes on it even if ApplyDelta swaps in a new
@@ -517,8 +484,6 @@ func (e *Engine) Solve(ctx context.Context, p *Problem, opt Options) (*Allocatio
 		e.solvesFailed.Add(1)
 		return nil, nil, err
 	}
-	opt.Workers = sn.pools[0].Workers()
-	opt.SampleBatch = sn.pools[0].BatchSize()
 	// validateSolve already proved the mode is registered.
 	info, _ := ModeInfo(opt.Mode)
 	start := time.Now()
@@ -542,17 +507,11 @@ func (e *Engine) Solve(ctx context.Context, p *Problem, opt Options) (*Allocatio
 			Shards:        len(sn.pools),
 		},
 	}
-	// Deferred cleanup so that even a panic escaping the solve (e.g. from
-	// a user Progress hook) cannot leak a cache entry's mutex: entries a
-	// session held at an abnormal exit are evicted (their sampler replay
-	// may be misaligned) and always unlocked.
-	completed := false
-	defer func() {
-		if !completed {
-			sn.evictSharedGroups(s.lockedKeys, s.locked)
-		}
-		s.releaseGroups()
-	}()
+	// Deferred so that even a panic escaping the solve (e.g. from a user
+	// Progress hook) cannot leak a cache entry's mutex. An entry a failed
+	// session grew stays cached: its streams resume where its universes
+	// end, so the next session continues the same sample.
+	defer s.releaseGroups()
 	alloc, err := s.solve()
 	s.snapshotStats()
 	s.stats.Duration = time.Since(start)
@@ -561,7 +520,6 @@ func (e *Engine) Solve(ctx context.Context, p *Problem, opt Options) (*Allocatio
 		e.solvesFailed.Add(1)
 		return nil, s.stats, err
 	}
-	completed = true
 	// Admission-time feasibility was enforced with current estimates;
 	// growth-time revisions can shift payments within the ±ε estimation
 	// accuracy, so validate with ε slack.

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,11 +18,14 @@ func engineFor(p *Problem, workers int) *Engine {
 	return NewEngine(p.Graph, p.Model, EngineOptions{Workers: workers})
 }
 
-// solveFresh runs one solve on a throwaway Engine sized from the
-// options' Workers and SampleBatch.
+// solveFresh runs one solve on a throwaway default Engine.
 func solveFresh(p *Problem, opt Options) (*Allocation, *Stats, error) {
-	eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: opt.Workers, SampleBatch: opt.SampleBatch})
-	return eng.Solve(context.Background(), p, opt)
+	return solveWith(p, EngineOptions{}, opt)
+}
+
+// solveWith runs one solve on a throwaway Engine built with eo.
+func solveWith(p *Problem, eo EngineOptions, opt Options) (*Allocation, *Stats, error) {
+	return NewEngine(p.Graph, p.Model, eo).Solve(context.Background(), p, opt)
 }
 
 // A long-lived Engine reused across modes and sharing settings must be
@@ -33,8 +38,8 @@ func TestEngineSolveMatchesLegacy(t *testing.T) {
 		for _, mode := range []Mode{ModeCostAgnostic, ModeCostSensitive} {
 			for _, share := range []bool{false, true} {
 				opt := Options{Mode: mode, Epsilon: 0.3, Seed: 17,
-					MaxThetaPerAd: 30000, Workers: workers, ShareSamples: share}
-				fresh, freshStats, err := solveFresh(p, opt)
+					MaxThetaPerAd: 30000, ShareSamples: share}
+				fresh, freshStats, err := solveWith(p, EngineOptions{Workers: workers}, opt)
 				if err != nil {
 					t.Fatalf("fresh workers=%d mode=%v share=%v: %v", workers, mode, share, err)
 				}
@@ -96,7 +101,7 @@ func TestEngineConcurrentSolves(t *testing.T) {
 	}
 	for i, j := range jobs {
 		opt := Options{Mode: j.mode, Epsilon: 0.3, Seed: j.seed,
-			MaxThetaPerAd: 20000, ShareSamples: j.share, Workers: 2}
+			MaxThetaPerAd: 20000, ShareSamples: j.share}
 		want, _, err := solveFresh(p, opt)
 		if err != nil {
 			t.Fatalf("reference solve %d: %v", i, err)
@@ -213,11 +218,13 @@ func TestEngineSolveCanceledMidRun(t *testing.T) {
 		if stats == nil || stats.TotalRRSets == 0 {
 			t.Fatalf("share=%v: partial stats missing sampled work: %+v", share, stats)
 		}
-		if share && eng.CachedUniverses() != 0 {
-			t.Errorf("share=%v: canceled solve left %d (possibly misaligned) cached universes",
-				share, eng.CachedUniverses())
+		// A canceled session's universes hold exact stream prefixes, so
+		// they stay cached and the next session continues them.
+		if share && eng.CachedUniverses() == 0 {
+			t.Errorf("share=%v: canceled solve dropped its cached universes", share)
 		}
-		// The Engine must remain fully usable after a canceled session.
+		// The Engine must remain fully usable after a canceled session,
+		// and answer as a cold Engine does.
 		again, _, err := eng.Solve(context.Background(), p, Options{
 			Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 2,
 			MaxThetaPerAd: 20000, ShareSamples: share,
@@ -226,7 +233,7 @@ func TestEngineSolveCanceledMidRun(t *testing.T) {
 			t.Fatalf("share=%v: solve after cancellation: %v", share, err)
 		}
 		want, _, err := solveFresh(p, Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 2,
-			MaxThetaPerAd: 20000, ShareSamples: share, Workers: 2})
+			MaxThetaPerAd: 20000, ShareSamples: share})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,8 +409,8 @@ func TestEngineCacheBytesConcurrentWithSolve(t *testing.T) {
 }
 
 // A panic escaping the solve (e.g. from a user Progress hook) must not
-// leave a cached universe's mutex locked: the entry is evicted and the
-// next solve on the same (gamma, seed) proceeds instead of deadlocking.
+// leave a cached universe's mutex locked: the next solve on the same
+// (gamma, seed) proceeds instead of deadlocking, and matches a cold run.
 func TestEnginePanicReleasesCacheLocks(t *testing.T) {
 	p := smallWCProblem(2, 43)
 	eng := engineFor(p, 1)
@@ -491,8 +498,8 @@ func TestEngineCacheLockHonorsContext(t *testing.T) {
 	<-holderDone
 }
 
-// A stale session that fails after Engine.Reset must not evict the
-// fresh, healthy entry a later session cached under the same key.
+// A stale session that fails after Engine.Reset must leave the fresh
+// entry a later session cached under the same key in place.
 func TestEngineEvictionChecksEntryIdentity(t *testing.T) {
 	p := smallWCProblem(2, 45)
 	eng := engineFor(p, 1)
@@ -528,14 +535,14 @@ func TestEngineEvictionChecksEntryIdentity(t *testing.T) {
 	if fresh == 0 {
 		t.Fatal("fresh solve cached no universe")
 	}
-	// Fail the stale session; its eviction must leave the fresh entry.
+	// Fail the stale session; the fresh entry must survive it.
 	cancelStale()
 	close(gate)
 	if err := <-staleDone; !errors.Is(err, ErrCanceled) {
 		t.Fatalf("stale session: err = %v, want ErrCanceled", err)
 	}
 	if got := eng.CachedUniverses(); got != fresh {
-		t.Errorf("stale eviction removed the fresh entry: %d cached, want %d", got, fresh)
+		t.Errorf("stale session removed the fresh entry: %d cached, want %d", got, fresh)
 	}
 }
 
@@ -578,5 +585,55 @@ func TestEngineAdaptiveReuse(t *testing.T) {
 	if got := eng2.CachedUniverses(); got > refStats.ShareGroups {
 		t.Errorf("adaptive run left %d cached universes, want ≤ %d (one-shot round entries must be evicted)",
 			got, refStats.ShareGroups)
+	}
+}
+
+// countdownCtx reports context.Canceled from its left-th Err call on.
+// The samplers poll Err once per batch, so a small left cancels a solve
+// inside its sampling, between two batches of one Grow.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A ShareSamples solve canceled mid-growth leaves its cached universe an
+// exact prefix of its streams, so re-solving on the same Engine gives
+// what an uncanceled cold solve gives. The cancellation points fall in
+// the KPT estimate (3), the initial sample (120, 400) and a θ growth
+// after the first seeds (750).
+func TestEngineCanceledGrowthResumesExactly(t *testing.T) {
+	p := smallWCProblem(3, 36)
+	opt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 4,
+		MaxThetaPerAd: 50000, ShareSamples: true}
+	want, wantStats, err := solveFresh(p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, left := range []int64{3, 120, 400, 750} {
+		eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: 4, SampleBatch: 64})
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(left)
+		_, stats, err := eng.Solve(ctx, p, opt)
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("left=%d: err = %v, want ErrCanceled", left, err)
+		}
+		if stats.TotalRRSets >= wantStats.TotalRRSets {
+			t.Fatalf("left=%d: canceled solve drew %d sets, the full solve %d", left, stats.TotalRRSets, wantStats.TotalRRSets)
+		}
+		got, gotStats, err := eng.Solve(context.Background(), p, opt)
+		if err != nil {
+			t.Fatalf("left=%d: re-solve: %v", left, err)
+		}
+		allocationsEqual(t, want, got)
+		if fmt.Sprint(gotStats.Theta) != fmt.Sprint(wantStats.Theta) {
+			t.Fatalf("left=%d: θ %v after a canceled solve, %v cold", left, gotStats.Theta, wantStats.Theta)
+		}
 	}
 }

@@ -137,13 +137,11 @@ type Params struct {
 	// Workers bounds simulation parallelism (default NumCPU).
 	Workers int
 	// SampleWorkers is the engine's RR-sampling worker count — the size
-	// of the shared scratch pool each run allocates. 0 and 1 both select
-	// the single-worker path that is bit-identical to sequential
-	// sampling, keeping seed-pinned experiment outputs stable by default.
+	// of the shared scratch pool each run allocates (0 reads as 1). It
+	// changes no seed-pinned output, only how fast sampling runs.
 	SampleWorkers int
 	// SampleBatch is the sampling pool's per-worker batch size (0 =
-	// rrset.DefaultBatchSize); part of the determinism key for
-	// SampleWorkers > 1.
+	// rrset.DefaultBatchSize): the granularity of cancellation checks.
 	SampleBatch int
 	// MaxStaleFraction is the engine's bounded-staleness knob for dynamic
 	// graphs: cached RR universes carried across a graph mutation are

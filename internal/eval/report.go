@@ -89,7 +89,7 @@ func NewBenchReport(params Params, gitSHA, gitDate string) *BenchReport {
 	params = params.withDefaults()
 	workers := params.SampleWorkers
 	if workers < 1 {
-		workers = 1 // 0 selects the sequential-identical single-worker path
+		workers = 1 // 0 selects the single-worker pool
 	}
 	return &BenchReport{
 		SchemaVersion: BenchSchemaVersion,

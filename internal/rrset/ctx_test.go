@@ -43,6 +43,33 @@ func TestSampleNCtxCancelMidStream(t *testing.T) {
 	}
 }
 
+// A canceled SampleNCtx leaves the stream at the first slot it did not
+// emit: finishing the request with later calls gives exactly the
+// uncanceled sample, at one worker and at several.
+func TestSampleNCtxCancelResumesExactly(t *testing.T) {
+	g := gen.RMAT(256, 1500, gen.DefaultRMAT, xrand.New(4))
+	probs := NewSampleProbs(g, testProbs(g.NumEdges(), 0.3))
+	const want, seed = 2000, 8
+	ref := NewPool(g, PoolOptions{Workers: 1}).RebuildUniverse(want, probs, seed)
+	for _, workers := range []int{1, 3} {
+		pool := NewPool(g, PoolOptions{Workers: workers, BatchSize: 16})
+		s := pool.NewStream(probs, seed)
+		u := NewUniverse(g.NumNodes())
+		ctx, cancel := context.WithCancel(context.Background())
+		err := s.SampleNCtx(ctx, want, func(nodes []int32, _ int64) {
+			u.Add(nodes)
+			if u.Size() == 40 {
+				cancel()
+			}
+		})
+		if !errors.Is(err, context.Canceled) || u.Size() >= want {
+			t.Fatalf("workers=%d: err = %v after %d sets, want a canceled prefix", workers, err, u.Size())
+		}
+		u.AddFromParallel(s, want-u.Size())
+		universesEqual(t, ref, u)
+	}
+}
+
 // An uncanceled SampleNCtx emits exactly the SampleN sequence — the ctx
 // plumbing must not perturb the deterministic stream.
 func TestSampleNCtxMatchesSampleN(t *testing.T) {

@@ -15,8 +15,7 @@ const DefaultBatchSize = 256
 // universe. Indexing (the copy into the arena tail plus inverted-index
 // updates) happens on the caller's goroutine while the pool's workers
 // keep sampling, so the universe needs no internal locking. On a
-// single-worker pool it is equivalent to AddFrom on a sequential Sampler
-// with the same seed, and allocation-free once the arenas are warm.
+// single-worker pool it is allocation-free once the arenas are warm.
 func (u *Universe) AddFromParallel(src *Stream, count int) {
 	src.SampleN(count, func(nodes []int32, _ int64) { u.Add(nodes) })
 }
@@ -35,10 +34,9 @@ func KptEstimateParallel(src *Stream, m, n int64, size int, ell float64) float64
 }
 
 // KptEstimateParallelCtx is KptEstimate drawing its geometric batches
-// from a stream. The κ(R) terms are accumulated in the stream's
-// deterministic emission order, so the estimate is reproducible for a
-// fixed configuration, and a single-worker stream reproduces the
-// sequential KptEstimate bit for bit. A canceled context aborts the
+// from a stream. The κ(R) terms are accumulated in the stream's slot
+// order, so the estimate is a pure function of the stream's seed and
+// start slot. A canceled context aborts the
 // estimation loop at the next batch boundary and returns the context's
 // error (the partial estimate is meaningless and discarded).
 func KptEstimateParallelCtx(ctx context.Context, src *Stream, m, n int64, size int, ell float64) (float64, error) {

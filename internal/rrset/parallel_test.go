@@ -1,6 +1,7 @@
 package rrset
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -41,48 +42,75 @@ func universesEqual(t *testing.T, a, b *Universe) {
 	}
 }
 
-// A single-worker pool must reproduce the sequential sampler bit for bit
-// whatever its batch size: same sets, same order, same index — this is
-// the contract that lets the engine sample through a pool without
-// disturbing any seed-pinned result. The batch of 7 puts a batch
-// boundary every few sets.
-func TestParallelSingleWorkerBitIdentical(t *testing.T) {
-	g := newTestGraph(xrand.New(41))
-	probs := testProbs(g.NumEdges(), 0.1)
-	const seed, count = 7, 500
-
-	seq := NewUniverse(g.NumNodes())
-	seq.AddFrom(NewSampler(g, probs, xrand.New(seed)), count)
-
-	par := NewUniverse(g.NumNodes())
-	pool := NewPool(g, PoolOptions{Workers: 1, BatchSize: 7})
-	par.AddFromParallel(pool.NewStream(NewSampleProbs(g, probs), seed), count)
-
-	universesEqual(t, seq, par)
+// streamConfigs are the pool shapes a stream's output must not depend
+// on: Workers {1, 2, 4} × BatchSize {7, 256}. The batch of 7 puts a
+// batch boundary every few sets.
+var streamConfigs = []PoolOptions{
+	{Workers: 1, BatchSize: 7}, {Workers: 1, BatchSize: 256},
+	{Workers: 2, BatchSize: 7}, {Workers: 2, BatchSize: 256},
+	{Workers: 4, BatchSize: 7}, {Workers: 4, BatchSize: 256},
 }
 
-// KptEstimateParallel on a single-worker pool must equal KptEstimate on a
-// sequential sampler with the same seed, exactly.
+// rebuildKpt is the KPT estimate a stream of seed started at slot first
+// must give: KptEstimation fed, in slot order, the widths of
+// RebuildUniverse's sets from slot first on (a set's width is the
+// in-degree sum of its members).
+func rebuildKpt(pool *Pool, probs SampleProbs, seed uint64, first, size int) float64 {
+	g := pool.g
+	n := int64(g.NumNodes())
+	log2n := math.Log2(float64(n))
+	base := 6*math.Log(float64(n)) + 6*math.Log(math.Max(log2n, 2))
+	ref := pool.RebuildUniverse(first+int(base*math.Exp2(math.Floor(log2n)))+int(log2n), probs, seed)
+	next := int32(first)
+	kpt, _ := kptEstimate(func(count int, yield func(width int64)) error {
+		for ; count > 0; count-- {
+			var width int64
+			for _, v := range ref.Set(next) {
+				width += int64(g.InDegree(v))
+			}
+			yield(width)
+			next++
+		}
+		return nil
+	}, g.NumEdges(), n, size, 1)
+	return kpt
+}
+
+// A stream emits RebuildUniverse's sets in slot order at every Workers
+// and BatchSize: same sets, same order, same index.
+func TestParallelSingleWorkerBitIdentical(t *testing.T) {
+	g := newTestGraph(xrand.New(41))
+	probs := NewSampleProbs(g, testProbs(g.NumEdges(), 0.1))
+	const seed, count = 7, 500
+	ref := NewPool(g, PoolOptions{Workers: 1}).RebuildUniverse(count, probs, seed)
+	for _, po := range streamConfigs {
+		par := NewUniverse(g.NumNodes())
+		par.AddFromParallel(NewPool(g, po).NewStream(probs, seed), count)
+		universesEqual(t, ref, par)
+	}
+}
+
+// KptEstimateParallel at every Workers and BatchSize equals KptEstimation
+// over RebuildUniverse's set widths, exactly.
 func TestKptEstimateParallelSingleWorkerMatches(t *testing.T) {
 	g := newTestGraph(xrand.New(42))
-	probs := testProbs(g.NumEdges(), 0.1)
+	probs := NewSampleProbs(g, testProbs(g.NumEdges(), 0.1))
 	const seed = 11
 	for _, size := range []int{1, 5} {
-		seq := KptEstimate(NewSampler(g, probs, xrand.New(seed)),
-			g.NumEdges(), int64(g.NumNodes()), size, 1)
-		pool := NewPool(g, PoolOptions{Workers: 1})
-		par := KptEstimateParallel(pool.NewStream(NewSampleProbs(g, probs), seed),
-			g.NumEdges(), int64(g.NumNodes()), size, 1)
-		if seq != par {
-			t.Errorf("size=%d: sequential KPT %v != single-worker parallel KPT %v", size, seq, par)
+		want := rebuildKpt(NewPool(g, PoolOptions{Workers: 1}), probs, seed, 0, size)
+		for _, po := range streamConfigs {
+			got := KptEstimateParallel(NewPool(g, po).NewStream(probs, seed),
+				g.NumEdges(), int64(g.NumNodes()), size, 1)
+			if got != want {
+				t.Errorf("size=%d %+v: KPT %v, rebuild reference %v", size, po, got, want)
+			}
 		}
 	}
 }
 
-// For a fixed (Seed, Workers, BatchSize) the multi-worker output stream is
-// deterministic — independent of goroutine scheduling — including across a
-// sequence of incremental AddFromParallel calls, the engine's sample-growth
-// pattern.
+// For a fixed seed the multi-worker output stream is deterministic —
+// independent of goroutine scheduling — including across a sequence of
+// incremental AddFromParallel calls, the engine's sample-growth pattern.
 func TestParallelDeterministic(t *testing.T) {
 	g := newTestGraph(xrand.New(43))
 	probs := testProbs(g.NumEdges(), 0.1)

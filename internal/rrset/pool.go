@@ -118,8 +118,9 @@ type PoolOptions struct {
 	// slots where the pool's run out (see Pool.borrowScratch).
 	Workers int
 	// BatchSize is how many RR sets a stream worker produces per slot
-	// checkout and per merge flush (0 = DefaultBatchSize). It is part of
-	// every stream's determinism key (Seed, Workers, BatchSize).
+	// checkout and per merge flush (0 = DefaultBatchSize), and so the
+	// granularity of a stream's cancellation checks. Neither it nor
+	// Workers changes what a stream emits.
 	BatchSize int
 }
 
@@ -143,7 +144,7 @@ func (o PoolOptions) withDefaults() PoolOptions {
 // Slot checkout is a buffered channel: deadlock-free because a slot is
 // held only across one batch of pure computation, never across a channel
 // send or a yield to the caller. Scratch identity does not influence any
-// emitted set (randomness lives in the streams' RNGs, membership tests in
+// emitted set (randomness lives in per-slot seeds, membership tests in
 // monotone epochs), so slot scheduling — which IS timing-dependent —
 // cannot perturb the deterministic output contract.
 type Pool struct {
@@ -180,9 +181,6 @@ func NewPool(g *graph.Graph, opts PoolOptions) *Pool {
 
 // Workers returns the number of scratch slots.
 func (p *Pool) Workers() int { return len(p.slots) }
-
-// BatchSize returns the per-checkout batch size.
-func (p *Pool) BatchSize() int { return p.batch }
 
 // acquire checks out a scratch slot, blocking until one is free, and
 // materializes its visited array on first use.
@@ -248,32 +246,31 @@ func (p *Pool) returnScratch(scs []*scratch, pooled int) {
 func (p *Pool) MemoryFootprint() int64 { return p.scratchBytes.Load() }
 
 // Stream draws random RR sets for one ad (one arc-probability slice) on a
-// shared Pool. It owns only the lightweight deterministic state — the
-// probabilities and the pre-split per-worker RNG streams — and borrows
-// scratch from the pool batch by batch.
+// shared Pool. It owns only the probabilities, the seed and its next
+// slot, and borrows scratch from the pool batch by batch.
 //
-// Work distribution is the static-batch design the pool inherits from the
-// original per-ad sampler: the output stream is divided into batches of
-// the pool's BatchSize, batch b is produced from RNG stream b mod W, and
-// a merger consumes batches in global order. The emitted sequence is a
-// pure function of (seed, pool Workers, pool BatchSize) and the sequence
-// of SampleN calls — never of goroutine scheduling or slot contention.
+// Slot k of a stream seeded s is drawn from an RNG seeded slotSeed(s,
+// k), the discipline RepairUniverse and RebuildUniverse use, so the
+// emitted sequence is a pure function of the seed — never of the pool's
+// Workers or BatchSize, of how the sets are split across SampleN calls,
+// or of goroutine scheduling — and repairing a stale slot redraws it
+// exactly as a cold stream on the new graph would.
 //
-// A Stream is stateful (its RNG streams advance across calls) and must
+// A Stream is stateful (its next slot advances across calls) and must
 // not be used from multiple goroutines at once; distinct Streams on one
 // pool are independent and may run SampleN concurrently — they contend
 // only for scratch slots.
 type Stream struct {
 	pool  *Pool
 	probs []float32 // in-CSR order (SampleProbs)
-	rngs  []*xrand.RNG
-	// Reusable single-worker batch buffers: member nodes of the current
-	// batch flat in bufData, per-set end offsets and widths alongside.
-	// Retained across SampleN calls, so warm steady-state sampling on the
-	// single-worker path performs zero per-set heap allocations.
-	bufData   []int32
-	bufEnds   []int
-	bufWidths []int64
+	seed  uint64
+	// next is the slot the next emitted set is drawn from: always the
+	// number of sets the stream has emitted, canceled calls included.
+	next int
+	// buf is the single-worker path's reusable batch buffer. Retained
+	// across SampleN calls, so warm steady-state sampling on that path
+	// performs zero per-set heap allocations.
+	buf flatBatch
 }
 
 // flatBatch is one multi-worker batch of RR sets in flat form: all
@@ -288,26 +285,30 @@ type flatBatch struct {
 }
 
 // NewStream builds a stream of RR sets for the given ad-specific arc
-// probabilities, seeded exactly as the historical per-ad sampler: with
-// one pool worker the stream consumes xrand.New(seed) directly and is
-// bit-identical to NewSampler(g, canonical, xrand.New(seed)) where
-// probs = NewSampleProbs(g, canonical); with W > 1 workers each RNG
-// stream is an independent Split of that parent, fixed at construction.
+// probabilities that starts at slot 0.
 func (p *Pool) NewStream(probs SampleProbs, seed uint64) *Stream {
+	return p.NewStreamAt(probs, seed, 0)
+}
+
+// NewStreamAt builds a stream that resumes at slot next: it emits what a
+// NewStream of the same seed emits after its first next sets.
+func (p *Pool) NewStreamAt(probs SampleProbs, seed uint64, next int) *Stream {
 	if int64(len(probs.p)) != p.g.NumEdges() {
 		panic("rrset: stream probs length != graph edges")
 	}
-	parent := xrand.New(seed)
-	s := &Stream{pool: p, probs: probs.p}
-	if len(p.slots) == 1 {
-		s.rngs = []*xrand.RNG{parent}
-		return s
+	return &Stream{pool: p, probs: probs.p, seed: seed, next: next}
+}
+
+// fill appends the sets of slots [lo, hi) onto b, drawing each from its
+// own reseeded rng with scratch sc.
+func (s *Stream) fill(b *flatBatch, sc *scratch, rng *xrand.RNG, lo, hi int) {
+	for slot := lo; slot < hi; slot++ {
+		rng.Seed(slotSeed(s.seed, slot))
+		var width int64
+		b.data, width = sc.sampleInto(b.data, s.pool.g, s.probs, rng)
+		b.ends = append(b.ends, len(b.data))
+		b.widths = append(b.widths, width)
 	}
-	s.rngs = make([]*xrand.RNG, len(p.slots))
-	for i := range s.rngs {
-		s.rngs[i] = parent.Split()
-	}
-	return s
 }
 
 // SampleN draws count RR sets and hands each — member nodes and width
@@ -315,7 +316,7 @@ func (p *Pool) NewStream(probs SampleProbs, seed uint64) *Stream {
 // is a window into a reused batch buffer: it is valid only for the
 // duration of the yield call and must be copied to be retained (the
 // arena-backed Universe ingest path copies into its flat storage). The
-// emission order is deterministic for a fixed stream configuration.
+// sets are the stream's next count slots, in slot order.
 func (s *Stream) SampleN(count int, yield func(nodes []int32, width int64)) {
 	s.SampleNCtx(context.Background(), count, yield)
 }
@@ -324,65 +325,43 @@ func (s *Stream) SampleN(count int, yield func(nodes []int32, width int64)) {
 // checked once per batch (the pool's BatchSize), so a canceled sampling
 // request returns within one batch's worth of reverse BFS work. On
 // cancellation it returns the context's error after emitting only a
-// prefix of the requested sets.
-//
-// Cancellation aborts the stream's deterministic replay: with multiple
-// workers, batches drawn but not yet merged are discarded, so the RNG
-// streams advance past the emitted prefix and LATER SampleN calls on the
-// same Stream no longer reproduce the uncanceled sequence. Every emitted
-// set is still an exact RR-set draw — only bit-reproducibility of the
-// stream's continuation is lost. Callers that cache streams across runs
-// must discard a stream whose SampleNCtx returned an error.
+// prefix of the requested sets. Sets drawn but not emitted are dropped,
+// and the stream resumes at the first slot it did not emit: a later
+// call continues the uncanceled sequence exactly.
 func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []int32, width int64)) error {
 	if count <= 0 {
 		return ctx.Err()
 	}
 	p := s.pool
-	if len(s.rngs) == 1 {
+	if len(p.slots) == 1 {
 		// Single-worker path: sequential sampling on the calling
 		// goroutine. Each batch is drawn flat into the stream's reused
-		// buffers with the slot held, then released *before* yielding —
+		// buffer with the slot held, then released *before* yielding —
 		// the same slot-never-held-across-a-yield rule as the
 		// multi-worker path (so a yield that itself samples through the
 		// pool cannot self-deadlock), which also lets concurrent streams
-		// interleave fairly on the one slot. Buffer reuse across calls is
-		// what makes warm sampling allocation-free.
-		rng := s.rngs[0]
-		for done := 0; done < count; {
+		// interleave fairly on the one slot.
+		var rng xrand.RNG
+		for end := s.next + count; s.next < end; {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			chunk := p.batch
-			if chunk > count-done {
-				chunk = count - done
-			}
+			hi := min(s.next+p.batch, end)
+			s.buf.data, s.buf.ends, s.buf.widths = s.buf.data[:0], s.buf.ends[:0], s.buf.widths[:0]
 			sc := p.acquire()
-			s.bufData = s.bufData[:0]
-			s.bufEnds = s.bufEnds[:0]
-			s.bufWidths = s.bufWidths[:0]
-			for i := 0; i < chunk; i++ {
-				var width int64
-				s.bufData, width = sc.sampleInto(s.bufData, p.g, s.probs, rng)
-				s.bufEnds = append(s.bufEnds, len(s.bufData))
-				s.bufWidths = append(s.bufWidths, width)
-			}
+			s.fill(&s.buf, sc, &rng, s.next, hi)
 			p.release(sc)
-			start := 0
-			for i, end := range s.bufEnds {
-				yield(s.bufData[start:end:end], s.bufWidths[i])
-				start = end
-			}
-			done += chunk
+			s.emit(s.buf, yield)
 		}
 		return nil
 	}
-	w := len(s.rngs)
+	// Multi-worker path: batch b holds slots next+b·BatchSize onward and
+	// is drawn by worker b mod W; a merger emits the batches in order.
+	w := len(p.slots)
+	first := s.next
 	numBatches := (count + p.batch - 1) / p.batch
-	active := w
-	if numBatches < active {
-		active = numBatches // trailing RNG streams have no batch this call
-	}
-	// One channel per RNG stream keeps its batches in order without a
+	active := min(w, numBatches) // trailing workers have no batch this call
+	// One channel per worker keeps its batches in order without a
 	// reorder buffer: the merger pops batch b from channel b mod W.
 	chans := make([]chan flatBatch, active)
 	for i := range chans {
@@ -397,23 +376,19 @@ func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []i
 	var wg sync.WaitGroup
 	for wi := 0; wi < active; wi++ {
 		wg.Add(1)
-		go func(wi int, rng *xrand.RNG) {
+		go func(wi int) {
 			defer wg.Done()
+			var rng xrand.RNG
 			for b := wi; b < numBatches; b += w {
 				if ctx.Err() != nil {
 					break
 				}
-				lo := b * p.batch
-				hi := lo + p.batch
-				if hi > count {
-					hi = count
-				}
+				lo := first + b*p.batch
+				hi := min(lo+p.batch, first+count)
 				var batch flatBatch
 				select {
 				case batch = <-free:
-					batch.data = batch.data[:0]
-					batch.ends = batch.ends[:0]
-					batch.widths = batch.widths[:0]
+					batch.data, batch.ends, batch.widths = batch.data[:0], batch.ends[:0], batch.widths[:0]
 				default:
 					batch.ends = make([]int, 0, hi-lo)
 					batch.widths = make([]int64, 0, hi-lo)
@@ -422,17 +397,12 @@ func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []i
 				// block on the merger, and holding a slot there would let
 				// concurrent streams starve each other.
 				sc := p.acquire()
-				for j := 0; j < hi-lo; j++ {
-					var width int64
-					batch.data, width = sc.sampleInto(batch.data, p.g, s.probs, rng)
-					batch.ends = append(batch.ends, len(batch.data))
-					batch.widths = append(batch.widths, width)
-				}
+				s.fill(&batch, sc, &rng, lo, hi)
 				p.release(sc)
 				chans[wi] <- batch
 			}
 			close(chans[wi])
-		}(wi, s.rngs[wi])
+		}(wi)
 	}
 	for b := 0; b < numBatches; b++ {
 		batch, ok := <-chans[b%w]
@@ -441,11 +411,7 @@ func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []i
 			// its channel early; the merged prefix ends here.
 			break
 		}
-		start := 0
-		for i, end := range batch.ends {
-			yield(batch.data[start:end:end], batch.widths[i])
-			start = end
-		}
+		s.emit(batch, yield)
 		free <- batch
 	}
 	// Unblock any workers parked on a full channel (the merge loop may
@@ -458,4 +424,14 @@ func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []i
 	}
 	wg.Wait()
 	return ctx.Err()
+}
+
+// emit yields a batch's sets in order and advances the stream past them.
+func (s *Stream) emit(b flatBatch, yield func(nodes []int32, width int64)) {
+	start := 0
+	for i, end := range b.ends {
+		yield(b.data[start:end:end], b.widths[i])
+		start = end
+	}
+	s.next += len(b.ends)
 }

@@ -1,27 +1,31 @@
 package rrset
 
 import (
+	"math"
+	"math/bits"
 	"sync"
 	"testing"
 
 	"repro/internal/xrand"
 )
 
-// A single-slot pool stream at the default batch size must reproduce the
-// sequential sampler bit for bit.
+// A stream grown in uneven SampleN calls emits RebuildUniverse's sets at
+// every Workers and BatchSize: how a sample is split across calls and
+// batches never shows in it.
 func TestPoolStreamSingleWorkerBitIdentical(t *testing.T) {
 	g := newTestGraph(xrand.New(51))
-	probs := testProbs(g.NumEdges(), 0.1)
-	const seed, count = 7, 500
-
-	seq := NewUniverse(g.NumNodes())
-	seq.AddFrom(NewSampler(g, probs, xrand.New(seed)), count)
-
-	pool := NewPool(g, PoolOptions{Workers: 1})
-	par := NewUniverse(g.NumNodes())
-	par.AddFromParallel(pool.NewStream(NewSampleProbs(g, probs), seed), count)
-
-	universesEqual(t, seq, par)
+	probs := NewSampleProbs(g, testProbs(g.NumEdges(), 0.1))
+	const seed = 7
+	grow := []int{1, 100, 37, 362}
+	ref := NewPool(g, PoolOptions{Workers: 1}).RebuildUniverse(500, probs, seed)
+	for _, po := range streamConfigs {
+		st := NewPool(g, po).NewStream(probs, seed)
+		par := NewUniverse(g.NumNodes())
+		for _, n := range grow {
+			par.AddFromParallel(st, n)
+		}
+		universesEqual(t, ref, par)
+	}
 }
 
 // Streams sharing one pool must emit exactly what isolated per-ad pools
@@ -125,27 +129,77 @@ func TestPoolInterleavedGrowthDeterministic(t *testing.T) {
 	universesEqual(t, refB, b)
 }
 
-// KptEstimateParallel through a shared pool matches the sequential
-// estimator for a single slot, and is reproducible for multiple slots.
+// KptEstimateParallel through a shared pool equals the rebuild reference
+// at every Workers and BatchSize, and a second estimate on the same
+// stream — the engine's KPT refresh — continues from the slot the first
+// one stopped at.
 func TestPoolKptEstimate(t *testing.T) {
 	g := newTestGraph(xrand.New(55))
-	probs := testProbs(g.NumEdges(), 0.1)
+	probs := NewSampleProbs(g, testProbs(g.NumEdges(), 0.1))
 	const seed = 11
-
-	seq := KptEstimate(NewSampler(g, probs, xrand.New(seed)),
-		g.NumEdges(), int64(g.NumNodes()), 2, 1)
 	one := NewPool(g, PoolOptions{Workers: 1})
-	if got := KptEstimateParallel(one.NewStream(NewSampleProbs(g, probs), seed),
-		g.NumEdges(), int64(g.NumNodes()), 2, 1); got != seq {
-		t.Errorf("single-slot pool KPT %v != sequential %v", got, seq)
+	first := rebuildKpt(one, probs, seed, 0, 2)
+	for _, po := range streamConfigs {
+		st := NewPool(g, po).NewStream(probs, seed)
+		if got := KptEstimateParallel(st, g.NumEdges(), int64(g.NumNodes()), 2, 1); got != first {
+			t.Errorf("%+v: KPT %v, rebuild reference %v", po, got, first)
+		}
+		used := st.next
+		want := rebuildKpt(one, probs, seed, used, 4)
+		if got := KptEstimateParallel(st, g.NumEdges(), int64(g.NumNodes()), 4, 1); got != want {
+			t.Errorf("%+v: refreshed KPT %v, rebuild reference from slot %d %v", po, got, used, want)
+		}
 	}
+}
 
-	multi := func() float64 {
-		p := NewPool(g, PoolOptions{Workers: 4, BatchSize: 32})
-		return KptEstimateParallel(p.NewStream(NewSampleProbs(g, probs), seed),
-			g.NumEdges(), int64(g.NumNodes()), 2, 1)
+// The sequential Sampler on one xrand.New(seed) is the discipline every
+// stream followed before per-slot seeding (a Workers=1 Stream was
+// bit-identical to it), kept here as the reference. Both draw i.i.d. RR
+// sets from the same distribution, so at 20000 sets each their size
+// histograms (power-of-two buckets) must agree within 0.02 per bucket
+// (4 standard errors at the worst case p = 1/2), and every node's
+// inclusion count within 5 standard errors: |a−b| ≤ 5·√(a+b). The seeds
+// are fixed, so the test is deterministic.
+func TestStreamMatchesSamplerDistribution(t *testing.T) {
+	g, canonical := goldenGraph()
+	const count = 20000
+	type tally struct {
+		sizes [32]int
+		hits  []int
 	}
-	if a, b := multi(), multi(); a != b {
-		t.Errorf("multi-slot pool KPT not reproducible: %v vs %v", a, b)
+	add := func(tl *tally, nodes []int32) {
+		tl.sizes[bits.Len(uint(len(nodes)))]++
+		for _, v := range nodes {
+			tl.hits[v]++
+		}
 	}
+	seq := tally{hits: make([]int, g.NumNodes())}
+	sampler := NewSampler(g, canonical, xrand.New(1))
+	for i := 0; i < count; i++ {
+		nodes, _ := sampler.Sample()
+		add(&seq, nodes)
+	}
+	str := tally{hits: make([]int, g.NumNodes())}
+	NewPool(g, PoolOptions{Workers: 2}).NewStream(NewSampleProbs(g, canonical), 2).SampleN(count,
+		func(nodes []int32, _ int64) { add(&str, nodes) })
+
+	for b := range seq.sizes {
+		fa, fb := float64(seq.sizes[b])/count, float64(str.sizes[b])/count
+		if math.Abs(fa-fb) > 0.02 {
+			t.Errorf("sizes in [2^%d, 2^%d): sampler share %.4f, stream share %.4f", b-1, b, fa, fb)
+		}
+	}
+	worst := 0.0
+	for v := range seq.hits {
+		a, b := float64(seq.hits[v]), float64(str.hits[v])
+		if a+b == 0 {
+			continue
+		}
+		z := math.Abs(a-b) / math.Sqrt(a+b)
+		worst = max(worst, z)
+		if z > 5 {
+			t.Errorf("node %d: in %d sampler sets, %d stream sets (z = %.1f)", v, seq.hits[v], str.hits[v], z)
+		}
+	}
+	t.Logf("largest inclusion z-score over %d nodes: %.2f", g.NumNodes(), worst)
 }

@@ -6,17 +6,18 @@ import (
 	"repro/internal/xrand"
 )
 
-// repairSeedMix is the splitmix64 increment, the same odd constant the
-// engine uses to derive per-round and per-generation seeds.
-const repairSeedMix = 0x9e3779b97f4a7c15
+// slotSeedMix is the splitmix64 increment.
+const slotSeedMix = 0x9e3779b97f4a7c15
 
-// repairSeed derives the RNG seed of slot s under seedKey. Each slot's
-// seed depends only on (seedKey, s) — not on which other slots are
-// stale, nor on the graph generation — which is what makes a partial
-// Repair slot-for-slot bit-identical to RebuildUniverse at equal
-// seedKey on the same graph.
-func repairSeed(seedKey uint64, slot int32) uint64 {
-	return seedKey ^ (uint64(slot)+1)*repairSeedMix
+// slotSeed derives the RNG seed of slot k under seed: every RR set a
+// Stream emits, RepairUniverse redraws or RebuildUniverse builds comes
+// from xrand.New(slotSeed(seed, k)). Each slot's seed depends only on
+// (seed, k) — not on which other slots are stale, nor on the graph
+// generation, nor on how many workers drew it — which is what makes a
+// partial Repair byte-identical to a cold stream of the same seed on
+// the new graph.
+func slotSeed(seed uint64, k int) uint64 {
+	return seed ^ (uint64(k)+1)*slotSeedMix
 }
 
 // repairChunkMembers is the fewest stored members per RepairUniverse
@@ -27,8 +28,11 @@ func repairSeed(seedKey uint64, slot int32) uint64 {
 const repairChunkMembers = 1 << 15
 
 // RepairUniverse resamples exactly the universe's stale slots in place
-// on the pool's graph, using one deterministic RNG per slot seeded from
-// (seedKey, slot). A delta touching few nodes resamples a few slots
+// on the pool's graph, each from its slotSeed(seedKey, slot) RNG — the
+// draw a Stream seeded seedKey makes for that slot. Repairing a universe
+// a stream of seedKey filled, after invalidating the nodes whose in-arcs
+// changed, therefore gives exactly what that stream would emit on the
+// new graph. A delta touching few nodes resamples a few slots
 // instead of θ sets — the point of invalidation — and then pays one bulk
 // pass over the whole universe: run-wise arena recompaction plus a
 // counting-sort index rebuild (see Universe.Repair). Returns the number
@@ -76,7 +80,7 @@ func (p *Pool) repairUniverse(u *Universe, probs SampleProbs, seedKey uint64, ch
 		b.ends = make([]uint32, len(own))
 		var rng xrand.RNG
 		for i, slot := range own {
-			rng.Seed(repairSeed(seedKey, slot))
+			rng.Seed(slotSeed(seedKey, int(slot)))
 			b.data, _ = scs[c].sampleInto(b.data, p.g, probs.p, &rng)
 			b.ends[i] = uint32(len(b.data))
 		}
@@ -96,11 +100,10 @@ func (p *Pool) repairUniverse(u *Universe, probs SampleProbs, seedKey uint64, ch
 	}, chunks)
 }
 
-// RebuildUniverse samples a fresh universe of size sets with the same
-// per-slot seeding discipline as RepairUniverse: slot s is drawn from
-// xrand.New of the (seedKey, s) seed regardless of history. It is the
-// cold-start reference RepairUniverse is benchmarked and bit-identity
-// tested against.
+// RebuildUniverse samples a fresh universe of size sets, slot s drawn
+// from xrand.New(slotSeed(seedKey, s)), one set at a time on one
+// scratch slot. It is the sequential cold-start reference that streams
+// and RepairUniverse are benchmarked and bit-identity tested against.
 func (p *Pool) RebuildUniverse(size int, probs SampleProbs, seedKey uint64) *Universe {
 	if int64(len(probs.p)) != p.g.NumEdges() {
 		panic("rrset: rebuild probs length != graph edges")
@@ -111,7 +114,7 @@ func (p *Pool) RebuildUniverse(size int, probs SampleProbs, seedKey uint64) *Uni
 	var buf []int32
 	for slot := 0; slot < size; slot++ {
 		buf = buf[:0]
-		rng := xrand.New(repairSeed(seedKey, int32(slot)))
+		rng := xrand.New(slotSeed(seedKey, slot))
 		buf, _ = sc.sampleInto(buf, p.g, probs.p, rng)
 		u.Add(buf)
 	}

@@ -147,10 +147,12 @@ func TestRepairAllBitIdenticalToRebuild(t *testing.T) {
 	checkIndexConsistent(t, u)
 }
 
-// TestPartialRepairSlotIdentity pins the per-slot determinism contract:
-// after a partial repair, untouched slots keep their exact bytes and
-// every repaired slot equals the same slot of a cold rebuild at equal
-// seedKey — repair outcome independent of which other slots were stale.
+// TestPartialRepairSlotIdentity pins the per-slot contract on the
+// production path: a universe a stream filled, invalidated at a few
+// nodes whose in-arc probabilities then change, and repaired with the
+// stream's own seed on the new probabilities, keeps the exact bytes of
+// every untouched slot and equals, as a whole, a cold RebuildUniverse
+// on the new probabilities.
 func TestPartialRepairSlotIdentity(t *testing.T) {
 	rng := xrand.New(13)
 	g := newTestGraph(rng)
@@ -159,11 +161,10 @@ func TestPartialRepairSlotIdentity(t *testing.T) {
 	for i := range probs {
 		probs[i] = 0.08
 	}
-	const size, seedKey = 400, uint64(99)
+	const size, seed = 400, uint64(3)
 
 	u := NewUniverse(g.NumNodes())
-	st := pool.NewStream(NewSampleProbs(g, probs), 3)
-	st.SampleN(size, func(nodes []int32, _ int64) { u.Add(nodes) })
+	pool.NewStream(NewSampleProbs(g, probs), seed).SampleN(size, func(nodes []int32, _ int64) { u.Add(nodes) })
 	before := make([][]int32, size)
 	for id := int32(0); int(id) < size; id++ {
 		before[id] = append([]int32(nil), u.Set(id)...)
@@ -173,10 +174,8 @@ func TestPartialRepairSlotIdentity(t *testing.T) {
 	staleBefore := make([]bool, size)
 	for id := int32(0); int(id) < size; id++ {
 		for _, v := range u.Set(id) {
-			for _, tv := range touched {
-				if v == tv {
-					staleBefore[id] = true
-				}
+			if slices.Contains(touched, v) {
+				staleBefore[id] = true
 			}
 		}
 	}
@@ -193,33 +192,75 @@ func TestPartialRepairSlotIdentity(t *testing.T) {
 	if marked == 0 || marked == size {
 		t.Fatalf("degenerate staleness %d/%d; pick different touched nodes", marked, size)
 	}
+	for _, v := range touched {
+		for _, e := range g.InEdgeIDs(v) {
+			probs[e] = 0.3
+		}
+	}
+	sp := NewSampleProbs(g, probs)
 
-	if got := pool.RepairUniverse(u, NewSampleProbs(g, probs), seedKey); got != marked {
+	if got := pool.RepairUniverse(u, sp, seed); got != marked {
 		t.Fatalf("RepairUniverse = %d, want %d", got, marked)
 	}
-	ref := pool.RebuildUniverse(size, NewSampleProbs(g, probs), seedKey)
 	for id := int32(0); int(id) < size; id++ {
-		got := u.Set(id)
-		var want []int32
-		if staleBefore[id] {
-			want = ref.Set(id)
-		} else {
-			want = before[id]
-		}
-		if len(got) != len(want) {
-			t.Fatalf("slot %d (stale=%v): %v, want %v", id, staleBefore[id], got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("slot %d (stale=%v): %v, want %v", id, staleBefore[id], got, want)
-			}
+		if !staleBefore[id] && !slices.Equal(u.Set(id), before[id]) {
+			t.Fatalf("untouched slot %d: %v, want %v", id, u.Set(id), before[id])
 		}
 	}
+	ref := pool.RebuildUniverse(size, sp, seed)
+	if !bytes.Equal(universeBytes(t, u), universeBytes(t, ref)) {
+		t.Fatal("repaired stream universe differs from a cold rebuild on the new probabilities")
+	}
 	checkIndexConsistent(t, u)
+	sameIndex(t, u, ref)
 
 	// Repairing with nothing stale is a no-op.
-	if got := pool.RepairUniverse(u, NewSampleProbs(g, probs), seedKey); got != 0 {
+	if got := pool.RepairUniverse(u, sp, seed); got != 0 {
 		t.Fatalf("second RepairUniverse = %d, want 0", got)
+	}
+}
+
+// TestStreamRepairUnbiased is the regression test for a repair that
+// redrew stale slots independently of the stream that filled them: on
+// an unchanged graph, repair then under-represented the sets containing
+// a touched node (their share fell from q to about q²). A universe a
+// stream filled, at Workers 1 and 2, invalidated at 20 nodes and
+// repaired with the stream's seed on the same probabilities must come
+// back byte for byte.
+func TestStreamRepairUnbiased(t *testing.T) {
+	g, _ := goldenGraph()
+	sp := NewSampleProbs(g, testProbs(g.NumEdges(), 0.05))
+	touched := make([]int32, 20)
+	isTouched := make([]bool, g.NumNodes())
+	for i := range touched {
+		touched[i] = int32(97 * i)
+		isTouched[touched[i]] = true
+	}
+	const size, seed = 20000, uint64(5)
+	hitShare := func(u *Universe) float64 {
+		hits := 0
+		for id := int32(0); int(id) < u.Size(); id++ {
+			if slices.ContainsFunc(u.Set(id), func(v int32) bool { return isTouched[v] }) {
+				hits++
+			}
+		}
+		return float64(hits) / float64(u.Size())
+	}
+	for _, workers := range []int{1, 2} {
+		pool := NewPool(g, PoolOptions{Workers: workers, BatchSize: 64})
+		u := NewUniverse(g.NumNodes())
+		u.AddFromParallel(pool.NewStream(sp, seed), size)
+		want := universeBytes(t, u)
+		share := hitShare(u)
+		marked := u.Invalidate(touched)
+		if marked == 0 {
+			t.Fatalf("workers=%d: no set contains a touched node", workers)
+		}
+		pool.RepairUniverse(u, sp, seed)
+		if got := hitShare(u); got != share || !bytes.Equal(universeBytes(t, u), want) {
+			t.Fatalf("workers=%d: repair on an unchanged graph moved the universe: share of sets hitting the touched nodes %.4f -> %.4f",
+				workers, share, got)
+		}
 	}
 }
 
@@ -283,7 +324,7 @@ func TestRepairSpeedup(t *testing.T) {
 	var visited []int32
 	n := u.Repair(func(slot int32, dst []int32) []int32 {
 		visited = append(visited, slot)
-		nodes, _ := sc.sampleInto(dst, g, sp.p, xrand.New(repairSeed(seedKey, slot)))
+		nodes, _ := sc.sampleInto(dst, g, sp.p, xrand.New(slotSeed(seedKey, int(slot))))
 		return nodes
 	})
 	pool.release(sc)
@@ -417,13 +458,14 @@ func sameIndex(t *testing.T, u, oracle *Universe) {
 
 // FuzzUniverseRepair checks Repair's run-wise recompaction and
 // counting-sort index rebuild against RebuildUniverse, whose per-set
-// Adds push every member. A universe sampled on one set of arc
-// probabilities is invalidated at random touched nodes whose in-arc
-// probabilities then change; since a set not containing a touched node
-// never read those arcs, RepairUniverse on the new probabilities must
-// reproduce a cold rebuild on them: set bytes, every node's index chain
-// and degree. More sets are then pushed onto the bulk-laid chains and a
-// second delta is repaired the same way.
+// Adds push every member. A universe a Stream (Workers 1 or 2) sampled
+// on one set of arc probabilities is invalidated at random touched
+// nodes whose in-arc probabilities then change; since a set not
+// containing a touched node never read those arcs, RepairUniverse with
+// the stream's seed on the new probabilities must reproduce a cold
+// rebuild on them: set bytes, every node's index chain and degree. The
+// stream then resumes on the new probabilities, pushing more sets onto
+// the bulk-laid chains, and a second delta is repaired the same way.
 func FuzzUniverseRepair(f *testing.F) {
 	f.Add(uint64(1), uint16(300), uint8(3), uint8(40), uint8(60))
 	f.Add(uint64(7), uint16(1), uint8(1), uint8(0), uint8(255))
@@ -437,7 +479,7 @@ func FuzzUniverseRepair(f *testing.F) {
 			b.AddEdge(rng.Int31n(n), rng.Int31n(n))
 		}
 		g := b.Build()
-		pool := NewPool(g, PoolOptions{Workers: 1})
+		pool := NewPool(g, PoolOptions{Workers: 1 + int(seed%2), BatchSize: 1 + int(pct)%32})
 		scale := 0.02 + 0.98*float64(pct)/255
 		probs := make([]float32, g.NumEdges())
 		for i := range probs {
@@ -447,10 +489,7 @@ func FuzzUniverseRepair(f *testing.F) {
 		total := 1 + int(size)%3000
 
 		u := NewUniverse(n)
-		ref := pool.RebuildUniverse(total, NewSampleProbs(g, probs), seedKey)
-		for id := int32(0); int(id) < total; id++ {
-			u.Add(ref.Set(id))
-		}
+		u.AddFromParallel(pool.NewStream(NewSampleProbs(g, probs), seedKey), total)
 		for round := 0; round < 2; round++ {
 			touched := make([]int32, 1+int(touch)%8)
 			for i := range touched {
@@ -464,7 +503,7 @@ func FuzzUniverseRepair(f *testing.F) {
 			if got := pool.RepairUniverse(u, sp, seedKey); got != marked {
 				t.Fatalf("round %d: repaired %d slots, %d were marked", round, got, marked)
 			}
-			ref = pool.RebuildUniverse(total, sp, seedKey)
+			ref := pool.RebuildUniverse(total, sp, seedKey)
 			if !bytes.Equal(universeBytes(t, u), universeBytes(t, ref)) {
 				t.Fatalf("round %d: repair not bit-identical to rebuild", round)
 			}
@@ -472,11 +511,9 @@ func FuzzUniverseRepair(f *testing.F) {
 			sameIndex(t, u, ref)
 
 			// Growth after a repair pushes onto the bulk-laid chains.
+			u.AddFromParallel(pool.NewStreamAt(sp, seedKey, total), int(extra))
 			total += int(extra)
 			ref = pool.RebuildUniverse(total, sp, seedKey)
-			for id := int32(u.Size()); int(id) < total; id++ {
-				u.Add(ref.Set(id))
-			}
 			checkIndexConsistent(t, u)
 			sameIndex(t, u, ref)
 		}

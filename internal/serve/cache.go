@@ -13,9 +13,9 @@ import (
 )
 
 // resultCache is a bounded LRU over marshaled response bodies. The
-// engine is deterministic for a fixed cache key (the Workers=1
-// determinism contract, or fixed (Seed, Workers, SampleBatch) beyond
-// it), so replaying the stored bytes is bit-identical to re-solving —
+// engine is deterministic for a fixed cache key (a solve is a pure
+// function of its instance, options and Seed, at any sampling Workers),
+// so replaying the stored bytes is bit-identical to re-solving —
 // the cache trades memory for latency without changing any answer.
 // Entries are immutable once stored; get returns the shared slice and
 // callers must not mutate it.
@@ -98,13 +98,13 @@ func (c *resultCache) len() int {
 // the engine would produce bit-identical responses for them.
 func solveCacheKey(kind string, scale gen.Scale, dsSeed uint64, dataset string,
 	h int, ikind incentive.Kind, alpha float64, p *core.Problem,
-	mode string, opt core.Options, workers, batch int) string {
+	mode string, opt core.Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%s|%d|%d|%v|%x|%s|%x|%x|%d|%d|%d|%t|%d|%d|gen:%d",
+	fmt.Fprintf(&b, "%s|%s|%s|%d|%d|%v|%x|%s|%x|%x|%d|%d|%d|%t|gen:%d",
 		kind, dataset, scale, dsSeed, h, ikind, math.Float64bits(alpha),
 		mode, math.Float64bits(opt.Epsilon), math.Float64bits(opt.Ell),
 		opt.Window, opt.Seed, opt.MaxThetaPerAd, opt.ShareSamples,
-		workers, batch, p.Graph.Generation())
+		p.Graph.Generation())
 	for _, ad := range p.Ads {
 		fmt.Fprintf(&b, "|g:%s;c:%x;b:%x", core.GammaKey(ad.Gamma),
 			math.Float64bits(ad.CPE), math.Float64bits(ad.Budget))

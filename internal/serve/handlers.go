@@ -449,7 +449,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ShareSamples:  req.ShareSamples,
 	}
 	key := solveCacheKey("solve", s.cfg.Scale, s.cfg.DatasetSeed, req.Dataset,
-		h, kind, alpha, p, req.Mode, opt, s.cfg.Workers, s.cfg.SampleBatch)
+		h, kind, alpha, p, req.Mode, opt)
 	if !req.NoCache {
 		if body, ok := s.cache.get(key); ok {
 			s.met.cacheHits.Add(1)

@@ -73,15 +73,13 @@ type Config struct {
 	DefaultH int
 	MaxH     int
 	// Workers / SampleBatch configure every engine's sampling pool
-	// (EngineOptions). Workers <= 1 keeps solves bit-identical to the
-	// sequential sampler — the setting the bit-identity contract and the
-	// result cache assume by default.
+	// (EngineOptions). They change no answer, so the result cache does
+	// not key on them.
 	Workers     int
 	SampleBatch int
 	// Shards is every engine's RR-shard count (core.EngineOptions.Shards):
 	// 0 is read as 1, the single-shard layout; >1 samples shards in
-	// parallel. Part of the engines' determinism key, fixed per server
-	// like Workers.
+	// parallel. Part of the engines' determinism key, fixed per server.
 	Shards int
 	// SingletonRuns is the workbench's Monte-Carlo budget for singleton
 	// spreads on the quality datasets (0 = the eval default).

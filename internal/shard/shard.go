@@ -6,16 +6,15 @@
 // The partition is by global draw index: draw i of the conceptual
 // single-stream sample belongs to shard i mod S, and shard s draws its
 // subsequence from its own deterministic stream seeded StreamSeed(seed,
-// s) — the per-worker RNG discipline of rrset.Stream lifted one level.
-// Every shard samples into its own arena-backed rrset.Universe through
+// s). Every shard samples into its own arena-backed rrset.Universe through
 // its own scratch pool, so S shards sample with S·Workers-way
 // parallelism and no shared mutable state. MergedView (view.go) then
 // recombines the shards behind the rrset.CoverageState interface: the
 // greedy loops in core/im run unchanged on summed counts.
 //
-// Determinism contract: the sample is a pure function of (seed, S, each
-// pool's Workers/BatchSize). StreamSeed(seed, 0) == seed, so S=1
-// reproduces the unsharded rrset.Stream sequence bit for bit — the
+// Determinism contract: the sample is a pure function of (seed, S),
+// whatever each pool's Workers/BatchSize. StreamSeed(seed, 0) == seed, so
+// S=1 reproduces the unsharded rrset.Stream sequence bit for bit — the
 // property core's seed-pinned golden tests assert end to end.
 package shard
 
@@ -29,8 +28,8 @@ import (
 
 // shardSeedMix is the odd multiplier deriving per-shard stream seeds
 // (the splitmix64 finalizer constant). It is deliberately distinct from
-// the engine's per-generation seed mix so a shard's stream can never
-// collide with another generation's stream of the same base seed.
+// the increment rrset derives per-slot seeds with, so the shards of one
+// base seed do not share slot seeds in a simple pattern.
 const shardSeedMix = 0xbf58476d1ce4e5b9
 
 // StreamSeed returns the sampling-stream seed of shard s under the
@@ -52,8 +51,9 @@ func CountFor(total, s, numShards int) int {
 
 // Group is one sharded RR-set sample: S universes growing in lockstep
 // under the global-draw partition, each fed by its own deterministic
-// stream on its own scratch pool. A Group is stateful (its streams
-// advance) and must not be grown from multiple goroutines at once;
+// stream on its own scratch pool. Each stream's next slot is its
+// universe's size. A Group is stateful (its streams advance) and must
+// not be grown from multiple goroutines at once;
 // concurrent read-only access (views, footprint queries) is safe once a
 // Grow has returned.
 type Group struct {
@@ -104,10 +104,9 @@ func (g *Group) Size() int {
 // Grow extends the group to total global draws, sampling every shard's
 // share concurrently (one goroutine per shard that has work; each
 // shard's pool bounds its internal sampling parallelism). Growth is
-// append-only: a total at or below Size() is a no-op. On cancellation
-// the group's streams are desynchronized from its contents — the same
-// contract as rrset.Stream.SampleNCtx — and the caller must discard the
-// group; the engine's evict-on-failure discipline does exactly that.
+// append-only: a total at or below Size() is a no-op. A canceled Grow
+// leaves every shard an exact prefix of its stream, so a later Grow
+// continues the uncanceled sample.
 func (g *Group) Grow(ctx context.Context, total int) error {
 	s := len(g.universes)
 	if s == 1 {
@@ -140,17 +139,18 @@ func (g *Group) Grow(ctx context.Context, total int) error {
 	return nil
 }
 
-// Restream replaces every shard's stream with a fresh one on the given
-// pools — the generation-carry hook: after a graph delta the old
-// streams (built on the old generation's pools and exhausted up to the
-// old contents) are discarded, and future growth draws from the new
-// generation's decorrelated base seed. len(pools) must equal NumShards.
+// Restream moves every shard's stream onto the given pools and
+// probabilities — the generation-carry hook. seed must be the group's
+// base seed: each new stream resumes at its universe's size, so once
+// the carried universes are repaired, later growth draws exactly what a
+// group built cold on the new generation would. len(pools) must equal
+// NumShards.
 func (g *Group) Restream(pools []*rrset.Pool, probs rrset.SampleProbs, seed uint64) {
 	if len(pools) != len(g.streams) {
 		panic(fmt.Sprintf("shard: Restream with %d pools for %d shards", len(pools), len(g.streams)))
 	}
 	for s, p := range pools {
-		g.streams[s] = p.NewStream(probs, StreamSeed(seed, s))
+		g.streams[s] = p.NewStreamAt(probs, StreamSeed(seed, s), g.universes[s].Size())
 	}
 }
 
