@@ -21,50 +21,49 @@ func seedsHash(alloc *Allocation) uint64 {
 	return h.Sum64()
 }
 
-// Seed-pinned golden outputs for the one-pass (Han–Cui) modes at both
-// the sequential and the parallel sampler configuration. These pin the
-// determinism contract: for a fixed (Seed, Workers, SampleBatch) the
-// allocation is machine-independent, so any change to sampling order,
-// the one-shot sizing, or candidate selection shows up as a diff here.
+// Seed-pinned golden outputs for the one-pass (Han–Cui) modes, asserted
+// at Workers 1 and 4 alike. These pin the determinism contract: for a
+// fixed Seed the allocation is machine- and Workers-independent, so any
+// change to sampling order, the one-shot sizing, or candidate selection
+// shows up as a diff here.
 func TestOnePassGolden(t *testing.T) {
 	p := smallWCProblem(4, 31)
 	cases := []struct {
 		mode    Mode
-		workers int
 		hash    uint64
 		revenue float64
 		seeds   []int
 	}{
-		{ModeOnePassCostAgnostic, 1, 0x985f3f19940c45bf, 260.919588, []int{2, 5, 3, 2}},
-		{ModeOnePassCostAgnostic, 4, 0x0ff4698b52ce2551, 261.363999, []int{2, 5, 3, 1}},
-		{ModeOnePassCostSensitive, 1, 0xfe5f9db1c922bc13, 296.982560, []int{36, 59, 27, 30}},
-		{ModeOnePassCostSensitive, 4, 0x324e28e137ec8e86, 294.700365, []int{36, 59, 27, 28}},
+		{ModeOnePassCostAgnostic, 0x5fac2e55d06cb996, 261.686478, []int{2, 6, 3, 2}},
+		{ModeOnePassCostSensitive, 0xdc85f8e8dfbc460e, 295.168165, []int{36, 60, 26, 29}},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%v/workers=%d", tc.mode, tc.workers), func(t *testing.T) {
-			eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: tc.workers})
-			opt := Options{Mode: tc.mode, Epsilon: 0.3, Seed: 17, MaxThetaPerAd: 30000}
-			alloc, stats, err := eng.Solve(context.Background(), p, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := seedsHash(alloc); got != tc.hash {
-				t.Errorf("seeds hash = %#x, want %#x (seeds %v)", got, tc.hash, alloc.Seeds)
-			}
-			if math.Abs(alloc.TotalRevenue()-tc.revenue) > 1e-5 {
-				t.Errorf("revenue = %.6f, want %.6f", alloc.TotalRevenue(), tc.revenue)
-			}
-			for i, want := range tc.seeds {
-				if len(alloc.Seeds[i]) != want {
-					t.Errorf("ad %d: %d seeds, want %d", i, len(alloc.Seeds[i]), want)
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%v/workers=%d", tc.mode, workers), func(t *testing.T) {
+				eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: workers})
+				opt := Options{Mode: tc.mode, Epsilon: 0.3, Seed: 17, MaxThetaPerAd: 30000}
+				alloc, stats, err := eng.Solve(context.Background(), p, opt)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			// One-pass means exactly one growth event per advertiser,
-			// all fired before the first seed.
-			if stats.GrowthEvents != p.NumAds() {
-				t.Errorf("GrowthEvents = %d, want %d (one per ad)", stats.GrowthEvents, p.NumAds())
-			}
-		})
+				if got := seedsHash(alloc); got != tc.hash {
+					t.Errorf("seeds hash = %#x, want %#x (seeds %v)", got, tc.hash, alloc.Seeds)
+				}
+				if math.Abs(alloc.TotalRevenue()-tc.revenue) > 1e-5 {
+					t.Errorf("revenue = %.6f, want %.6f", alloc.TotalRevenue(), tc.revenue)
+				}
+				for i, want := range tc.seeds {
+					if len(alloc.Seeds[i]) != want {
+						t.Errorf("ad %d: %d seeds, want %d", i, len(alloc.Seeds[i]), want)
+					}
+				}
+				// One-pass means exactly one growth event per advertiser,
+				// all fired before the first seed.
+				if stats.GrowthEvents != p.NumAds() {
+					t.Errorf("GrowthEvents = %d, want %d (one per ad)", stats.GrowthEvents, p.NumAds())
+				}
+			})
+		}
 	}
 }
 
