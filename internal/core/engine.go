@@ -177,11 +177,11 @@ type adGroup struct {
 }
 
 // growUniverse extends the group's (possibly cached) sample to the
-// session's virtual size and refreshes the cache entry's byte count.
+// session's virtual size and refreshes the cache entry's byte count. It
+// leaves the no-op test to Grow, shard by shard: after a canceled
+// growth the shards can hold uneven prefixes, so the group's total size
+// alone does not tell whether every shard holds its share.
 func (e *solver) growUniverse(g *adGroup) error {
-	if g.shg.Size() >= g.vsize {
-		return nil
-	}
 	err := g.shg.Grow(e.ctx, g.vsize)
 	if g.sg != nil {
 		g.sg.bytes.Store(g.shg.MemoryFootprint())

@@ -604,36 +604,53 @@ func (c *countdownCtx) Err() error {
 }
 
 // A ShareSamples solve canceled mid-growth leaves its cached universe an
-// exact prefix of its streams, so re-solving on the same Engine gives
-// what an uncanceled cold solve gives. The cancellation points fall in
-// the KPT estimate (3), the initial sample (120, 400) and a θ growth
-// after the first seeds (750).
+// exact prefix of its streams, so later solves on the same Engine give
+// what uncanceled cold solves give: first one that needs a smaller
+// sample than the canceled one asked for, then the canceled solve
+// itself. With one shard the cancellation points fall in the KPT
+// estimate (3) and the initial sample (120, 400, 750). Three shards
+// sample concurrently, so a canceled growth can leave them uneven.
 func TestEngineCanceledGrowthResumesExactly(t *testing.T) {
 	p := smallWCProblem(3, 36)
-	opt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 4,
+	small := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 4,
 		MaxThetaPerAd: 50000, ShareSamples: true}
-	want, wantStats, err := solveFresh(p, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, left := range []int64{3, 120, 400, 750} {
-		eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: 4, SampleBatch: 64})
-		ctx := &countdownCtx{Context: context.Background()}
-		ctx.left.Store(left)
-		_, stats, err := eng.Solve(ctx, p, opt)
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("left=%d: err = %v, want ErrCanceled", left, err)
+	big := small
+	big.Epsilon = 0.2
+	for _, shards := range []int{1, 3} {
+		type ref struct {
+			alloc *Allocation
+			stats *Stats
 		}
-		if stats.TotalRRSets >= wantStats.TotalRRSets {
-			t.Fatalf("left=%d: canceled solve drew %d sets, the full solve %d", left, stats.TotalRRSets, wantStats.TotalRRSets)
+		var refs [2]ref
+		for i, opt := range []Options{small, big} {
+			a, st, err := solveWith(p, EngineOptions{Shards: shards}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[i] = ref{a, st}
 		}
-		got, gotStats, err := eng.Solve(context.Background(), p, opt)
-		if err != nil {
-			t.Fatalf("left=%d: re-solve: %v", left, err)
-		}
-		allocationsEqual(t, want, got)
-		if fmt.Sprint(gotStats.Theta) != fmt.Sprint(wantStats.Theta) {
-			t.Fatalf("left=%d: θ %v after a canceled solve, %v cold", left, gotStats.Theta, wantStats.Theta)
+		for _, left := range []int64{3, 120, 400, 750} {
+			name := fmt.Sprintf("shards=%d left=%d", shards, left)
+			eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: 4, SampleBatch: 64, Shards: shards})
+			ctx := &countdownCtx{Context: context.Background()}
+			ctx.left.Store(left)
+			_, stats, err := eng.Solve(ctx, p, big)
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("%s: err = %v, want ErrCanceled", name, err)
+			}
+			if stats.TotalRRSets >= refs[1].stats.TotalRRSets {
+				t.Fatalf("%s: canceled solve drew %d sets, the full solve %d", name, stats.TotalRRSets, refs[1].stats.TotalRRSets)
+			}
+			for i, opt := range []Options{small, big} {
+				got, gotStats, err := eng.Solve(context.Background(), p, opt)
+				if err != nil {
+					t.Fatalf("%s: solve %d: %v", name, i, err)
+				}
+				allocationsEqual(t, refs[i].alloc, got)
+				if fmt.Sprint(gotStats.Theta) != fmt.Sprint(refs[i].stats.Theta) {
+					t.Fatalf("%s: solve %d: θ %v after a canceled solve, %v cold", name, i, gotStats.Theta, refs[i].stats.Theta)
+				}
+			}
 		}
 	}
 }

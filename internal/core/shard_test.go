@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/shard"
 )
 
 // TestShardsOneBitIdentical is the shard layer's compatibility golden:
@@ -208,4 +210,46 @@ func TestShardsApplyDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocationsEqual(t, a1, a2)
+}
+
+// A canceled growth can leave a group's shards holding uneven prefixes,
+// with the group's total at or above a later session's virtual size
+// while a shard lacks its share of it. growUniverse must still bring
+// every shard to its share. The uneven group is built directly: extra
+// sets go into shard 0 from a stream of its seed, and Restream resumes
+// every shard where its universe ends.
+func TestGrowUniverseFillsUnevenShards(t *testing.T) {
+	p := smallWCProblem(1, 37)
+	sn := newSnapshot(p.Graph, p.Model, EngineOptions{Shards: 3}.withDefaults())
+	probs := sn.edgeProbsFor(p.Ads[0].Gamma).sampling
+	const seed, base, vsize = 5, 300, 330
+	g := shard.NewGroup(p.Graph.NumNodes(), sn.pools, probs, seed)
+	if err := g.Grow(context.Background(), base); err != nil {
+		t.Fatal(err)
+	}
+	u0 := g.Universe(0)
+	u0.AddFromParallel(sn.pools[0].NewStreamAt(probs, shard.StreamSeed(seed, 0), u0.Size()), 40)
+	g.Restream(sn.pools, probs, seed)
+	if g.Size() < vsize || g.Universe(1).Size() >= shard.CountFor(vsize, 1, 3) {
+		t.Fatalf("setup: shard sizes %d/%d/%d do not make the uneven case", u0.Size(), g.Universe(1).Size(), g.Universe(2).Size())
+	}
+	s := &solver{ctx: context.Background()}
+	if err := s.growUniverse(&adGroup{shg: g, vsize: vsize}); err != nil {
+		t.Fatal(err)
+	}
+	cold := shard.NewGroup(p.Graph.NumNodes(), sn.pools, probs, seed)
+	if err := cold.Grow(context.Background(), vsize); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		u, c := g.Universe(i), cold.Universe(i)
+		if u.Size() < c.Size() {
+			t.Fatalf("shard %d holds %d sets, its share of %d is %d", i, u.Size(), vsize, c.Size())
+		}
+		for id := int32(0); int(id) < c.Size(); id++ {
+			if !slices.Equal(u.Set(id), c.Set(id)) {
+				t.Fatalf("shard %d set %d: %v, cold %v", i, id, u.Set(id), c.Set(id))
+			}
+		}
+	}
 }

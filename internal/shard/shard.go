@@ -104,9 +104,10 @@ func (g *Group) Size() int {
 // Grow extends the group to total global draws, sampling every shard's
 // share concurrently (one goroutine per shard that has work; each
 // shard's pool bounds its internal sampling parallelism). Growth is
-// append-only: a total at or below Size() is a no-op. A canceled Grow
-// leaves every shard an exact prefix of its stream, so a later Grow
-// continues the uncanceled sample.
+// append-only: a shard already holding its share of total is left
+// alone. A canceled Grow leaves every shard an exact prefix of its
+// stream, possibly of uneven lengths, and a later Grow continues the
+// uncanceled sample.
 func (g *Group) Grow(ctx context.Context, total int) error {
 	s := len(g.universes)
 	if s == 1 {
