@@ -36,9 +36,9 @@ func KptEstimateParallel(src *Stream, m, n int64, size int, ell float64) float64
 // KptEstimateParallelCtx is KptEstimate drawing its geometric batches
 // from a stream. The κ(R) terms are accumulated in the stream's slot
 // order, so the estimate is a pure function of the stream's seed and
-// start slot. A canceled context aborts the
-// estimation loop at the next batch boundary and returns the context's
-// error (the partial estimate is meaningless and discarded).
+// start slot. A canceled context aborts the estimation loop at the next
+// batch boundary and returns the context's error (the partial estimate
+// is meaningless and discarded).
 func KptEstimateParallelCtx(ctx context.Context, src *Stream, m, n int64, size int, ell float64) (float64, error) {
 	return kptEstimate(func(count int, yield func(width int64)) error {
 		return src.SampleNCtx(ctx, count, func(_ []int32, width int64) { yield(width) })
