@@ -438,7 +438,9 @@ func BenchmarkCascadeSimulation(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineTICSRM(b *testing.B) {
+// engineBenchProblem is the 4-ad TI-CSRM instance of the engine
+// benchmarks, and engineBenchSolve one exclusive solve of it at a seed.
+func engineBenchProblem() *core.Problem {
 	rng := xrand.New(4)
 	g := gen.RMAT(2048, 16384, gen.DefaultRMAT, rng)
 	model := topic.NewWeightedCascade(g)
@@ -450,16 +452,39 @@ func BenchmarkEngineTICSRM(b *testing.B) {
 	for i := range incs {
 		incs[i] = incentive.Build(incentive.Linear, 0.2, sigma)
 	}
-	p := &core.Problem{Graph: g, Model: model, Ads: ads, Incentives: incs}
+	return &core.Problem{Graph: g, Model: model, Ads: ads, Incentives: incs}
+}
+
+func engineBenchSolve(b *testing.B, eng *core.Engine, p *core.Problem, seed uint64) {
+	if _, _, err := eng.Solve(context.Background(), p, core.Options{
+		Mode:    core.ModeCostSensitive,
+		Epsilon: 0.3, Seed: seed, MaxThetaPerAd: 20000,
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkEngineTICSRM solves on a fresh Engine every iteration.
+func BenchmarkEngineTICSRM(b *testing.B) {
+	p := engineBenchProblem()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := core.NewEngine(p.Graph, p.Model, core.EngineOptions{})
-		if _, _, err := eng.Solve(context.Background(), p, core.Options{
-			Mode:    core.ModeCostSensitive,
-			Epsilon: 0.3, Seed: uint64(i), MaxThetaPerAd: 20000,
-		}); err != nil {
-			b.Fatal(err)
-		}
+		engineBenchSolve(b, core.NewEngine(p.Graph, p.Model, core.EngineOptions{}), p, uint64(i))
+	}
+}
+
+// BenchmarkEngineWarmSolve solves on one long-lived Engine across
+// seeds, after one warm-up solve: each exclusive solve refills the
+// arenas the previous one released, so B/op is what a steady-state
+// solve allocates.
+func BenchmarkEngineWarmSolve(b *testing.B) {
+	p := engineBenchProblem()
+	eng := core.NewEngine(p.Graph, p.Model, core.EngineOptions{})
+	engineBenchSolve(b, eng, p, 1<<32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engineBenchSolve(b, eng, p, uint64(i))
 	}
 }
 

@@ -137,9 +137,11 @@ type Stats struct {
 	GrowthEvents int
 	PrunedPairs  int64
 	TotalRRSets  int64
-	// RRMemoryBytes is the final footprint of all RR-set stores (every
-	// group's shard universes plus the per-ad views). Cached groups are
-	// counted at their full (possibly pre-grown) size.
+	// RRMemoryBytes is the final footprint of all RR-set stores: the
+	// stored bytes of every group's shard universes (lengths, not
+	// capacities, so a recycled arena reports what a fresh one would)
+	// plus the per-ad views. Cached groups are counted at their full
+	// (possibly pre-grown) size.
 	RRMemoryBytes int64
 	// SamplerMemoryBytes is the high-water scratch footprint of the
 	// engine-wide sampling pools — Workers visited arrays per shard,
@@ -266,6 +268,23 @@ func (e *solver) canceled(err error) error {
 	return fmt.Errorf("core: %w: %w", ErrCanceled, err)
 }
 
+// recycleGroups hands the session's exclusive groups to its snapshot's
+// free list. It runs once Stats are taken, when no view, goroutine or
+// Stats field can touch them any more. Cached ShareSamples groups are
+// never recycled, and a session without exclusive groups leaves the
+// list alone.
+func (e *solver) recycleGroups() {
+	var free []*shard.Group
+	for _, g := range e.groups {
+		if g.sg == nil {
+			free = append(free, g.shg)
+		}
+	}
+	if len(free) > 0 {
+		e.eng.recycle(e.snap, free)
+	}
+}
+
 // releaseGroups unlocks the Engine cache entries held by this session.
 func (e *solver) releaseGroups() {
 	for _, sg := range e.locked {
@@ -329,7 +348,8 @@ func (e *solver) solve() (*Allocation, error) {
 		// shared mutable state, so it runs concurrently. RNG streams are
 		// pre-split in ad order, keeping runs deterministic regardless of
 		// goroutine scheduling. Each ad's sample is a private, uncached
-		// group: exclusive samples die with the session.
+		// group, built on the arenas of a group an earlier solve released
+		// when the snapshot has one (recycleGroups).
 		e.ads = make([]*adState, e.p.NumAds())
 		groups := make([]*adGroup, e.p.NumAds())
 		errs := make([]error, e.p.NumAds())
@@ -344,7 +364,7 @@ func (e *solver) solve() (*Allocation, error) {
 				defer wg.Done()
 				probs := e.snap.edgeProbsFor(e.p.Ads[i].Gamma).sampling
 				sSeed, kSeed := rngs[i].Uint64(), rngs[i].Uint64()
-				g := &adGroup{shg: shard.NewGroup(e.n, e.snap.pools, probs, sSeed)}
+				g := &adGroup{shg: e.snap.exclusiveGroup(probs, sSeed)}
 				groups[i] = g
 				if errs[i] = e.estimateKpt(g, probs, kSeed); errs[i] == nil {
 					e.ads[i], errs[i] = e.initAd(i, g)
@@ -405,7 +425,7 @@ func (e *solver) snapshotStats() {
 		}
 	}
 	for _, g := range e.groups {
-		e.stats.RRMemoryBytes += g.shg.MemoryFootprint()
+		e.stats.RRMemoryBytes += g.shg.StoredBytes()
 		// This session drew (or replayed) exactly its virtual sample
 		// size; a cached group's pre-grown tail is not this session's
 		// work. A canceled session can hold vsize > Size() — report only

@@ -210,6 +210,11 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 	// built on `old` still resolve through prev until the next swap.
 	e.prev.Store(old)
 	e.cur.Store(next)
+	// The old snapshot's recycled exclusive groups die with its service
+	// (see Engine.recycle).
+	old.mu.Lock()
+	old.free = nil
+	old.mu.Unlock()
 	e.mutations.Add(1)
 	e.rrSetsInvalid.Add(int64(res.InvalidatedSets))
 	e.rrSetsRepaired.Add(int64(res.RepairedSets))

@@ -118,7 +118,8 @@ type sharedGroup struct {
 
 // snapshot is one immutable graph generation plus every cache keyed by
 // it: the topic model, the sampling pools (whose scratch is sized by the
-// graph), memoized edge probabilities and the shared-universe cache.
+// graph), the free list of recycled exclusive groups, memoized edge
+// probabilities and the shared-universe cache.
 // Sessions pin a snapshot at entry and run on it to completion, so an
 // ApplyDelta swapping in a successor never perturbs in-flight work.
 type snapshot struct {
@@ -130,7 +131,14 @@ type snapshot struct {
 	// is lazily materialized, so idle pools cost little.
 	pools []*rrset.Pool
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// free holds the exclusive groups the most recently finished
+	// exclusive solve on this snapshot released, for the next one to
+	// reset and refill instead of growing fresh arenas from empty. It is
+	// replaced, never appended to, so it holds at most one solve's
+	// groups; it shares the snapshot's pools and node count and is
+	// emptied when the snapshot stops serving (ApplyDelta) or on Reset.
+	free      []*shard.Group
 	probs     map[string]adProbs
 	universes map[universeKey]*sharedGroup
 }
@@ -157,6 +165,37 @@ func newSnapshot(g *graph.Graph, model *topic.Model, opts EngineOptions) *snapsh
 		pools:     pools,
 		probs:     map[string]adProbs{},
 		universes: map[universeKey]*sharedGroup{},
+	}
+}
+
+// exclusiveGroup returns a session-private group for one exclusive ad:
+// a group from the free list reset onto probs and seed, or a new one
+// when the list is empty. Both sample exactly the same sets.
+func (sn *snapshot) exclusiveGroup(probs rrset.SampleProbs, seed uint64) *shard.Group {
+	sn.mu.Lock()
+	var g *shard.Group
+	if k := len(sn.free); k > 0 {
+		g, sn.free[k-1] = sn.free[k-1], nil
+		sn.free = sn.free[:k-1]
+	}
+	sn.mu.Unlock()
+	if g == nil {
+		return shard.NewGroup(sn.graph.NumNodes(), sn.pools, probs, seed)
+	}
+	g.Reset(sn.pools, probs, seed)
+	return g
+}
+
+// recycle makes a finished exclusive solve's groups the snapshot's free
+// list; whatever the list still held goes to the GC. A snapshot that no
+// longer serves keeps nothing: checking under sn.mu, against ApplyDelta
+// emptying the list under sn.mu after it publishes the successor, means
+// no recycle can outlive the swap.
+func (e *Engine) recycle(sn *snapshot, groups []*shard.Group) {
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	if e.cur.Load() == sn {
+		sn.free = groups
 	}
 }
 
@@ -199,7 +238,12 @@ func (sn *snapshot) edgeProbsFor(gamma topic.Distribution) adProbs {
 //     solves keyed on (normalized gammas, stream seed): a re-solve of the
 //     same instance — the replanning loop pattern — reuses the samples it
 //     already drew, growing them only when a session needs more. Prefix
-//     views keep cache hits bit-identical to a cold run.
+//     views keep cache hits bit-identical to a cold run;
+//   - exclusive RR samples are recycled: a finished solve's per-ad
+//     groups go on the snapshot's free list, and the next exclusive
+//     solve empties and refills their arenas instead of growing fresh
+//     ones (at most one solve's groups are kept; Reset and ApplyDelta
+//     drop them).
 //
 // The graph is mutable through ApplyDelta (mutate.go): each delta
 // compiles into a fresh immutable snapshot — graph, rebound topic
@@ -384,15 +428,17 @@ func (e *Engine) evictUniversesExcept(keep map[universeKey]bool) {
 	}
 }
 
-// Reset drops the current generation's memoized edge probabilities and
-// cached RR-set universes (sessions already holding a cache entry keep
-// it until they finish). The scratch pool is retained. Use it to bound
-// memory on an Engine that has served many distinct seeds or topic
-// mixes.
+// Reset drops the current generation's memoized edge probabilities,
+// cached RR-set universes and recycled exclusive groups (sessions
+// already holding a cache entry keep it until they finish, and a solve
+// in flight refills the free list when it ends). The scratch pool is
+// retained. Use it to bound memory on an Engine that has served many
+// distinct seeds or topic mixes.
 func (e *Engine) Reset() {
 	sn := e.cur.Load()
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
+	sn.free = nil
 	sn.probs = map[string]adProbs{}
 	sn.universes = map[universeKey]*sharedGroup{}
 }
@@ -514,6 +560,7 @@ func (e *Engine) Solve(ctx context.Context, p *Problem, opt Options) (*Allocatio
 	defer s.releaseGroups()
 	alloc, err := s.solve()
 	s.snapshotStats()
+	s.recycleGroups()
 	s.stats.Duration = time.Since(start)
 	e.rrSetsSampled.Add(s.stats.TotalRRSets)
 	if err != nil {

@@ -300,6 +300,7 @@ type ScalePoint struct {
 	Algorithm    Algorithm
 	H            int
 	Budget       float64
+	Revenue      float64 // MC-evaluated π(S⃗) of the run's allocation
 	Duration     time.Duration
 	MemBytes     int64 // RR-set store footprint (shard universes and views)
 	SamplerBytes int64 // shared sampling-pool scratch, O(workers·n)
@@ -414,7 +415,7 @@ func ScalabilityAdvertisers(ctx context.Context, dataset string, hs []int, budge
 			}
 			out = append(out, ScalePoint{
 				Dataset: dataset, Algorithm: alg, H: h, Budget: scaledBudget,
-				Duration: res.Duration, MemBytes: res.MemBytes,
+				Revenue: res.Revenue, Duration: res.Duration, MemBytes: res.MemBytes,
 				SamplerBytes: res.SamplerBytes, Seeds: res.Seeds,
 				RRSets: res.RRSets, Workers: res.SampleWorkers,
 				Shards: res.Shards,
@@ -457,7 +458,7 @@ func ScalabilityBudget(ctx context.Context, dataset string, budgets []float64, p
 			}
 			out = append(out, ScalePoint{
 				Dataset: dataset, Algorithm: alg, H: h, Budget: scaled,
-				Duration: res.Duration, MemBytes: res.MemBytes,
+				Revenue: res.Revenue, Duration: res.Duration, MemBytes: res.MemBytes,
 				SamplerBytes: res.SamplerBytes, Seeds: res.Seeds,
 				RRSets: res.RRSets, Workers: res.SampleWorkers,
 				Shards: res.Shards,
@@ -504,7 +505,7 @@ func ShardScaling(ctx context.Context, dataset string, budget float64, shardCoun
 		}
 		out = append(out, ScalePoint{
 			Dataset: dataset, Algorithm: AlgTICSRM, H: h, Budget: scaled,
-			Duration: res.Duration, MemBytes: res.MemBytes,
+			Revenue: res.Revenue, Duration: res.Duration, MemBytes: res.MemBytes,
 			SamplerBytes: res.SamplerBytes, Seeds: res.Seeds,
 			RRSets: res.RRSets, Workers: res.SampleWorkers,
 			Shards: res.Shards,

@@ -227,6 +227,20 @@ func TestScalabilityBudget(t *testing.T) {
 	}
 }
 
+// A scalability run's BenchRun carries the MC-evaluated revenue of its
+// allocation, as rmbench -json writes it for fig5a–d and table3.
+func TestScalabilityBenchRunRevenue(t *testing.T) {
+	points, err := ScalabilityBudget(context.Background(), "dblp", []float64{5_000}, tinyParams(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range points {
+		if run := BenchRunOfScale(pt); run.Revenue <= 0 {
+			t.Errorf("%s budget=%v: BenchRun revenue %v, want > 0", run.Algorithm, run.Budget, run.Revenue)
+		}
+	}
+}
+
 func TestAlphaGridRanges(t *testing.T) {
 	cases := []struct {
 		ds       string

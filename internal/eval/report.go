@@ -143,14 +143,16 @@ func BenchRunOf(res RunResult) BenchRun {
 	}
 }
 
-// BenchRunOfScale converts a scalability-sweep measurement (no
-// MC-evaluated revenue: Figure 5 reports runtime and memory only).
+// BenchRunOfScale converts a scalability-sweep measurement. Figure 5's
+// tables report runtime and memory only; the run still carries the
+// MC-evaluated revenue of its allocation.
 func BenchRunOfScale(pt ScalePoint) BenchRun {
 	return BenchRun{
 		Dataset:            pt.Dataset,
 		Algorithm:          pt.Algorithm.String(),
 		H:                  pt.H,
 		Budget:             pt.Budget,
+		Revenue:            pt.Revenue,
 		Seeds:              pt.Seeds,
 		WallSeconds:        pt.Duration.Seconds(),
 		RRSets:             pt.RRSets,

@@ -48,5 +48,10 @@ func (b *bitset) clear() {
 	}
 }
 
+// reset empties the bitset, keeping its capacity.
+func (b *bitset) reset() {
+	b.words, b.n = b.words[:0], 0
+}
+
 // bytes reports the bitset's heap footprint.
 func (b *bitset) bytes() int64 { return int64(cap(b.words)) * 8 }

@@ -27,12 +27,6 @@ func (u *Universe) AddFromParallelCtx(ctx context.Context, src *Stream, count in
 	return src.SampleNCtx(ctx, count, func(nodes []int32, _ int64) { u.Add(nodes) })
 }
 
-// KptEstimateParallel is KptEstimateParallelCtx without cancellation.
-func KptEstimateParallel(src *Stream, m, n int64, size int, ell float64) float64 {
-	kpt, _ := KptEstimateParallelCtx(context.Background(), src, m, n, size, ell)
-	return kpt
-}
-
 // KptEstimateParallelCtx is KptEstimate drawing its geometric batches
 // from a stream. The κ(R) terms are accumulated in the stream's slot
 // order, so the estimate is a pure function of the stream's seed and

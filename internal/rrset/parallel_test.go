@@ -1,6 +1,7 @@
 package rrset
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -90,7 +91,7 @@ func TestParallelSingleWorkerBitIdentical(t *testing.T) {
 	}
 }
 
-// KptEstimateParallel at every Workers and BatchSize equals KptEstimation
+// KptEstimateParallelCtx at every Workers and BatchSize equals KptEstimation
 // over RebuildUniverse's set widths, exactly.
 func TestKptEstimateParallelSingleWorkerMatches(t *testing.T) {
 	g := newTestGraph(xrand.New(42))
@@ -99,7 +100,7 @@ func TestKptEstimateParallelSingleWorkerMatches(t *testing.T) {
 	for _, size := range []int{1, 5} {
 		want := rebuildKpt(NewPool(g, PoolOptions{Workers: 1}), probs, seed, 0, size)
 		for _, po := range streamConfigs {
-			got := KptEstimateParallel(NewPool(g, po).NewStream(probs, seed),
+			got, _ := KptEstimateParallelCtx(context.Background(), NewPool(g, po).NewStream(probs, seed),
 				g.NumEdges(), int64(g.NumNodes()), size, 1)
 			if got != want {
 				t.Errorf("size=%d %+v: KPT %v, rebuild reference %v", size, po, got, want)
@@ -132,10 +133,11 @@ func TestParallelDeterministic(t *testing.T) {
 	universesEqual(t, build(), build())
 
 	kpt := func() float64 {
-		return KptEstimateParallel(stream(), g.NumEdges(), int64(g.NumNodes()), 3, 1)
+		kpt, _ := KptEstimateParallelCtx(context.Background(), stream(), g.NumEdges(), int64(g.NumNodes()), 3, 1)
+		return kpt
 	}
 	if a, b := kpt(), kpt(); a != b {
-		t.Errorf("KptEstimateParallel not deterministic: %v vs %v", a, b)
+		t.Errorf("KptEstimateParallelCtx not deterministic: %v vs %v", a, b)
 	}
 }
 

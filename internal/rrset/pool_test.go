@@ -1,6 +1,7 @@
 package rrset
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"sync"
@@ -129,7 +130,7 @@ func TestPoolInterleavedGrowthDeterministic(t *testing.T) {
 	universesEqual(t, refB, b)
 }
 
-// KptEstimateParallel through a shared pool equals the rebuild reference
+// KptEstimateParallelCtx through a shared pool equals the rebuild reference
 // at every Workers and BatchSize, and a second estimate on the same
 // stream — the engine's KPT refresh — continues from the slot the first
 // one stopped at.
@@ -141,12 +142,12 @@ func TestPoolKptEstimate(t *testing.T) {
 	first := rebuildKpt(one, probs, seed, 0, 2)
 	for _, po := range streamConfigs {
 		st := NewPool(g, po).NewStream(probs, seed)
-		if got := KptEstimateParallel(st, g.NumEdges(), int64(g.NumNodes()), 2, 1); got != first {
+		if got, _ := KptEstimateParallelCtx(context.Background(), st, g.NumEdges(), int64(g.NumNodes()), 2, 1); got != first {
 			t.Errorf("%+v: KPT %v, rebuild reference %v", po, got, first)
 		}
 		used := st.next
 		want := rebuildKpt(one, probs, seed, used, 4)
-		if got := KptEstimateParallel(st, g.NumEdges(), int64(g.NumNodes()), 4, 1); got != want {
+		if got, _ := KptEstimateParallelCtx(context.Background(), st, g.NumEdges(), int64(g.NumNodes()), 4, 1); got != want {
 			t.Errorf("%+v: refreshed KPT %v, rebuild reference from slot %d %v", po, got, used, want)
 		}
 	}

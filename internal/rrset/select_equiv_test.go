@@ -153,11 +153,7 @@ func TestWarmArenaSamplingAllocationFree(t *testing.T) {
 	// buffers reach their steady-state capacity here.
 	u.AddFromParallel(s, 3*count)
 	allocs := testing.AllocsPerRun(4, func() {
-		// Empty the universe in place, keeping every arena's capacity.
-		u.data = u.data[:0]
-		u.offsets = u.offsets[:1]
-		u.idx.reset()
-		u.stale = bitset{words: u.stale.words[:0]}
+		u.Reset()
 		u.AddFromParallel(s, count)
 	})
 	if allocs != 0 {

@@ -1,6 +1,7 @@
 package rrset
 
 import (
+	"context"
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
@@ -67,8 +68,12 @@ func TestStreamGolden(t *testing.T) {
 		}
 		gotStream := h.Sum64()
 
-		gotKpt := math.Float64bits(KptEstimateParallel(pool.NewStream(probs, 78),
-			g.NumEdges(), int64(g.NumNodes()), 3, 1))
+		est, err := KptEstimateParallelCtx(context.Background(), pool.NewStream(probs, 78),
+			g.NumEdges(), int64(g.NumNodes()), 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotKpt := math.Float64bits(est)
 
 		u := NewUniverse(g.NumNodes())
 		u.AddFromParallel(pool.NewStream(probs, 79), 3000)

@@ -72,6 +72,18 @@ func (u *Universe) Add(set []int32) {
 	}
 }
 
+// Reset empties the universe in place: every arena (set data, offsets,
+// index blocks, staleness bitset, repair spares) keeps its capacity, so
+// refilling it to its earlier size allocates nothing. The engine
+// recycles the universes of finished exclusive solves through it.
+func (u *Universe) Reset() {
+	u.data = u.data[:0]
+	u.offsets = u.offsets[:1] // offsets[0] is always 0
+	u.idx.reset()
+	u.stale.reset()
+	u.nStale = 0
+}
+
 // AddFrom samples count RR sets into the universe through a reused
 // scratch buffer (no per-set allocation).
 func (u *Universe) AddFrom(s *Sampler, count int) {
@@ -103,6 +115,17 @@ func (u *Universe) Set(id int32) []int32 {
 func (u *Universe) MemoryFootprint() int64 {
 	return int64(cap(u.data)+cap(u.spareData))*4 + int64(cap(u.offsets)+cap(u.spareOffsets))*4 +
 		u.idx.bytes() + u.stale.bytes()
+}
+
+// StoredBytes returns the bytes the stored sample occupies: the lengths
+// of the arena, offsets, index and staleness bitset, not their
+// capacities. Unlike MemoryFootprint it is a function of the stored
+// sets alone, so a universe recycled from a larger sample reports what
+// a fresh one holding the same sets does.
+func (u *Universe) StoredBytes() int64 {
+	ix := &u.idx
+	return int64(len(u.data)+len(u.offsets)+len(ix.blocks)+len(ix.inline)+len(ix.more)+len(ix.deg))*4 +
+		int64(len(u.stale.words))*8
 }
 
 // Invalidate marks every stored set containing any of the touched nodes

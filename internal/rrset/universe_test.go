@@ -112,3 +112,35 @@ func TestViewSpreadEstimateViaSampler(t *testing.T) {
 		t.Errorf("top node differs between independent samples: %d vs %d", top[0], top[1])
 	}
 }
+
+// A universe emptied by Reset — after a larger fill, a stale mark and a
+// repair — and refilled from a stream equals a fresh universe filled
+// from the same stream: sets, every index chain, no stale marks and the
+// same StoredBytes, while it keeps the larger fill's capacity.
+func TestUniverseResetRefillsLikeFresh(t *testing.T) {
+	g := newTestGraph(xrand.New(61))
+	probs := NewSampleProbs(g, testProbs(g.NumEdges(), 0.1))
+	pool := NewPool(g, PoolOptions{Workers: 1})
+	u := NewUniverse(g.NumNodes())
+	u.AddFromParallel(pool.NewStream(probs, 3), 5000)
+	u.Invalidate([]int32{0, 7})
+	pool.RepairUniverse(u, probs, 3)
+	u.Invalidate([]int32{1})
+	held := u.MemoryFootprint()
+
+	u.Reset()
+	if u.Size() != 0 || u.StaleCount() != 0 || u.StoredBytes() != NewUniverse(g.NumNodes()).StoredBytes() {
+		t.Fatalf("reset universe: %d sets, %d stale, %d stored bytes", u.Size(), u.StaleCount(), u.StoredBytes())
+	}
+	fresh := NewUniverse(g.NumNodes())
+	fresh.AddFromParallel(pool.NewStream(probs, 4), 1200)
+	u.AddFromParallel(pool.NewStream(probs, 4), 1200)
+	universesEqual(t, fresh, u)
+	sameIndex(t, u, fresh)
+	if u.StaleCount() != 0 || u.StoredBytes() != fresh.StoredBytes() {
+		t.Fatalf("refilled: %d stale, %d stored bytes; fresh %d", u.StaleCount(), u.StoredBytes(), fresh.StoredBytes())
+	}
+	if got := u.MemoryFootprint(); got != held {
+		t.Fatalf("refill changed the held heap: %d bytes, %d before Reset", got, held)
+	}
+}

@@ -155,6 +155,18 @@ func (g *Group) Restream(pools []*rrset.Pool, probs rrset.SampleProbs, seed uint
 	}
 }
 
+// Reset empties every shard universe in place, keeping its arena
+// capacity (rrset.Universe.Reset), and restarts each shard's stream at
+// slot 0 on the given pools: the group then samples exactly what
+// NewGroup(n, pools, probs, seed) would, without regrowing its arenas
+// from empty. len(pools) must equal NumShards.
+func (g *Group) Reset(pools []*rrset.Pool, probs rrset.SampleProbs, seed uint64) {
+	for _, u := range g.universes {
+		u.Reset()
+	}
+	g.Restream(pools, probs, seed)
+}
+
 // NumSetsContaining sums the shards' inverted-index degrees of v — the
 // merged count MergedView's coverage queries are built on.
 func (g *Group) NumSetsContaining(v int32) int32 {
@@ -192,6 +204,17 @@ func (g *Group) StaleFraction() float64 {
 		return 0
 	}
 	return float64(g.StaleCount()) / float64(size)
+}
+
+// StoredBytes returns the summed stored-sample bytes of the shard
+// universes (rrset.Universe.StoredBytes): a function of the sample
+// alone, whatever capacity recycled arenas carry.
+func (g *Group) StoredBytes() int64 {
+	var total int64
+	for _, u := range g.universes {
+		total += u.StoredBytes()
+	}
+	return total
 }
 
 // MemoryFootprint returns the summed heap bytes of the shard universes.
