@@ -63,7 +63,6 @@ var (
 	snapFlag   = flag.String("snapshot", "", "register file-backed datasets as comma-separated name=path entries (snapshot or edge-list files)")
 	quiet      = flag.Bool("quiet", false, "suppress progress output")
 	workers    = flag.Int("workers", 1, "RR-sampling scratch slots shared by all ads per run (0 = all CPU cores; results do not depend on it)")
-	batch      = flag.Int("batch", 0, "per-worker RR sampling batch size (0 = default; sets only cancellation granularity)")
 	shardsFl   = flag.Int("shards", 0, "RR-shard count for every experiment engine (0 is read as 1)")
 	shardSweep = flag.String("shardsweep", "1,2,4", "shard counts for -experiment=shards")
 	timeout    = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); Ctrl-C also cancels gracefully")
@@ -110,7 +109,6 @@ func params() (eval.Params, error) {
 		SingletonRuns: *singleRuns,
 		AlphaPoints:   *alphaPts,
 		SampleWorkers: nw,
-		SampleBatch:   *batch,
 		Shards:        *shardsFl,
 	}, nil
 }

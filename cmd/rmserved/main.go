@@ -44,7 +44,6 @@ var (
 	defaultH   = flag.Int("h", 4, "default advertiser count for requests that omit h")
 	maxH       = flag.Int("maxh", 64, "maximum advertiser count a request may ask for")
 	workers    = flag.Int("workers", 1, "RR-sampling scratch slots per engine (results do not depend on it)")
-	batch      = flag.Int("batch", 0, "per-worker RR sampling batch size (0 = default; sets only cancellation granularity)")
 	shardsFl   = flag.Int("shards", 0, "RR-shard count per engine (0 is read as 1; >1 = parallel shards)")
 	snapFlag   = flag.String("snapshot", "", "serve a snapshot/edge-list file (registered under its path and appended to -datasets); snapshots load zero-copy via mmap")
 	maxConc    = flag.Int("max-concurrent", 0, "solve sessions running at once (0 = GOMAXPROCS)")
@@ -108,7 +107,6 @@ func run() error {
 		DefaultH:           *defaultH,
 		MaxH:               *maxH,
 		Workers:            *workers,
-		SampleBatch:        *batch,
 		Shards:             *shardsFl,
 		MaxConcurrent:      *maxConc,
 		MaxQueue:           *maxQueue,

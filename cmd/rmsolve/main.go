@@ -50,7 +50,6 @@ var (
 	outPath   = flag.String("out", "", "write the allocation as JSON to this file")
 	share     = flag.Bool("share", false, "share RR samples across ads with identical topics")
 	workers   = flag.Int("workers", 1, "RR-sampling scratch slots shared by all ads (0 = all CPU cores; results do not depend on it)")
-	batch     = flag.Int("batch", 0, "per-worker RR sampling batch size (0 = default; sets only cancellation granularity)")
 	shardsFl  = flag.Int("shards", 0, "RR-shard count (0 is read as 1; >1 = parallel shards)")
 	rssFlag   = flag.Bool("rss", false, "report the process peak RSS (VmHWM) after the solve")
 	timeout   = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit); Ctrl-C also cancels gracefully")
@@ -93,8 +92,7 @@ func run(ctx context.Context) error {
 		nw = runtime.NumCPU()
 	}
 	params := eval.Params{Scale: scale, Seed: *seed, H: *hFlag, Epsilon: *epsFlag,
-		Window: *window, MaxThetaPerAd: *maxTheta, SampleWorkers: nw, SampleBatch: *batch,
-		Shards: *shardsFl}
+		Window: *window, MaxThetaPerAd: *maxTheta, SampleWorkers: nw, Shards: *shardsFl}
 	name := *datasetFl
 	if *snapFlag != "" {
 		// Register the file under its own path so the workbench resolves
@@ -122,7 +120,7 @@ func run(ctx context.Context) error {
 	}
 
 	// One Engine per dataset/model: the workbench already constructed it
-	// with this run's -workers/-batch; every solve and evaluation below is
+	// with this run's -workers; every solve and evaluation below is
 	// a session on it. Algorithm dispatch is registry-driven: the mode's
 	// capability flags decide the auxiliary inputs, so this CLI never
 	// grows another switch when an algorithm lands.

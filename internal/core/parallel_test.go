@@ -53,7 +53,7 @@ func TestEngineWorkersOneIsDefault(t *testing.T) {
 // touches (exclusive and shared storage).
 func TestEngineParallelDeterministicAndFeasible(t *testing.T) {
 	p := smallWCProblem(4, 22)
-	eo := EngineOptions{Workers: 4, SampleBatch: 64}
+	eo := EngineOptions{Workers: 4}
 	for _, share := range []bool{false, true} {
 		opt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 11,
 			MaxThetaPerAd: 30000, ShareSamples: share}

@@ -31,10 +31,6 @@ type EngineOptions struct {
 	// repair-only scratch (8n bytes, also in Stats.SamplerMemoryBytes)
 	// per goroutine beyond them.
 	Workers int
-	// SampleBatch is the pool's per-worker batch size
-	// (0 = rrset.DefaultBatchSize). It sets only the granularity of
-	// context-cancellation checks inside sampling.
-	SampleBatch int
 	// Shards partitions every RR sample into this many independently
 	// sampled shards: global draw i lands in shard i mod Shards, each
 	// shard samples from its own deterministic stream
@@ -154,10 +150,7 @@ type adProbs struct {
 func newSnapshot(g *graph.Graph, model *topic.Model, opts EngineOptions) *snapshot {
 	pools := make([]*rrset.Pool, opts.Shards)
 	for i := range pools {
-		pools[i] = rrset.NewPool(g, rrset.PoolOptions{
-			Workers:   opts.Workers,
-			BatchSize: opts.SampleBatch,
-		})
+		pools[i] = rrset.NewPool(g, rrset.PoolOptions{Workers: opts.Workers})
 	}
 	return &snapshot{
 		graph:     g,
@@ -333,7 +326,7 @@ func (e *Engine) Counters() EngineCounters {
 }
 
 // NewEngine builds an Engine for the graph and topic model. The options'
-// Workers/SampleBatch size the sampling pools every solve served by this
+// Workers sizes the sampling pools every solve served by this
 // Engine shares; they change no answer.
 func NewEngine(g *graph.Graph, model *topic.Model, opts EngineOptions) *Engine {
 	opts = opts.withDefaults()
@@ -514,7 +507,7 @@ func (e *Engine) snapshotFor(p *Problem) (*snapshot, error) {
 // error, alongside Stats for the partial work), and audits the final
 // allocation (ErrInfeasible). Concurrent Solve calls on one Engine are
 // race-free; for a fixed Options.Seed the allocation is bit-identical
-// across runs and across Engines, at any Workers/SampleBatch.
+// across runs and across Engines, at any Workers.
 //
 // The session pins the snapshot its problem resolves to (Stats records
 // the generation) and completes on it even if ApplyDelta swaps in a new

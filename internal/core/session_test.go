@@ -608,7 +608,7 @@ func (c *countdownCtx) Err() error {
 // what uncanceled cold solves give: first one that needs a smaller
 // sample than the canceled one asked for, then the canceled solve
 // itself. With one shard the cancellation points fall in the KPT
-// estimate (3) and the initial sample (120, 400, 750). Three shards
+// estimate (3) and the initial sample (30, 100, 187). Three shards
 // sample concurrently, so a canceled growth can leave them uneven.
 func TestEngineCanceledGrowthResumesExactly(t *testing.T) {
 	p := smallWCProblem(3, 36)
@@ -629,9 +629,9 @@ func TestEngineCanceledGrowthResumesExactly(t *testing.T) {
 			}
 			refs[i] = ref{a, st}
 		}
-		for _, left := range []int64{3, 120, 400, 750} {
+		for _, left := range []int64{3, 30, 100, 187} {
 			name := fmt.Sprintf("shards=%d left=%d", shards, left)
-			eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: 4, SampleBatch: 64, Shards: shards})
+			eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: 4, Shards: shards})
 			ctx := &countdownCtx{Context: context.Background()}
 			ctx.left.Store(left)
 			_, stats, err := eng.Solve(ctx, p, big)

@@ -301,6 +301,7 @@ type ScalePoint struct {
 	H            int
 	Budget       float64
 	Revenue      float64 // MC-evaluated π(S⃗) of the run's allocation
+	SeedCost     float64 // Σᵢ cᵢ(Sᵢ), the allocation's incentive spend
 	Duration     time.Duration
 	MemBytes     int64 // RR-set store footprint (shard universes and views)
 	SamplerBytes int64 // shared sampling-pool scratch, O(workers·n)
@@ -338,7 +339,6 @@ func scalabilitySource(name string, params Params) (*scaleSrc, error) {
 		scale:         params.Scale,
 		seed:          params.Seed,
 		sampleWorkers: params.SampleWorkers,
-		sampleBatch:   params.SampleBatch,
 		shards:        params.Shards,
 	}
 	scaleSrcCache.Lock()
@@ -356,9 +356,8 @@ func scalabilitySource(name string, params Params) (*scaleSrc, error) {
 		s.model = topic.NewWeightedCascade(src.Dataset.Graph)
 	}
 	s.eng = core.NewEngine(s.ds.Graph, s.model, core.EngineOptions{
-		Workers:     params.SampleWorkers,
-		SampleBatch: params.SampleBatch,
-		Shards:      params.Shards,
+		Workers: params.SampleWorkers,
+		Shards:  params.Shards,
 	})
 	scaleSrcCache.m[key] = s
 	return s, nil
@@ -415,7 +414,7 @@ func ScalabilityAdvertisers(ctx context.Context, dataset string, hs []int, budge
 			}
 			out = append(out, ScalePoint{
 				Dataset: dataset, Algorithm: alg, H: h, Budget: scaledBudget,
-				Revenue: res.Revenue, Duration: res.Duration, MemBytes: res.MemBytes,
+				Revenue: res.Revenue, SeedCost: res.SeedCost, Duration: res.Duration, MemBytes: res.MemBytes,
 				SamplerBytes: res.SamplerBytes, Seeds: res.Seeds,
 				RRSets: res.RRSets, Workers: res.SampleWorkers,
 				Shards: res.Shards,
@@ -458,7 +457,7 @@ func ScalabilityBudget(ctx context.Context, dataset string, budgets []float64, p
 			}
 			out = append(out, ScalePoint{
 				Dataset: dataset, Algorithm: alg, H: h, Budget: scaled,
-				Revenue: res.Revenue, Duration: res.Duration, MemBytes: res.MemBytes,
+				Revenue: res.Revenue, SeedCost: res.SeedCost, Duration: res.Duration, MemBytes: res.MemBytes,
 				SamplerBytes: res.SamplerBytes, Seeds: res.Seeds,
 				RRSets: res.RRSets, Workers: res.SampleWorkers,
 				Shards: res.Shards,
@@ -505,7 +504,7 @@ func ShardScaling(ctx context.Context, dataset string, budget float64, shardCoun
 		}
 		out = append(out, ScalePoint{
 			Dataset: dataset, Algorithm: AlgTICSRM, H: h, Budget: scaled,
-			Revenue: res.Revenue, Duration: res.Duration, MemBytes: res.MemBytes,
+			Revenue: res.Revenue, SeedCost: res.SeedCost, Duration: res.Duration, MemBytes: res.MemBytes,
 			SamplerBytes: res.SamplerBytes, Seeds: res.Seeds,
 			RRSets: res.RRSets, Workers: res.SampleWorkers,
 			Shards: res.Shards,

@@ -140,9 +140,6 @@ type Params struct {
 	// of the shared scratch pool each run allocates (0 reads as 1). It
 	// changes no seed-pinned output, only how fast sampling runs.
 	SampleWorkers int
-	// SampleBatch is the sampling pool's per-worker batch size (0 =
-	// rrset.DefaultBatchSize): the granularity of cancellation checks.
-	SampleBatch int
 	// MaxStaleFraction is the engine's bounded-staleness knob for dynamic
 	// graphs: cached RR universes carried across a graph mutation are
 	// incrementally repaired only when their stale fraction exceeds this
@@ -211,7 +208,6 @@ type workbenchKey struct {
 	singletonRuns    int
 	workers          int
 	sampleWorkers    int
-	sampleBatch      int
 	maxStaleFraction float64
 	shards           int
 }
@@ -252,7 +248,6 @@ func NewWorkbench(name string, params Params) (*Workbench, error) {
 		singletonRuns:    params.SingletonRuns,
 		workers:          params.Workers,
 		sampleWorkers:    params.SampleWorkers,
-		sampleBatch:      params.SampleBatch,
 		maxStaleFraction: params.MaxStaleFraction,
 		shards:           params.Shards,
 	}
@@ -279,7 +274,6 @@ func buildWorkbench(name string, params Params) (*Workbench, error) {
 	w := &Workbench{Params: params, Dataset: ds, Model: src.Model}
 	w.eng = core.NewEngine(ds.Graph, w.Model, core.EngineOptions{
 		Workers:          params.SampleWorkers,
-		SampleBatch:      params.SampleBatch,
 		MaxStaleFraction: params.MaxStaleFraction,
 		Shards:           params.Shards,
 	})
@@ -471,7 +465,6 @@ func SolveAlgorithm(ctx context.Context, eng *core.Engine, p *core.Problem, alg 
 	if eng == nil {
 		eng = core.NewEngine(p.Graph, p.Model, core.EngineOptions{
 			Workers:          params.SampleWorkers,
-			SampleBatch:      params.SampleBatch,
 			MaxStaleFraction: params.MaxStaleFraction,
 			Shards:           params.Shards,
 		})
@@ -515,7 +508,6 @@ func RunAlgorithm(ctx context.Context, eng *core.Engine, p *core.Problem, alg Al
 	if eng == nil {
 		eng = core.NewEngine(p.Graph, p.Model, core.EngineOptions{
 			Workers:          params.SampleWorkers,
-			SampleBatch:      params.SampleBatch,
 			MaxStaleFraction: params.MaxStaleFraction,
 			Shards:           params.Shards,
 		})

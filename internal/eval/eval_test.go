@@ -227,16 +227,18 @@ func TestScalabilityBudget(t *testing.T) {
 	}
 }
 
-// A scalability run's BenchRun carries the MC-evaluated revenue of its
-// allocation, as rmbench -json writes it for fig5a–d and table3.
+// A scalability run's BenchRun carries the MC-evaluated revenue and the
+// seed cost of its allocation, as rmbench -json writes them for fig5a–d
+// and table3.
 func TestScalabilityBenchRunRevenue(t *testing.T) {
 	points, err := ScalabilityBudget(context.Background(), "dblp", []float64{5_000}, tinyParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pt := range points {
-		if run := BenchRunOfScale(pt); run.Revenue <= 0 {
-			t.Errorf("%s budget=%v: BenchRun revenue %v, want > 0", run.Algorithm, run.Budget, run.Revenue)
+		if run := BenchRunOfScale(pt); run.Revenue <= 0 || run.SeedCost <= 0 {
+			t.Errorf("%s budget=%v: BenchRun revenue %v, seed cost %v, want both > 0",
+				run.Algorithm, run.Budget, run.Revenue, run.SeedCost)
 		}
 	}
 }

@@ -145,7 +145,7 @@ func BenchRunOf(res RunResult) BenchRun {
 
 // BenchRunOfScale converts a scalability-sweep measurement. Figure 5's
 // tables report runtime and memory only; the run still carries the
-// MC-evaluated revenue of its allocation.
+// MC-evaluated revenue and the seed cost of its allocation.
 func BenchRunOfScale(pt ScalePoint) BenchRun {
 	return BenchRun{
 		Dataset:            pt.Dataset,
@@ -153,6 +153,7 @@ func BenchRunOfScale(pt ScalePoint) BenchRun {
 		H:                  pt.H,
 		Budget:             pt.Budget,
 		Revenue:            pt.Revenue,
+		SeedCost:           pt.SeedCost,
 		Seeds:              pt.Seeds,
 		WallSeconds:        pt.Duration.Seconds(),
 		RRSets:             pt.RRSets,

@@ -18,10 +18,10 @@ type SetIter struct {
 }
 
 // SetsContaining starts an iteration over the IDs of all stored sets
-// containing v. The iterator is invalidated by Repair, which lays the
-// whole index out afresh, but not by concurrent reads.
+// containing v. The iterator is invalidated by growth and Repair, which
+// lay segments out afresh, but not by concurrent reads.
 func (u *Universe) SetsContaining(v int32) SetIter {
-	return SetIter{it: u.idx.iter(v)}
+	return SetIter{it: u.index().iter(v)}
 }
 
 // Next returns the next set ID, or ok=false when exhausted.

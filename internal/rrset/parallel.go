@@ -12,19 +12,22 @@ import (
 const DefaultBatchSize = 256
 
 // AddFromParallel samples count RR sets from the stream into the
-// universe. Indexing (the copy into the arena tail plus inverted-index
-// updates) happens on the caller's goroutine while the pool's workers
-// keep sampling, so the universe needs no internal locking. On a
-// single-worker pool it is allocation-free once the arenas are warm.
+// universe. The copy into the arena tail happens on the caller's
+// goroutine while the pool's workers keep sampling, so the universe
+// needs no internal locking; the batch is then indexed as one segment
+// on up to the pool's Workers goroutines. On a single-worker pool it is
+// allocation-free once the arenas are warm.
 func (u *Universe) AddFromParallel(src *Stream, count int) {
-	src.SampleN(count, func(nodes []int32, _ int64) { u.Add(nodes) })
+	u.AddFromParallelCtx(context.Background(), src, count)
 }
 
 // AddFromParallelCtx is AddFromParallel with cooperative cancellation: on
 // a canceled context it stops after adding only a prefix of the requested
-// sets and returns the context's error.
+// sets, indexes that prefix and returns the context's error.
 func (u *Universe) AddFromParallelCtx(ctx context.Context, src *Stream, count int) error {
-	return src.SampleNCtx(ctx, count, func(nodes []int32, _ int64) { u.Add(nodes) })
+	err := src.SampleNCtx(ctx, count, func(nodes []int32, _ int64) { u.Add(nodes) })
+	u.idx.extend(u.data, u.offsets, src.pool.Workers())
+	return err
 }
 
 // KptEstimateParallelCtx is KptEstimate drawing its geometric batches

@@ -21,7 +21,8 @@ func slotSeed(seed uint64, k int) uint64 {
 }
 
 // repairChunkMembers is the fewest stored members per RepairUniverse
-// chunk: a universe below twice this repairs on the calling goroutine
+// chunk and per range of a growth step's index build: a universe (or a
+// segment) below twice this repairs (or builds) on the calling goroutine
 // alone. On a 2-core VM a two-way split gains nothing at 30k members
 // (BenchmarkDeltaRepair/repair-5pct) and 25% at 64k (a delta's repair
 // on the tiny dblp preset under weighted cascade).
@@ -35,15 +36,15 @@ const repairChunkMembers = 1 << 15
 // new graph. A delta touching few nodes resamples a few slots
 // instead of θ sets — the point of invalidation — and then pays one bulk
 // pass over the whole universe: run-wise arena recompaction plus a
-// counting-sort index rebuild (see Universe.Repair). Returns the number
+// counting-sort build of the index as one segment (see Universe.Repair). Returns the number
 // of slots resampled. The caller must hold whatever lock guards the
 // universe; no View may be attached (see Universe.Repair).
 //
-// The resampling and the index rebuild fan out over up to GOMAXPROCS
+// The resampling and the index build fan out over up to GOMAXPROCS
 // goroutines, one chunk of stale slots or of set IDs each, whatever the
 // pool's Workers: the goroutines borrow the pool's free scratch slots
 // first and repair-only extras beyond them (see borrowScratch). Every
-// slot's set depends only on its seed and the index rebuild lays out
+// slot's set depends only on its seed and the index build lays out
 // alike at any chunk count, so the result is byte-identical to a
 // sequential repair and to RebuildUniverse, at any GOMAXPROCS.
 func (p *Pool) RepairUniverse(u *Universe, probs SampleProbs, seedKey uint64) int {
@@ -118,5 +119,6 @@ func (p *Pool) RebuildUniverse(size int, probs SampleProbs, seedKey uint64) *Uni
 		buf, _ = sc.sampleInto(buf, p.g, probs.p, rng)
 		u.Add(buf)
 	}
+	u.index()
 	return u
 }

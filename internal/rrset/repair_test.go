@@ -521,20 +521,19 @@ func FuzzUniverseRepair(f *testing.F) {
 }
 
 // sameIndexBytes asserts that two indexes hold byte-identical arrays:
-// degrees, inline slots, the overflow-block arena and the tail pointers.
+// degrees, the ID array, and every segment's set-ID range and starts.
 func sameIndexBytes(t *testing.T, got, want *nodeIndex) {
 	t.Helper()
-	for _, a := range []struct {
-		name      string
-		got, want []int32
-	}{
-		{"deg", got.deg, want.deg},
-		{"inline", got.inline, want.inline},
-		{"blocks", got.blocks, want.blocks},
-		{"more", got.more, want.more},
-	} {
-		if !slices.Equal(a.got, a.want) {
-			t.Fatalf("index %s differs from the one-chunk rebuild", a.name)
+	if !slices.Equal(got.deg, want.deg) || !slices.Equal(got.ids, want.ids) {
+		t.Fatal("index deg or IDs differ from the one-chunk build")
+	}
+	if len(got.segs) != len(want.segs) {
+		t.Fatalf("index has %d segments, the one-chunk build %d", len(got.segs), len(want.segs))
+	}
+	for i, g := range got.segs {
+		w := want.segs[i]
+		if g.lo != w.lo || g.hi != w.hi || !slices.Equal(g.start, w.start) {
+			t.Fatalf("index segment %d differs from the one-chunk build", i)
 		}
 	}
 }
@@ -637,10 +636,11 @@ func TestRepairConcurrentOnOnePool(t *testing.T) {
 	}
 }
 
-// TestRebuildChunkCountIdentity drives the index rebuild alone over a
+// TestRebuildChunkCountIdentity drives the index build alone over a
 // hand-made arena with empty sets, a hub in every set and a run of sets
-// holding no overflow node, so member-balanced ranges come out empty or
-// split one node's chain several ways.
+// of low-degree nodes, so member-balanced ranges come out empty or split
+// one node's list several ways. The index is built as two segments, the
+// second starting mid-arena.
 func TestRebuildChunkCountIdentity(t *testing.T) {
 	const n = 9
 	var data []int32
@@ -655,16 +655,20 @@ func TestRebuildChunkCountIdentity(t *testing.T) {
 		}
 		offsets = append(offsets, uint32(len(data)))
 	}
+	const split = 17
+	sets := int32(len(offsets) - 1)
 	var one nodeIndex
 	one.init(n)
-	one.rebuild(data, offsets, 1)
+	one.build(data, offsets, 0, split, 1)
+	one.build(data, offsets, split, sets, 1)
 	for _, chunks := range repairChunkCounts {
 		var ix nodeIndex
 		ix.init(n)
-		ix.rebuild(data, offsets, chunks)
+		ix.build(data, offsets, 0, split, chunks)
+		ix.build(data, offsets, split, sets, chunks)
 		sameIndexBytes(t, &ix, &one)
 	}
-	// Every set ID must come back from its members' chains, ascending.
+	// Every set ID must come back from its members' ID lists, ascending.
 	for v := int32(0); v < n; v++ {
 		var got []int32
 		it := one.iter(v)
@@ -678,7 +682,7 @@ func TestRebuildChunkCountIdentity(t *testing.T) {
 			}
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("node %d chain %v, want %v", v, got, want)
+			t.Fatalf("node %d IDs %v, want %v", v, got, want)
 		}
 	}
 }

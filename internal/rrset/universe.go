@@ -27,11 +27,17 @@ var _ CoverageState = (*View)(nil)
 
 // Universe is an append-only store of RR sets with an inverted index,
 // shareable by multiple Views. Set IDs are assigned in insertion order,
-// so per-node index chains are ascending — Views exploit this to stop at
-// their synced prefix. Storage is a chunked flat arena: one []int32
-// member buffer, a []uint32 offset table and the block-chained inverted
-// index, so steady-state appends allocate nothing per set and
-// MemoryFootprint is O(1).
+// so every node's indexed IDs are ascending — Views exploit this to stop
+// at their synced prefix. Storage is a chunked flat arena: one []int32
+// member buffer, a []uint32 offset table and the segmented CSR inverted
+// index (nodeIndex), so steady-state appends allocate nothing per set.
+//
+// Appending and indexing are separate steps. Add only appends; batch
+// growth (AddFrom, AddFromParallel(Ctx)) ends by indexing the batch as
+// one segment, and any index read (SetsContaining, NumSetsContaining,
+// Invalidate, View.CoverBy, StoredBytes) first indexes sets that bare
+// Adds left behind. Growth on the engine's paths therefore always ends
+// indexed, and concurrent readers of a grown universe never build.
 type Universe struct {
 	n       int32
 	data    []int32
@@ -59,21 +65,25 @@ func NewUniverse(n int32) *Universe {
 	return u
 }
 
-// Add appends one RR set, copying it into the arena.
+// Add appends one RR set, copying it into the arena. The set is indexed
+// by the next batch end or index read.
 func (u *Universe) Add(set []int32) {
-	id := int32(len(u.offsets)) - 1
 	u.data = grow(u.data, len(set))
 	u.data = append(u.data, set...)
 	u.offsets = grow(u.offsets, 1)
 	u.offsets = append(u.offsets, uint32(len(u.data)))
 	u.stale.appendZero()
-	for _, v := range set {
-		u.idx.push(v, id)
-	}
+}
+
+// index brings the inverted index up to the last stored set on the
+// calling goroutine and returns it.
+func (u *Universe) index() *nodeIndex {
+	u.idx.extend(u.data, u.offsets, 1)
+	return &u.idx
 }
 
 // Reset empties the universe in place: every arena (set data, offsets,
-// index blocks, staleness bitset, repair spares) keeps its capacity, so
+// index segments, staleness bitset, repair spares) keeps its capacity, so
 // refilling it to its earlier size allocates nothing. The engine
 // recycles the universes of finished exclusive solves through it.
 func (u *Universe) Reset() {
@@ -93,6 +103,7 @@ func (u *Universe) AddFrom(s *Sampler, count int) {
 		_ = w
 		u.Add(s.buf)
 	}
+	u.index()
 }
 
 // Size returns the number of stored sets.
@@ -101,7 +112,7 @@ func (u *Universe) Size() int { return len(u.offsets) - 1 }
 // NumSetsContaining returns how many stored sets contain v — the
 // inverted-index degree of the node, and the per-node cost bound of
 // Invalidate.
-func (u *Universe) NumSetsContaining(v int32) int32 { return u.idx.deg[v] }
+func (u *Universe) NumSetsContaining(v int32) int32 { return u.index().deg[v] }
 
 // Set returns the member nodes of set id. The slice aliases the arena;
 // treat it as a read-only transient.
@@ -111,7 +122,7 @@ func (u *Universe) Set(id int32) []int32 {
 
 // MemoryFootprint returns the universe's heap bytes (arena, offsets,
 // index, staleness bitset, and the spare arena and offsets a Repair
-// left behind) in O(1).
+// left behind) in O(index segments).
 func (u *Universe) MemoryFootprint() int64 {
 	return int64(cap(u.data)+cap(u.spareData))*4 + int64(cap(u.offsets)+cap(u.spareOffsets))*4 +
 		u.idx.bytes() + u.stale.bytes()
@@ -123,9 +134,7 @@ func (u *Universe) MemoryFootprint() int64 {
 // sets alone, so a universe recycled from a larger sample reports what
 // a fresh one holding the same sets does.
 func (u *Universe) StoredBytes() int64 {
-	ix := &u.idx
-	return int64(len(u.data)+len(u.offsets)+len(ix.blocks)+len(ix.inline)+len(ix.more)+len(ix.deg))*4 +
-		int64(len(u.stale.words))*8
+	return int64(len(u.data)+len(u.offsets))*4 + u.index().storedBytes() + int64(len(u.stale.words))*8
 }
 
 // Invalidate marks every stored set containing any of the touched nodes
@@ -139,11 +148,12 @@ func (u *Universe) StoredBytes() int64 {
 // accumulates across successive deltas until Repair runs.
 func (u *Universe) Invalidate(touched []int32) int {
 	newly := 0
+	ix := u.index()
 	for _, v := range touched {
 		if v < 0 || v >= u.n {
 			continue
 		}
-		it := u.idx.iter(v)
+		it := ix.iter(v)
 		for id, ok := it.next(); ok; id, ok = it.next() {
 			if !u.stale.get(id) {
 				u.stale.set(id)
@@ -192,11 +202,12 @@ func (u *Universe) StaleFraction() float64 {
 // Besides the resampling, the cost is one bulk pass over the whole
 // universe, whatever the stale fraction: each maximal run of fresh sets
 // is copied with one append and its offsets shifted by one constant,
-// and the index is rebuilt by a counting sort (nodeIndex.rebuild) —
-// a touched hub appears in sets all over the arena, so patching single
-// chains would not touch less of the index. The recompaction writes
-// into the arena and offset table the previous Repair displaced, so a
-// repeated repair at one shape allocates no new arena.
+// and the index is rebuilt as one segment by a counting sort
+// (nodeIndex.build) — a touched hub appears in sets all over the arena,
+// so patching single nodes' lists would not touch less of the index.
+// The recompaction writes into the arena and offset table the previous
+// Repair displaced, so a repeated repair at one shape allocates no new
+// arena.
 //
 // Repair invalidates every View over this universe — their coverage
 // counts reference the pre-repair contents. The engine only repairs
@@ -206,7 +217,7 @@ func (u *Universe) Repair(sample func(slot int32, dst []int32) []int32) int {
 	return u.repair(sample, 1)
 }
 
-// repair is Repair with the index rebuild split over chunks set ranges.
+// repair is Repair with the index build split over chunks set ranges.
 func (u *Universe) repair(sample func(slot int32, dst []int32) []int32, chunks int) int {
 	if u.nStale == 0 {
 		return 0
@@ -242,7 +253,8 @@ func (u *Universe) repair(sample func(slot int32, dst []int32) []int32, chunks i
 	}
 	u.data, u.spareData = newData, u.data
 	u.offsets, u.spareOffsets = newOffsets, u.offsets
-	u.idx.rebuild(u.data, u.offsets, chunks)
+	u.idx.reset()
+	u.idx.build(u.data, u.offsets, 0, size, chunks)
 	u.stale.clear()
 	u.nStale = 0
 	return repaired
@@ -313,7 +325,7 @@ func (v *View) CovCount(node int32) int32 { return v.bq.count[node] }
 // CoverBy implements CoverageState. Allocation-free.
 func (v *View) CoverBy(node int32) int {
 	newly := 0
-	it := v.u.idx.iter(node)
+	it := v.u.index().iter(node)
 	for id, ok := it.next(); ok; id, ok = it.next() {
 		if int(id) >= v.synced {
 			break // ascending IDs: the rest are beyond this view's prefix

@@ -1,6 +1,11 @@
 package rrset
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"math/bits"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -142,5 +147,98 @@ func TestUniverseResetRefillsLikeFresh(t *testing.T) {
 	}
 	if got := u.MemoryFootprint(); got != held {
 		t.Fatalf("refill changed the held heap: %d bytes, %d before Reset", got, held)
+	}
+}
+
+// countdownCtx is a context that reports cancellation from its left+1-th
+// Err call on, so a sampling call stops partway through.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int32
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSegmentedGrowthMatchesRebuild grows a universe through a random
+// sequence of AddFromParallelCtx calls, one canceled partway and one
+// RepairUniverse on changed arc probabilities in between. After every
+// call the index must agree with a membership scan and hold at most
+// ⌊log₂ Size⌋+1 segments; after the canceled call, after the repair and
+// at the end, set bytes and index must equal a cold RebuildUniverse.
+// The last call is large enough that a three-worker pool builds its
+// segment over several ranges.
+func TestSegmentedGrowthMatchesRebuild(t *testing.T) {
+	g := newTestGraph(xrand.New(71))
+	probs := testProbs(g.NumEdges(), 0.2)
+	const seed = 5
+	for _, workers := range []int{1, 3} {
+		rng := xrand.New(72)
+		sp := NewSampleProbs(g, probs)
+		pool := NewPool(g, PoolOptions{Workers: workers, BatchSize: 16})
+		s := pool.NewStream(sp, seed)
+		u := NewUniverse(g.NumNodes())
+		matchesRebuild := func(label string) {
+			t.Helper()
+			ref := pool.RebuildUniverse(u.Size(), sp, seed)
+			if !bytes.Equal(universeBytes(t, u), universeBytes(t, ref)) {
+				t.Fatalf("workers=%d, %s: sets differ from a cold rebuild", workers, label)
+			}
+			sameIndex(t, u, ref)
+		}
+		const steps = 40
+		most := 0 // the most segments seen at once
+		for step := range steps {
+			count := 1 + rng.Intn(1<<rng.Intn(12))
+			ctx := context.Background()
+			if step == steps-1 {
+				count = 40000
+			}
+			if step == 6 {
+				cd := &countdownCtx{Context: ctx}
+				cd.left.Store(3)
+				ctx, count = cd, 1000
+			}
+			before := u.Size()
+			err := u.AddFromParallelCtx(ctx, s, count)
+			if step == 6 {
+				if !errors.Is(err, context.Canceled) || u.Size() >= before+count {
+					t.Fatalf("workers=%d: canceled call returned %v after %d of %d sets", workers, err, u.Size()-before, count)
+				}
+				matchesRebuild("canceled call")
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if step == 10 {
+				moved := append([]float32(nil), probs...)
+				touched := []int32{0, 3, 77}
+				for _, v := range touched {
+					for _, e := range g.InEdgeIDs(v) {
+						moved[e] = 0.4
+					}
+				}
+				sp = NewSampleProbs(g, moved)
+				u.Invalidate(touched)
+				pool.RepairUniverse(u, sp, seed)
+				if len(u.idx.segs) != 1 {
+					t.Fatalf("workers=%d: %d segments after a repair, want 1", workers, len(u.idx.segs))
+				}
+				matchesRebuild("repair")
+				s = pool.NewStreamAt(sp, seed, u.Size())
+			}
+			checkIndexConsistent(t, u)
+			most = max(most, len(u.idx.segs))
+			if got, bound := len(u.idx.segs), bits.Len(uint(u.Size())); got > bound {
+				t.Fatalf("workers=%d, step %d: %d segments over %d sets, want at most %d", workers, step, got, u.Size(), bound)
+			}
+		}
+		matchesRebuild("end")
+		if most < 3 {
+			t.Fatalf("workers=%d: at most %d segments at once; the sequence exercises no multi-segment index", workers, most)
+		}
 	}
 }

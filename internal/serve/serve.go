@@ -72,11 +72,9 @@ type Config struct {
 	// (default 4); MaxH caps it (default 64).
 	DefaultH int
 	MaxH     int
-	// Workers / SampleBatch configure every engine's sampling pool
-	// (EngineOptions). They change no answer, so the result cache does
-	// not key on them.
-	Workers     int
-	SampleBatch int
+	// Workers sizes every engine's sampling pool (EngineOptions). It
+	// changes no answer, so the result cache does not key on it.
+	Workers int
 	// Shards is every engine's RR-shard count (core.EngineOptions.Shards):
 	// 0 is read as 1, the single-shard layout; >1 samples shards in
 	// parallel. Part of the engines' determinism key, fixed per server.
@@ -314,7 +312,6 @@ func (s *Server) workbench(name string, h int) (*eval.Workbench, error) {
 		H:                h,
 		SingletonRuns:    s.cfg.SingletonRuns,
 		SampleWorkers:    s.cfg.Workers,
-		SampleBatch:      s.cfg.SampleBatch,
 		MaxStaleFraction: s.cfg.MaxStaleFraction,
 		Shards:           s.cfg.Shards,
 	})

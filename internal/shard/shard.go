@@ -110,14 +110,6 @@ func (g *Group) Size() int {
 // uncanceled sample.
 func (g *Group) Grow(ctx context.Context, total int) error {
 	s := len(g.universes)
-	if s == 1 {
-		// Degenerate group: sample inline, exactly like the unsharded path.
-		delta := CountFor(total, 0, 1) - g.universes[0].Size()
-		if delta <= 0 {
-			return nil
-		}
-		return g.universes[0].AddFromParallelCtx(ctx, g.streams[0], delta)
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, s)
 	for i := 0; i < s; i++ {
