@@ -265,86 +265,6 @@ func BenchmarkParallelCoverageFill(b *testing.B) {
 	}
 }
 
-// linearMaxCov re-runs the pre-refactor O(n) selection scan over the
-// public CovCount API — the comparison reference for BenchmarkMaxCovSelect.
-func linearMaxCov(c *rrset.View, n int32) (int32, int32) {
-	best, bestCnt := int32(-1), int32(0)
-	for v := int32(0); v < n; v++ {
-		if c.CovCount(v) > bestCnt {
-			bestCnt = c.CovCount(v)
-			best = v
-		} else if best < 0 {
-			best = v
-		}
-	}
-	return best, bestCnt
-}
-
-// BenchmarkMaxCovSelect pins the tentpole speedup of the indexed
-// bucket-queue selector on a selection-dominated workload (n = 100k
-// nodes, θ = 200k RR sets): the query/* pair measures one MaxCovCount
-// answer — the operation a greedy max-coverage loop issues once per
-// pick — on an rrset.View's bucket queue versus the pre-refactor O(n)
-// scan. (The engine asks it only once per growth event, so its shard
-// views keep plain counts and scan.) The greedy/* pair runs k full picks
-// including the (shared) CoverBy coverage updates. Both arms are pinned
-// to identical answers by the equivalence suite in
-// internal/rrset/select_equiv_test.go; the fresh View each iteration
-// starts from is built off the clock.
-func BenchmarkMaxCovSelect(b *testing.B) {
-	rng := xrand.New(11)
-	g := gen.RMAT(100_000, 500_000, gen.DefaultRMAT, rng)
-	model := topic.NewWeightedCascade(g)
-	probs := model.EdgeProbs(topic.Distribution{1})
-	pool := rrset.NewPool(g, rrset.PoolOptions{Workers: 1})
-	u := rrset.NewUniverse(g.NumNodes())
-	u.AddFromParallel(pool.NewStream(rrset.NewSampleProbs(g, probs), 5), 200_000)
-	c := rrset.NewView(u)
-	c.CoverBy(0) // a realistic mid-selection state: some coverage spent
-	var sinkNode, sinkCnt int32
-	b.Run("query/indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sinkNode, sinkCnt = c.MaxCovCount(nil)
-		}
-	})
-	b.Run("query/linear-reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sinkNode, sinkCnt = linearMaxCov(c, g.NumNodes())
-		}
-	})
-	_, _ = sinkNode, sinkCnt
-	c = rrset.NewView(u)
-	const k = 64
-	b.Run("greedy/indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < k; j++ {
-				v, cnt := c.MaxCovCount(nil)
-				if v < 0 || cnt == 0 {
-					break
-				}
-				c.CoverBy(v)
-			}
-			b.StopTimer()
-			c = rrset.NewView(u)
-			b.StartTimer()
-		}
-	})
-	b.Run("greedy/linear-reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < k; j++ {
-				best, bestCnt := linearMaxCov(c, g.NumNodes())
-				if best < 0 || bestCnt == 0 {
-					break
-				}
-				c.CoverBy(best)
-			}
-			b.StopTimer()
-			c = rrset.NewView(u)
-			b.StartTimer()
-		}
-	})
-}
-
 // BenchmarkArenaSampling pins the arena layout's memory win: filling a
 // coverage store with θ RR sets — an arena-backed Universe plus one View
 // over it — versus the pre-refactor layout (one heap slice per set plus

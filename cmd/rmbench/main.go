@@ -43,7 +43,7 @@ import (
 )
 
 var (
-	experiment = flag.String("experiment", "all", "experiment IDs (comma separated): table1|table2|table3|fig1|fig2|fig3|fig4|fig5a|fig5b|fig5c|fig5d|shards|frontier|all")
+	experiment = flag.String("experiment", "all", "experiment IDs (comma separated): table1|table2|table3|fig1|fig2|fig3|fig4|fig5a|fig5b|fig5c|fig5d|frontier|all")
 	scaleFlag  = flag.String("scale", "small", "dataset scale: tiny|small|medium|full")
 	seed       = flag.Uint64("seed", 1, "random seed")
 	hFlag      = flag.Int("h", 10, "number of advertisers (quality experiments)")
@@ -62,9 +62,7 @@ var (
 	gitDate    = flag.String("gitdate", "", "git commit date recorded in the -json report")
 	snapFlag   = flag.String("snapshot", "", "register file-backed datasets as comma-separated name=path entries (snapshot or edge-list files)")
 	quiet      = flag.Bool("quiet", false, "suppress progress output")
-	workers    = flag.Int("workers", 1, "RR-sampling scratch slots shared by all ads per run (0 = all CPU cores; results do not depend on it)")
-	shardsFl   = flag.Int("shards", 0, "RR-shard count for every experiment engine (0 is read as 1)")
-	shardSweep = flag.String("shardsweep", "1,2,4", "shard counts for -experiment=shards")
+	workers    = flag.Int("workers", 0, "RR-sampling scratch slots shared by all ads per run (default 0 = all CPU cores; results do not depend on it)")
 	timeout    = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); Ctrl-C also cancels gracefully")
 )
 
@@ -109,7 +107,6 @@ func params() (eval.Params, error) {
 		SingletonRuns: *singleRuns,
 		AlphaPoints:   *alphaPts,
 		SampleWorkers: nw,
-		Shards:        *shardsFl,
 	}, nil
 }
 
@@ -201,7 +198,7 @@ func run(ctx context.Context) error {
 		return err
 	}
 	// -experiment accepts a comma-separated list, run in order into one
-	// report (CI combines fig5a,shards this way); "all" expands to the
+	// report (CI combines fig5a,frontier this way); "all" expands to the
 	// paper's full artifact set.
 	var ids []string
 	for _, id := range strings.Split(*experiment, ",") {
@@ -426,20 +423,6 @@ func runOne(ctx context.Context, id string, p eval.Params) (result, error) {
 		}
 		return result{
 			tables: []*eval.Table{eval.RuntimeTable(points, "budget")},
-			runs:   scaleRuns(points),
-		}, nil
-
-	case "shards":
-		counts, err := parseInts(*shardSweep)
-		if err != nil {
-			return result{}, err
-		}
-		points, err := eval.ShardScaling(ctx, "dblp", 10_000, counts, p, progress())
-		if err != nil {
-			return result{}, err
-		}
-		return result{
-			tables: []*eval.Table{eval.ShardScalingTable(points)},
 			runs:   scaleRuns(points),
 		}, nil
 

@@ -49,8 +49,7 @@ var (
 	topSeeds  = flag.Int("top", 5, "how many seeds to list per ad")
 	outPath   = flag.String("out", "", "write the allocation as JSON to this file")
 	share     = flag.Bool("share", false, "share RR samples across ads with identical topics")
-	workers   = flag.Int("workers", 1, "RR-sampling scratch slots shared by all ads (0 = all CPU cores; results do not depend on it)")
-	shardsFl  = flag.Int("shards", 0, "RR-shard count (0 is read as 1; >1 = parallel shards)")
+	workers   = flag.Int("workers", 0, "RR-sampling scratch slots shared by all ads (default 0 = all CPU cores; results do not depend on it)")
 	rssFlag   = flag.Bool("rss", false, "report the process peak RSS (VmHWM) after the solve")
 	timeout   = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit); Ctrl-C also cancels gracefully")
 	progFlag  = flag.Bool("progress", false, "stream solver progress events (θ growth, committed seeds) to stderr")
@@ -92,7 +91,7 @@ func run(ctx context.Context) error {
 		nw = runtime.NumCPU()
 	}
 	params := eval.Params{Scale: scale, Seed: *seed, H: *hFlag, Epsilon: *epsFlag,
-		Window: *window, MaxThetaPerAd: *maxTheta, SampleWorkers: nw, Shards: *shardsFl}
+		Window: *window, MaxThetaPerAd: *maxTheta, SampleWorkers: nw}
 	name := *datasetFl
 	if *snapFlag != "" {
 		// Register the file under its own path so the workbench resolves
@@ -156,10 +155,10 @@ func run(ctx context.Context) error {
 	fmt.Printf("dataset=%s scale=%s nodes=%d edges=%d h=%d alg=%s kind=%s alpha=%g eps=%g\n",
 		w.Dataset.Name, scale, p.Graph.NumNodes(), p.Graph.NumEdges(), *hFlag,
 		info.Name, kind, *alpha, *epsFlag)
-	fmt.Printf("solved in %v; %d RR sets, %.1f MB RR memory + %.1f MB sampler scratch, %d workers, %d shards, %.0f RR sets/sec\n",
+	fmt.Printf("solved in %v; %d RR sets, %.1f MB RR memory + %.1f MB sampler scratch, %d workers, %.0f RR sets/sec\n",
 		stats.Duration.Round(1e6), stats.TotalRRSets,
 		float64(stats.RRMemoryBytes)/(1<<20),
-		float64(stats.SamplerMemoryBytes)/(1<<20), stats.SampleWorkers, stats.Shards, throughput)
+		float64(stats.SamplerMemoryBytes)/(1<<20), stats.SampleWorkers, throughput)
 	if mmapped := dataset.MmapActiveBytes(); mmapped > 0 {
 		fmt.Printf("snapshot mmapped zero-copy: %.1f MB\n", float64(mmapped)/(1<<20))
 	}

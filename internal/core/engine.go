@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/rrset"
-	"repro/internal/shard"
 	"repro/internal/xrand"
 )
 
@@ -138,39 +137,38 @@ type Stats struct {
 	PrunedPairs  int64
 	TotalRRSets  int64
 	// RRMemoryBytes is the final footprint of all RR-set stores: the
-	// stored bytes of every group's shard universes (lengths, not
-	// capacities, so a recycled arena reports what a fresh one would)
-	// plus the per-ad views. Cached groups are counted at their full
+	// stored bytes of every group's universe (lengths, not capacities,
+	// so a recycled arena reports what a fresh one would) plus the
+	// per-ad views. Cached groups are counted at their full
 	// (possibly pre-grown) size.
 	RRMemoryBytes int64
 	// SamplerMemoryBytes is the high-water scratch footprint of the
-	// engine-wide sampling pools — Workers visited arrays per shard,
-	// O(Shards·Workers·n) regardless of the number of ads. Table 3's
+	// engine-wide sampling pool — Workers visited arrays, O(Workers·n)
+	// regardless of the number of ads. Table 3's
 	// memory columns report RRMemoryBytes + SamplerMemoryBytes.
 	SamplerMemoryBytes int64
 	SampleWorkers      int // RR-sampling scratch slots for the run (resolved)
 	// ShareGroups is the number of distinct sample-sharing groups formed
 	// under Options.ShareSamples (0 when sharing is off).
 	ShareGroups int
-	// Shards is the Engine's resolved RR-shard count for the run (≥ 1;
-	// see EngineOptions.Shards).
-	Shards int
 }
 
 // adGroup is one RR sample and the advertisers selecting on it: a
-// shard.Group plus its KPT stream and the members' merged views. An
-// exclusive ad is the single member of an uncached group; under
-// Options.ShareSamples the ads with identical topic distributions share
-// one group whose shard.Group comes from the Engine's cross-solve cache.
-// vsize is this session's virtual sample size — the running maximum of
-// member θ requirements — so that views over a pre-grown cached group
-// replay exactly the prefix a cold run would have seen.
+// universe, the stream that fills it, its KPT stream and the members'
+// prefix views. An exclusive ad is the single member of an uncached
+// group; under Options.ShareSamples the ads with identical topic
+// distributions share one group whose universe and stream come from the
+// Engine's cross-solve cache. vsize is this session's virtual sample
+// size — the running maximum of member θ requirements — so that views
+// over a pre-grown cached universe replay exactly the prefix a cold run
+// would have seen.
 type adGroup struct {
-	shg    *shard.Group
+	u      *rrset.Universe
+	src    *rrset.Stream
 	kptSrc *rrset.Stream
-	// sg is the Engine cache entry backing shg; its cached byte count is
-	// refreshed after every growth this session performs. nil for
-	// exclusive (session-private) groups.
+	// sg is the Engine cache entry backing u and src; its cached byte
+	// count is refreshed after every growth this session performs. nil
+	// for exclusive (session-private) groups.
 	sg      *sharedGroup
 	kpt     float64
 	kptAtS  int
@@ -179,14 +177,16 @@ type adGroup struct {
 }
 
 // growUniverse extends the group's (possibly cached) sample to the
-// session's virtual size and refreshes the cache entry's byte count. It
-// leaves the no-op test to Grow, shard by shard: after a canceled
-// growth the shards can hold uneven prefixes, so the group's total size
-// alone does not tell whether every shard holds its share.
+// session's virtual size and refreshes the cache entry's byte count. A
+// canceled growth leaves the universe an exact prefix of its stream, so
+// a later growth continues the uncanceled sample.
 func (e *solver) growUniverse(g *adGroup) error {
-	err := g.shg.Grow(e.ctx, g.vsize)
+	var err error
+	if need := g.vsize - g.u.Size(); need > 0 {
+		err = g.u.AddFromParallelCtx(e.ctx, g.src, need)
+	}
 	if g.sg != nil {
-		g.sg.bytes.Store(g.shg.MemoryFootprint())
+		g.sg.bytes.Store(g.u.MemoryFootprint())
 	}
 	if err != nil {
 		return e.canceled(err)
@@ -201,7 +201,7 @@ type adState struct {
 	budget float64
 	// view is the ad's coverage state: a prefix view over its group's
 	// sample, synced forward on growth.
-	view   *shard.MergedView
+	view   *rrset.View
 	group  *adGroup
 	heap   candHeap
 	pruned []bool // (node, ad) pairs removed from the ground set
@@ -268,16 +268,16 @@ func (e *solver) canceled(err error) error {
 	return fmt.Errorf("core: %w: %w", ErrCanceled, err)
 }
 
-// recycleGroups hands the session's exclusive groups to its snapshot's
-// free list. It runs once Stats are taken, when no view, goroutine or
-// Stats field can touch them any more. Cached ShareSamples groups are
-// never recycled, and a session without exclusive groups leaves the
-// list alone.
+// recycleGroups hands the universes of the session's exclusive groups
+// to its snapshot's free list. It runs once Stats are taken, when no
+// view, goroutine or Stats field can touch them any more. Cached
+// ShareSamples universes are never recycled, and a session without
+// exclusive groups leaves the list alone.
 func (e *solver) recycleGroups() {
-	var free []*shard.Group
+	var free []*rrset.Universe
 	for _, g := range e.groups {
 		if g.sg == nil {
-			free = append(free, g.shg)
+			free = append(free, g.u)
 		}
 	}
 	if len(free) > 0 {
@@ -320,13 +320,13 @@ func (e *solver) solve() (*Allocation, error) {
 				// Stream seeds are drawn positionally from the solve seed,
 				// in first-occurrence ad order.
 				sSeed, kSeed := rng.Uint64(), rng.Uint64()
-				uk := universeKey{gamma: key, seed: sSeed, shards: len(e.snap.pools)}
+				uk := universeKey{gamma: key, seed: sSeed}
 				sg, err := e.eng.lockSharedGroup(e.ctx, e.snap, uk, probs, e.p.Ads[i].Gamma)
 				if err != nil {
 					return nil, e.canceled(err)
 				}
 				e.locked = append(e.locked, sg)
-				g = &adGroup{shg: sg.shg, sg: sg}
+				g = &adGroup{u: sg.u, src: sg.src, sg: sg}
 				// The KPT stream replays from scratch every session, so
 				// refresh sequences depend only on this session's seed —
 				// exactly the cold-run behavior.
@@ -348,8 +348,8 @@ func (e *solver) solve() (*Allocation, error) {
 		// shared mutable state, so it runs concurrently. RNG streams are
 		// pre-split in ad order, keeping runs deterministic regardless of
 		// goroutine scheduling. Each ad's sample is a private, uncached
-		// group, built on the arenas of a group an earlier solve released
-		// when the snapshot has one (recycleGroups).
+		// group, built on the arenas of a universe an earlier solve
+		// released when the snapshot has one (recycleGroups).
 		e.ads = make([]*adState, e.p.NumAds())
 		groups := make([]*adGroup, e.p.NumAds())
 		errs := make([]error, e.p.NumAds())
@@ -364,7 +364,7 @@ func (e *solver) solve() (*Allocation, error) {
 				defer wg.Done()
 				probs := e.snap.edgeProbsFor(e.p.Ads[i].Gamma).sampling
 				sSeed, kSeed := rngs[i].Uint64(), rngs[i].Uint64()
-				g := &adGroup{shg: e.snap.exclusiveGroup(probs, sSeed)}
+				g := &adGroup{u: e.snap.exclusiveUniverse(), src: e.snap.pool.NewStream(probs, sSeed)}
 				groups[i] = g
 				if errs[i] = e.estimateKpt(g, probs, kSeed); errs[i] == nil {
 					e.ads[i], errs[i] = e.initAd(i, g)
@@ -425,16 +425,14 @@ func (e *solver) snapshotStats() {
 		}
 	}
 	for _, g := range e.groups {
-		e.stats.RRMemoryBytes += g.shg.StoredBytes()
+		e.stats.RRMemoryBytes += g.u.StoredBytes()
 		// This session drew (or replayed) exactly its virtual sample
 		// size; a cached group's pre-grown tail is not this session's
 		// work. A canceled session can hold vsize > Size() — report only
 		// what exists.
-		e.stats.TotalRRSets += int64(min(g.vsize, g.shg.Size()))
+		e.stats.TotalRRSets += int64(min(g.vsize, g.u.Size()))
 	}
-	for _, p := range e.snap.pools {
-		e.stats.SamplerMemoryBytes += p.MemoryFootprint()
-	}
+	e.stats.SamplerMemoryBytes = e.snap.pool.MemoryFootprint()
 	if e.opt.ShareSamples {
 		// Exclusive singleton groups are storage plumbing, not sharing:
 		// ShareGroups keeps meaning "distinct gamma groups".
@@ -457,10 +455,10 @@ func (e *solver) emitProgress(kind ProgressKind, ad *adState, node int32) {
 	})
 }
 
-// estimateKpt builds the group's KPT stream (seeded kSeed on the
-// primary pool) and takes the initial KPT estimate at s=1.
+// estimateKpt builds the group's KPT stream (seeded kSeed) and takes
+// the initial KPT estimate at s=1.
 func (e *solver) estimateKpt(g *adGroup, probs rrset.SampleProbs, kSeed uint64) error {
-	g.kptSrc = e.snap.pools[0].NewStream(probs, kSeed)
+	g.kptSrc = e.snap.pool.NewStream(probs, kSeed)
 	g.kptAtS = 1
 	var err error
 	g.kpt, err = rrset.KptEstimateParallelCtx(e.ctx, g.kptSrc, e.m, int64(e.n), 1, e.opt.Ell)
@@ -492,7 +490,7 @@ func (e *solver) initAd(i int, g *adGroup) (*adState, error) {
 	if err := e.growUniverse(g); err != nil {
 		return ad, err
 	}
-	ad.view = shard.NewViewPrefix(g.shg, g.vsize)
+	ad.view = rrset.NewViewPrefix(g.u, g.vsize)
 	ad.theta = ad.view.Size()
 	g.members = append(g.members, ad)
 	e.applyExclusions(ad)

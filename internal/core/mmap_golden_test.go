@@ -18,7 +18,7 @@ import (
 // to bit-identical allocations. Byte equality of the decoded sections
 // is checked in internal/dataset; this pins the stronger claim that the
 // aliased arrays behave identically under the full sampling and
-// allocation pipeline — sequential and parallel, sharded and not.
+// allocation pipeline, sequential and parallel.
 func TestMmapVsCopyLoadBitIdentical(t *testing.T) {
 	rng := xrand.New(31)
 	g := gen.RMAT(256, 1500, gen.DefaultRMAT, rng)
@@ -57,30 +57,28 @@ func TestMmapVsCopyLoadBitIdentical(t *testing.T) {
 	pCopy, pMmap := problemOf(copied), problemOf(mapped)
 
 	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{0, 2} {
-			opt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 17, MaxThetaPerAd: 30000}
-			engCopy := NewEngine(pCopy.Graph, pCopy.Model, EngineOptions{Workers: workers, Shards: shards})
-			engMmap := NewEngine(pMmap.Graph, pMmap.Model, EngineOptions{Workers: workers, Shards: shards})
-			want, wantStats, err := engCopy.Solve(context.Background(), pCopy, opt)
-			if err != nil {
-				t.Fatalf("copy workers=%d shards=%d: %v", workers, shards, err)
+		opt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 17, MaxThetaPerAd: 30000}
+		engCopy := NewEngine(pCopy.Graph, pCopy.Model, EngineOptions{Workers: workers})
+		engMmap := NewEngine(pMmap.Graph, pMmap.Model, EngineOptions{Workers: workers})
+		want, wantStats, err := engCopy.Solve(context.Background(), pCopy, opt)
+		if err != nil {
+			t.Fatalf("copy workers=%d: %v", workers, err)
+		}
+		got, gotStats, err := engMmap.Solve(context.Background(), pMmap, opt)
+		if err != nil {
+			t.Fatalf("mmap workers=%d: %v", workers, err)
+		}
+		allocationsEqual(t, want, got)
+		for i := range wantStats.Theta {
+			if wantStats.Theta[i] != gotStats.Theta[i] || wantStats.Kpt[i] != gotStats.Kpt[i] {
+				t.Fatalf("workers=%d ad %d: theta/kpt (%d, %v) vs (%d, %v)",
+					workers, i,
+					wantStats.Theta[i], wantStats.Kpt[i], gotStats.Theta[i], gotStats.Kpt[i])
 			}
-			got, gotStats, err := engMmap.Solve(context.Background(), pMmap, opt)
-			if err != nil {
-				t.Fatalf("mmap workers=%d shards=%d: %v", workers, shards, err)
-			}
-			allocationsEqual(t, want, got)
-			for i := range wantStats.Theta {
-				if wantStats.Theta[i] != gotStats.Theta[i] || wantStats.Kpt[i] != gotStats.Kpt[i] {
-					t.Fatalf("workers=%d shards=%d ad %d: theta/kpt (%d, %v) vs (%d, %v)",
-						workers, shards, i,
-						wantStats.Theta[i], wantStats.Kpt[i], gotStats.Theta[i], gotStats.Kpt[i])
-				}
-			}
-			if wantStats.TotalRRSets != gotStats.TotalRRSets {
-				t.Fatalf("workers=%d shards=%d: RR sets %d vs %d",
-					workers, shards, wantStats.TotalRRSets, gotStats.TotalRRSets)
-			}
+		}
+		if wantStats.TotalRRSets != gotStats.TotalRRSets {
+			t.Fatalf("workers=%d: RR sets %d vs %d",
+				workers, wantStats.TotalRRSets, gotStats.TotalRRSets)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/shard"
 )
 
 // DeltaResult summarizes one completed ApplyDelta generation swap.
@@ -23,9 +22,9 @@ type DeltaResult struct {
 	// (staleness above the Engine's MaxStaleFraction; may include marks
 	// accumulated from earlier tolerated deltas).
 	RepairedSets int
-	// RepairDuration is the wall time spent repairing those slots: the
-	// per-shard repair loops of the carried universes, summed. It is
-	// exactly 0 when the swap repaired nothing.
+	// RepairDuration is the wall time spent repairing those slots,
+	// summed over the carried universes. It is exactly 0 when the swap
+	// repaired nothing.
 	RepairDuration time.Duration
 	// CarriedUniverses / DroppedUniverses count cached universes moved
 	// into the new generation vs left behind because an in-flight
@@ -42,7 +41,7 @@ type DeltaResult struct {
 // invalidated against the delta's touched nodes (only sets containing a
 // mutated arc's target go stale), incrementally repaired if staleness
 // exceeds EngineOptions.MaxStaleFraction, and re-keyed into the new
-// generation with its streams resumed on the new graph. Entries
+// generation with its stream resumed on the new graph. Entries
 // locked by in-flight sessions are left on the old snapshot — those
 // sessions finish on their pinned generation and the new generation
 // re-samples on demand.
@@ -163,31 +162,24 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 			res.DroppedUniverses++
 			continue
 		}
-		// Invalidation is tracked per shard, so only the shards owning
-		// touched sets are repaired, each with its own stream's seed, and
-		// the whole group is restreamed onto the new generation's pools
-		// at the same seeds: the carried group equals one built cold on
-		// the new generation.
+		// The stale slots are repaired with the stream's seed and the
+		// stream resumes on the new generation's pool where the universe
+		// ends: the carried sample equals one built cold on the new
+		// generation.
 		probs := next.edgeProbsFor(sg.gamma).sampling
-		res.InvalidatedSets += sg.shg.Invalidate(remap.Touched)
-		if sg.shg.StaleCount() > 0 && sg.shg.StaleFraction() > e.opts.MaxStaleFraction {
+		res.InvalidatedSets += sg.u.Invalidate(remap.Touched)
+		if sg.u.StaleCount() > 0 && sg.u.StaleFraction() > e.opts.MaxStaleFraction {
 			t0 := time.Now()
-			for s := 0; s < sg.shg.NumShards(); s++ {
-				u := sg.shg.Universe(s)
-				if u.StaleCount() == 0 {
-					continue
-				}
-				res.RepairedSets += next.pools[s].RepairUniverse(u, probs, shard.StreamSeed(keys[i].seed, s))
-			}
+			res.RepairedSets += next.pool.RepairUniverse(sg.u, probs, keys[i].seed)
 			res.RepairDuration += time.Since(t0)
 		}
-		sg.shg.Restream(next.pools, probs, keys[i].seed)
 		carried := &sharedGroup{
 			lock:  make(chan struct{}, 1),
-			shg:   sg.shg,
+			u:     sg.u,
+			src:   next.pool.NewStreamAt(probs, keys[i].seed, sg.u.Size()),
 			gamma: sg.gamma,
 		}
-		carried.bytes.Store(sg.shg.MemoryFootprint())
+		carried.bytes.Store(sg.u.MemoryFootprint())
 		next.mu.Lock()
 		next.universes[keys[i]] = carried
 		next.mu.Unlock()
@@ -210,7 +202,7 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 	// built on `old` still resolve through prev until the next swap.
 	e.prev.Store(old)
 	e.cur.Store(next)
-	// The old snapshot's recycled exclusive groups die with its service
+	// The old snapshot's recycled exclusive universes die with its service
 	// (see Engine.recycle).
 	old.mu.Lock()
 	old.free = nil

@@ -369,21 +369,18 @@ func TestApplyDeltaDeterministic(t *testing.T) {
 }
 
 // cachedSets returns the member lists of every universe in the current
-// generation's cache, shard by shard, under its cache key.
-func cachedSets(e *Engine) map[universeKey][][][]int32 {
+// generation's cache, under its cache key.
+func cachedSets(e *Engine) map[universeKey][][]int32 {
 	sn := e.cur.Load()
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	out := map[universeKey][][][]int32{}
+	out := map[universeKey][][]int32{}
 	for k, sg := range sn.universes {
-		for s := 0; s < sg.shg.NumShards(); s++ {
-			u := sg.shg.Universe(s)
-			sets := make([][]int32, u.Size())
-			for id := range sets {
-				sets[id] = append([]int32(nil), u.Set(int32(id))...)
-			}
-			out[k] = append(out[k], sets)
+		sets := make([][]int32, sg.u.Size())
+		for id := range sets {
+			sets[id] = append([]int32(nil), sg.u.Set(int32(id))...)
 		}
+		out[k] = sets
 	}
 	return out
 }
@@ -427,16 +424,14 @@ func TestApplyDeltaCarriedEqualsCold(t *testing.T) {
 		t.Fatalf("θ %v on the carried Engine, %v on a cold one", gotStats.Theta, wantStats.Theta)
 	}
 	carried := cachedSets(eng)
-	for k, shards := range cachedSets(cold) {
-		for s, sets := range shards {
-			c := carried[k][s]
-			if len(c) < len(sets) {
-				t.Fatalf("shard %d: carried universe holds %d sets, cold %d", s, len(c), len(sets))
-			}
-			for id, set := range sets {
-				if !slices.Equal(c[id], set) {
-					t.Fatalf("shard %d set %d: carried %v, cold %v", s, id, c[id], set)
-				}
+	for k, sets := range cachedSets(cold) {
+		c := carried[k]
+		if len(c) < len(sets) {
+			t.Fatalf("carried universe holds %d sets, cold %d", len(c), len(sets))
+		}
+		for id, set := range sets {
+			if !slices.Equal(c[id], set) {
+				t.Fatalf("set %d: carried %v, cold %v", id, c[id], set)
 			}
 		}
 	}

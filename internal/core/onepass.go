@@ -16,7 +16,7 @@ package core
 // zero growth events — candidates are evaluated once against a frozen
 // sample, which is the Han–Cui "one-pass candidate evaluation with early
 // termination" scheme expressed on this engine's substrate (same arena,
-// coverage views, scratch pool and shard machinery; runs remain
+// coverage views and scratch pool; runs remain
 // bit-identical for a fixed seed).
 //
 // The tradeoff is the growth-time guarantee: TI revises s̃ as payments

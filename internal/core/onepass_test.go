@@ -91,7 +91,7 @@ func TestOnePassDeterminism(t *testing.T) {
 }
 
 // One-pass modes compose with the rest of the engine surface: sample
-// sharing and sharded sampling both run and stay feasible.
+// sharing runs and stays feasible.
 func TestOnePassComposesWithEngineFeatures(t *testing.T) {
 	p := smallWCProblem(4, 5)
 	for _, mode := range []Mode{ModeOnePassCostAgnostic, ModeOnePassCostSensitive} {
@@ -101,7 +101,6 @@ func TestOnePassComposesWithEngineFeatures(t *testing.T) {
 			opt  Options
 		}{
 			{"shared", EngineOptions{Workers: 2}, Options{Mode: mode, Epsilon: 0.3, Seed: 3, MaxThetaPerAd: 30000, ShareSamples: true}},
-			{"sharded", EngineOptions{Workers: 2, Shards: 2}, Options{Mode: mode, Epsilon: 0.3, Seed: 3, MaxThetaPerAd: 30000}},
 		} {
 			eng := NewEngine(p.Graph, p.Model, tc.eopt)
 			alloc, stats, err := eng.Solve(context.Background(), p, tc.opt)

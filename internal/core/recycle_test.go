@@ -21,20 +21,16 @@ func recycleProblems() (small, large *Problem) {
 }
 
 // freeSets returns the member lists of the current snapshot's free
-// list, group by group and shard by shard.
-func freeSets(e *Engine) [][][][]int32 {
+// list, universe by universe.
+func freeSets(e *Engine) [][][]int32 {
 	sn := e.cur.Load()
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	out := make([][][][]int32, len(sn.free))
-	for i, g := range sn.free {
-		for s := 0; s < g.NumShards(); s++ {
-			u := g.Universe(s)
-			sets := make([][]int32, u.Size())
-			for id := range sets {
-				sets[id] = append([]int32(nil), u.Set(int32(id))...)
-			}
-			out[i] = append(out[i], sets)
+	out := make([][][]int32, len(sn.free))
+	for i, u := range sn.free {
+		out[i] = make([][]int32, u.Size())
+		for id := range out[i] {
+			out[i][id] = append([]int32(nil), u.Set(int32(id))...)
 		}
 	}
 	return out
@@ -67,57 +63,54 @@ func statsEqual(t *testing.T, label string, want, got *Stats) {
 }
 
 // A solve on recycled arenas equals the same solve on a fresh Engine,
-// after a larger solve and after a canceled one, at Shards 1 and 3:
-// allocation, θ, RR-set count, RRMemoryBytes, and every set of every
-// shard universe (read back from the free list the solve refilled).
+// after a larger solve and after a canceled one: allocation, θ, RR-set
+// count, RRMemoryBytes, and every set of every universe (read back from
+// the free list the solve refilled).
 func TestRecycledSolveEqualsCold(t *testing.T) {
 	small, large := recycleProblems()
 	opt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 11, MaxThetaPerAd: 50000}
 	largeOpt := Options{Mode: ModeCostAgnostic, Epsilon: 0.2, Seed: 5, MaxThetaPerAd: 100000}
-	for _, shards := range []int{1, 3} {
-		eo := EngineOptions{Shards: shards}
-		cold := NewEngine(small.Graph, small.Model, eo)
-		want, wantStats, err := cold.Solve(context.Background(), small, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSets := freeSets(cold)
-		if len(wantSets) != len(small.Ads) {
-			t.Fatalf("shards=%d: cold solve released %d groups, want %d", shards, len(wantSets), len(small.Ads))
-		}
-
-		warm := NewEngine(small.Graph, small.Model, eo)
-		if _, _, err := warm.Solve(context.Background(), large, largeOpt); err != nil {
-			t.Fatal(err)
-		}
-		check := func(label string) {
-			t.Helper()
-			got, gotStats, err := warm.Solve(context.Background(), small, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			allocationsEqual(t, want, got)
-			statsEqual(t, label, wantStats, gotStats)
-			if !slices.EqualFunc(wantSets, freeSets(warm), func(a, b [][][]int32) bool {
-				return slices.EqualFunc(a, b, func(x, y [][]int32) bool { return slices.EqualFunc(x, y, slices.Equal) })
-			}) {
-				t.Fatalf("%s: recycled sets differ from a cold solve's", label)
-			}
-		}
-		check("after a larger solve")
-
-		ctx := &countdownCtx{Context: context.Background()}
-		ctx.left.Store(60)
-		_, st, err := warm.Solve(ctx, large, largeOpt)
-		if !errors.Is(err, ErrCanceled) || st.TotalRRSets == 0 {
-			t.Fatalf("shards=%d: canceled solve returned %v after %d RR sets; want ErrCanceled mid-sampling",
-				shards, err, st.TotalRRSets)
-		}
-		check("after a canceled solve")
+	cold := NewEngine(small.Graph, small.Model, EngineOptions{})
+	want, wantStats, err := cold.Solve(context.Background(), small, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	wantSets := freeSets(cold)
+	if len(wantSets) != len(small.Ads) {
+		t.Fatalf("cold solve released %d universes, want %d", len(wantSets), len(small.Ads))
+	}
+
+	warm := NewEngine(small.Graph, small.Model, EngineOptions{})
+	if _, _, err := warm.Solve(context.Background(), large, largeOpt); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string) {
+		t.Helper()
+		got, gotStats, err := warm.Solve(context.Background(), small, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		allocationsEqual(t, want, got)
+		statsEqual(t, label, wantStats, gotStats)
+		if !slices.EqualFunc(wantSets, freeSets(warm), func(a, b [][]int32) bool {
+			return slices.EqualFunc(a, b, slices.Equal)
+		}) {
+			t.Fatalf("%s: recycled sets differ from a cold solve's", label)
+		}
+	}
+	check("after a larger solve")
+
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.left.Store(60)
+	_, st, err := warm.Solve(ctx, large, largeOpt)
+	if !errors.Is(err, ErrCanceled) || st.TotalRRSets == 0 {
+		t.Fatalf("canceled solve returned %v after %d RR sets; want ErrCanceled mid-sampling",
+			err, st.TotalRRSets)
+	}
+	check("after a canceled solve")
 }
 
-// Concurrent exclusive solves on one Engine take and return groups
+// Concurrent exclusive solves on one Engine take and return universes
 // through the free list from several goroutines at once (the per-ad
 // init goroutines and the solves themselves); every solve still equals
 // the same solve on a fresh Engine. Run it under -race.
@@ -130,13 +123,13 @@ func TestConcurrentRecycledSolvesEqualCold(t *testing.T) {
 	for i := range opts {
 		opts[i] = Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: uint64(20 + i), MaxThetaPerAd: 20000}
 		var err error
-		want[i], wantStats[i], err = NewEngine(small.Graph, small.Model, EngineOptions{Shards: 2}).
+		want[i], wantStats[i], err = NewEngine(small.Graph, small.Model, EngineOptions{}).
 			Solve(context.Background(), probs[i%2], opts[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	eng := NewEngine(small.Graph, small.Model, EngineOptions{Workers: 2, Shards: 2})
+	eng := NewEngine(small.Graph, small.Model, EngineOptions{Workers: 2})
 	const rounds = 2
 	got := make([][]*Allocation, rounds)
 	gotStats := make([][]*Stats, rounds)

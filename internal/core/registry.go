@@ -46,16 +46,11 @@ type AlgorithmInfo struct {
 	RoundRobin bool
 	// SupportsWindow: Options.Window restricts the candidate search.
 	SupportsWindow bool
-	// SupportsShards: runs on a sharded Engine (EngineOptions.Shards).
-	SupportsShards bool
-	// SupportsDeltas: runs across Engine.ApplyDelta generation swaps.
-	SupportsDeltas bool
 }
 
 // registry holds every engine algorithm in canonical presentation order.
-// All modes run on the shared RR arena and shard-view substrate, so they
-// all support shards and dynamic-graph deltas; the flags exist so that a
-// future mode without that property degrades discoverably, not silently.
+// All modes run on the same RR universe and view substrate, so every
+// mode runs across Engine.ApplyDelta generation swaps.
 var registry = []AlgorithmInfo{
 	{
 		Mode:           ModeCostSensitive,
@@ -66,18 +61,14 @@ var registry = []AlgorithmInfo{
 		Description:    "cost-sensitive RR greedy: coverage-to-cost candidates, revenue-per-payment across ads",
 		CostSensitive:  true,
 		SupportsWindow: true,
-		SupportsShards: true,
-		SupportsDeltas: true,
 	},
 	{
-		Mode:           ModeCostAgnostic,
-		Name:           "ti-carm",
-		Display:        "TI-CARM",
-		Paper:          "Aslay et al., VLDB 2017",
-		Guarantee:      "κ-dependent bound of Theorem 2 (±ε)",
-		Description:    "cost-agnostic RR greedy: max-coverage candidates, max marginal revenue across ads",
-		SupportsShards: true,
-		SupportsDeltas: true,
+		Mode:        ModeCostAgnostic,
+		Name:        "ti-carm",
+		Display:     "TI-CARM",
+		Paper:       "Aslay et al., VLDB 2017",
+		Guarantee:   "κ-dependent bound of Theorem 2 (±ε)",
+		Description: "cost-agnostic RR greedy: max-coverage candidates, max marginal revenue across ads",
 	},
 	{
 		Mode:           ModeOnePassCostSensitive,
@@ -89,40 +80,32 @@ var registry = []AlgorithmInfo{
 		CostSensitive:  true,
 		OnePass:        true,
 		SupportsWindow: true,
-		SupportsShards: true,
-		SupportsDeltas: true,
 	},
 	{
-		Mode:           ModeOnePassCostAgnostic,
-		Name:           "hc-carm",
-		Display:        "HC-CARM",
-		Paper:          "Han & Cui et al., arXiv:2107.04997",
-		Guarantee:      "heuristic: TI-CARM's rule on a one-shot sample (no growth-time guarantee)",
-		Description:    "one-pass cost-agnostic greedy: seed-set size s̃ fixed up front, single sample extension, no growth events",
-		OnePass:        true,
-		SupportsShards: true,
-		SupportsDeltas: true,
+		Mode:        ModeOnePassCostAgnostic,
+		Name:        "hc-carm",
+		Display:     "HC-CARM",
+		Paper:       "Han & Cui et al., arXiv:2107.04997",
+		Guarantee:   "heuristic: TI-CARM's rule on a one-shot sample (no growth-time guarantee)",
+		Description: "one-pass cost-agnostic greedy: seed-set size s̃ fixed up front, single sample extension, no growth events",
+		OnePass:     true,
 	},
 	{
-		Mode:           ModePRGreedy,
-		Name:           "pagerank-gr",
-		Display:        "PageRank-GR",
-		Paper:          "Aslay et al., VLDB 2017 (baseline)",
-		Description:    "influence-weighted PageRank candidates, max marginal revenue across ads",
-		NeedsPRScores:  true,
-		SupportsShards: true,
-		SupportsDeltas: true,
+		Mode:          ModePRGreedy,
+		Name:          "pagerank-gr",
+		Display:       "PageRank-GR",
+		Paper:         "Aslay et al., VLDB 2017 (baseline)",
+		Description:   "influence-weighted PageRank candidates, max marginal revenue across ads",
+		NeedsPRScores: true,
 	},
 	{
-		Mode:           ModePRRoundRobin,
-		Name:           "pagerank-rr",
-		Display:        "PageRank-RR",
-		Paper:          "Aslay et al., VLDB 2017 (baseline)",
-		Description:    "influence-weighted PageRank candidates, advertisers served round-robin",
-		NeedsPRScores:  true,
-		RoundRobin:     true,
-		SupportsShards: true,
-		SupportsDeltas: true,
+		Mode:          ModePRRoundRobin,
+		Name:          "pagerank-rr",
+		Display:       "PageRank-RR",
+		Paper:         "Aslay et al., VLDB 2017 (baseline)",
+		Description:   "influence-weighted PageRank candidates, advertisers served round-robin",
+		NeedsPRScores: true,
+		RoundRobin:    true,
 	},
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rrset"
-	"repro/internal/shard"
 	"repro/internal/topic"
 )
 
@@ -31,18 +30,6 @@ type EngineOptions struct {
 	// repair-only scratch (8n bytes, also in Stats.SamplerMemoryBytes)
 	// per goroutine beyond them.
 	Workers int
-	// Shards partitions every RR sample into this many independently
-	// sampled shards: global draw i lands in shard i mod Shards, each
-	// shard samples from its own deterministic stream
-	// (shard.StreamSeed(seed, s)) into its own universe, and selection
-	// runs on merged per-node counts that are provably equal to the
-	// single-universe oracle's. 0 (and any value below 1) is read as 1,
-	// the single-shard layout whose draws are the historical sequence
-	// (shard 0's stream seed is the base seed unchanged). Values above 1
-	// parallelize sampling across shards — each shard gets its own
-	// scratch pool, so total scratch grows to O(Shards·Workers·n) — and
-	// let ApplyDelta repair only the shards owning touched sets.
-	Shards int
 	// MaxStaleFraction bounds how much staleness a cached RR universe may
 	// carry across an ApplyDelta before the swap forces an incremental
 	// repair: a carried universe whose stale fraction exceeds the bound
@@ -58,9 +45,6 @@ type EngineOptions struct {
 func (o EngineOptions) withDefaults() EngineOptions {
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
 	}
 	if o.MaxStaleFraction < 0 {
 		o.MaxStaleFraction = 0
@@ -78,30 +62,25 @@ func (o EngineOptions) withDefaults() EngineOptions {
 type universeKey struct {
 	gamma string
 	seed  uint64
-	// shards is the engine's shard count at entry creation. Constant per
-	// Engine, but part of the key so a universe sampled under one shard
-	// layout can never be replayed under another (the per-shard stream
-	// split changes the draw-to-set mapping for S > 1).
-	shards int
 }
 
-// sharedGroup is one cached RR sample: a shard.Group bundling S
-// universes with their per-shard deterministic streams. Its lock (a
-// 1-slot channel, so waiters can abandon on context cancellation) is
-// held by a solve session for the session's whole lifetime, serializing
-// the (rare) case of concurrent solves that share both topic
-// distribution and seed; solves with different seeds or gammas never
-// contend. Each stream's position always equals its universe's size, so
-// growing the group from any session extends the same deterministic
-// sequence.
+// sharedGroup is one cached RR sample: a universe and the deterministic
+// stream that fills it. Its lock (a 1-slot channel, so waiters can
+// abandon on context cancellation) is held by a solve session for the
+// session's whole lifetime, serializing the (rare) case of concurrent
+// solves that share both topic distribution and seed; solves with
+// different seeds or gammas never contend. The stream's position always
+// equals the universe's size, so growing the sample from any session
+// extends the same deterministic sequence.
 type sharedGroup struct {
 	lock chan struct{}
-	shg  *shard.Group
+	u    *rrset.Universe
+	src  *rrset.Stream
 	// gamma is the entry's (unnormalized) topic distribution, kept so a
 	// generation swap can re-materialize edge probabilities on the new
 	// model when carrying the universe forward.
 	gamma topic.Distribution
-	// bytes caches shg.MemoryFootprint(), refreshed by the holding
+	// bytes caches u.MemoryFootprint(), refreshed by the holding
 	// session after growth, so monitors (CachedUniverseBytes) can read a
 	// consistent size without touching universe internals that a
 	// concurrent session may be appending to.
@@ -113,28 +92,26 @@ type sharedGroup struct {
 }
 
 // snapshot is one immutable graph generation plus every cache keyed by
-// it: the topic model, the sampling pools (whose scratch is sized by the
-// graph), the free list of recycled exclusive groups, memoized edge
+// it: the topic model, the sampling pool (whose scratch is sized by the
+// graph), the free list of recycled exclusive universes, memoized edge
 // probabilities and the shared-universe cache.
 // Sessions pin a snapshot at entry and run on it to completion, so an
 // ApplyDelta swapping in a successor never perturbs in-flight work.
 type snapshot struct {
 	graph *graph.Graph
 	model *topic.Model
-	// pools holds one scratch pool per shard (len(pools) is the resolved
-	// EngineOptions.Shards), so shards sample concurrently without
-	// contending for slots; KPT streams draw from pools[0]. Pool scratch
-	// is lazily materialized, so idle pools cost little.
-	pools []*rrset.Pool
+	// pool is the scratch pool every RR and KPT stream of the generation
+	// samples through. Its scratch is lazily materialized.
+	pool *rrset.Pool
 
 	mu sync.Mutex
-	// free holds the exclusive groups the most recently finished
+	// free holds the exclusive universes the most recently finished
 	// exclusive solve on this snapshot released, for the next one to
 	// reset and refill instead of growing fresh arenas from empty. It is
 	// replaced, never appended to, so it holds at most one solve's
-	// groups; it shares the snapshot's pools and node count and is
-	// emptied when the snapshot stops serving (ApplyDelta) or on Reset.
-	free      []*shard.Group
+	// universes; it shares the snapshot's node count and is emptied when
+	// the snapshot stops serving (ApplyDelta) or on Reset.
+	free      []*rrset.Universe
 	probs     map[string]adProbs
 	universes map[universeKey]*sharedGroup
 }
@@ -148,47 +125,43 @@ type adProbs struct {
 }
 
 func newSnapshot(g *graph.Graph, model *topic.Model, opts EngineOptions) *snapshot {
-	pools := make([]*rrset.Pool, opts.Shards)
-	for i := range pools {
-		pools[i] = rrset.NewPool(g, rrset.PoolOptions{Workers: opts.Workers})
-	}
 	return &snapshot{
 		graph:     g,
 		model:     model,
-		pools:     pools,
+		pool:      rrset.NewPool(g, rrset.PoolOptions{Workers: opts.Workers}),
 		probs:     map[string]adProbs{},
 		universes: map[universeKey]*sharedGroup{},
 	}
 }
 
-// exclusiveGroup returns a session-private group for one exclusive ad:
-// a group from the free list reset onto probs and seed, or a new one
-// when the list is empty. Both sample exactly the same sets.
-func (sn *snapshot) exclusiveGroup(probs rrset.SampleProbs, seed uint64) *shard.Group {
+// exclusiveUniverse returns an empty session-private universe for one
+// exclusive ad: one from the free list emptied in place, or a new one
+// when the list is empty. Both fill with exactly the same sets.
+func (sn *snapshot) exclusiveUniverse() *rrset.Universe {
 	sn.mu.Lock()
-	var g *shard.Group
+	var u *rrset.Universe
 	if k := len(sn.free); k > 0 {
-		g, sn.free[k-1] = sn.free[k-1], nil
+		u, sn.free[k-1] = sn.free[k-1], nil
 		sn.free = sn.free[:k-1]
 	}
 	sn.mu.Unlock()
-	if g == nil {
-		return shard.NewGroup(sn.graph.NumNodes(), sn.pools, probs, seed)
+	if u == nil {
+		return rrset.NewUniverse(sn.graph.NumNodes())
 	}
-	g.Reset(sn.pools, probs, seed)
-	return g
+	u.Reset()
+	return u
 }
 
-// recycle makes a finished exclusive solve's groups the snapshot's free
-// list; whatever the list still held goes to the GC. A snapshot that no
-// longer serves keeps nothing: checking under sn.mu, against ApplyDelta
-// emptying the list under sn.mu after it publishes the successor, means
-// no recycle can outlive the swap.
-func (e *Engine) recycle(sn *snapshot, groups []*shard.Group) {
+// recycle makes a finished exclusive solve's universes the snapshot's
+// free list; whatever the list still held goes to the GC. A snapshot
+// that no longer serves keeps nothing: checking under sn.mu, against
+// ApplyDelta emptying the list under sn.mu after it publishes the
+// successor, means no recycle can outlive the swap.
+func (e *Engine) recycle(sn *snapshot, universes []*rrset.Universe) {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
 	if e.cur.Load() == sn {
-		sn.free = groups
+		sn.free = universes
 	}
 }
 
@@ -221,9 +194,9 @@ func (sn *snapshot) edgeProbsFor(gamma topic.Distribution) adProbs {
 // Construct it once with NewEngine, then issue any number of Solve /
 // Evaluate calls, concurrently if desired:
 //
-//   - the RR-sampling scratch pools (Workers visited arrays per shard,
-//     O(Shards·Workers·n) bytes total) are allocated once per graph
-//     generation and shared by every call;
+//   - the RR-sampling scratch pool (Workers visited arrays, O(Workers·n)
+//     bytes) is allocated once per graph generation and shared by every
+//     call;
 //   - ad-specific edge-probability vectors are memoized per normalized
 //     topic distribution, so repeated solves over the same advertisers
 //     skip the O(m) materialization;
@@ -233,9 +206,9 @@ func (sn *snapshot) edgeProbsFor(gamma topic.Distribution) adProbs {
 //     already drew, growing them only when a session needs more. Prefix
 //     views keep cache hits bit-identical to a cold run;
 //   - exclusive RR samples are recycled: a finished solve's per-ad
-//     groups go on the snapshot's free list, and the next exclusive
+//     universes go on the snapshot's free list, and the next exclusive
 //     solve empties and refills their arenas instead of growing fresh
-//     ones (at most one solve's groups are kept; Reset and ApplyDelta
+//     ones (at most one solve's universes are kept; Reset and ApplyDelta
 //     drop them).
 //
 // The graph is mutable through ApplyDelta (mutate.go): each delta
@@ -326,8 +299,8 @@ func (e *Engine) Counters() EngineCounters {
 }
 
 // NewEngine builds an Engine for the graph and topic model. The options'
-// Workers sizes the sampling pools every solve served by this
-// Engine shares; they change no answer.
+// Workers sizes the sampling pool every solve served by this Engine
+// shares; it changes no answer.
 func NewEngine(g *graph.Graph, model *topic.Model, opts EngineOptions) *Engine {
 	opts = opts.withDefaults()
 	e := &Engine{opts: opts}
@@ -349,22 +322,13 @@ func (e *Engine) Current() (*graph.Graph, *topic.Model) {
 func (e *Engine) Generation() uint64 { return e.cur.Load().graph.Generation() }
 
 // Workers returns the Engine's resolved sampling-worker count.
-func (e *Engine) Workers() int { return e.cur.Load().pools[0].Workers() }
-
-// Shards returns the Engine's resolved RR-sampling shard count (≥ 1;
-// EngineOptions.Shards 0 reads as 1).
-func (e *Engine) Shards() int { return e.opts.Shards }
+func (e *Engine) Workers() int { return e.cur.Load().pool.Workers() }
 
 // SamplerMemoryBytes returns the high-water scratch footprint of the
-// current generation's sampling pools, repair-only scratch included —
-// O(Shards·max(Workers, GOMAXPROCS)·n) worst case (idle shard pools
-// stay lazily unmaterialized).
+// current generation's sampling pool, repair-only scratch included —
+// O(max(Workers, GOMAXPROCS)·n) worst case.
 func (e *Engine) SamplerMemoryBytes() int64 {
-	var total int64
-	for _, p := range e.cur.Load().pools {
-		total += p.MemoryFootprint()
-	}
-	return total
+	return e.cur.Load().pool.MemoryFootprint()
 }
 
 // CachedUniverses returns the number of RR-set universes currently held
@@ -422,7 +386,7 @@ func (e *Engine) evictUniversesExcept(keep map[universeKey]bool) {
 }
 
 // Reset drops the current generation's memoized edge probabilities,
-// cached RR-set universes and recycled exclusive groups (sessions
+// cached RR-set universes and recycled exclusive universes (sessions
 // already holding a cache entry keep it until they finish, and a solve
 // in flight refills the free list when it ends). The scratch pool is
 // retained. Use it to bound memory on an Engine that has served many
@@ -459,7 +423,8 @@ func (e *Engine) lockSharedGroup(ctx context.Context, sn *snapshot, key universe
 		if !ok {
 			sg = &sharedGroup{
 				lock:  make(chan struct{}, 1),
-				shg:   shard.NewGroup(sn.graph.NumNodes(), sn.pools, probs, key.seed),
+				u:     rrset.NewUniverse(sn.graph.NumNodes()),
+				src:   sn.pool.NewStream(probs, key.seed),
 				gamma: append(topic.Distribution(nil), gamma...),
 			}
 			sn.universes[key] = sg
@@ -542,8 +507,7 @@ func (e *Engine) Solve(ctx context.Context, p *Problem, opt Options) (*Allocatio
 			Theta:         make([]int, p.NumAds()),
 			Kpt:           make([]float64, p.NumAds()),
 			SeedCounts:    make([]int, p.NumAds()),
-			SampleWorkers: sn.pools[0].Workers(),
-			Shards:        len(sn.pools),
+			SampleWorkers: sn.pool.Workers(),
 		},
 	}
 	// Deferred so that even a panic escaping the solve (e.g. from a user

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -588,9 +589,10 @@ func TestEngineAdaptiveReuse(t *testing.T) {
 	}
 }
 
-// countdownCtx reports context.Canceled from its left-th Err call on.
-// The samplers poll Err once per batch, so a small left cancels a solve
-// inside its sampling, between two batches of one Grow.
+// countdownCtx reports context.Canceled on every Err call after its
+// first left ones. The samplers poll Err once per batch, so a small left
+// cancels a solve inside its sampling, between two batches of one
+// growth.
 type countdownCtx struct {
 	context.Context
 	left atomic.Int64
@@ -604,52 +606,69 @@ func (c *countdownCtx) Err() error {
 }
 
 // A ShareSamples solve canceled mid-growth leaves its cached universe an
-// exact prefix of its streams, so later solves on the same Engine give
+// exact prefix of its stream, so later solves on the same Engine give
 // what uncanceled cold solves give: first one that needs a smaller
 // sample than the canceled one asked for, then the canceled solve
-// itself. With one shard the cancellation points fall in the KPT
-// estimate (3) and the initial sample (30, 100, 187). Three shards
-// sample concurrently, so a canceled growth can leave them uneven.
+// itself. The cancellation points are keyed on solver events, not on
+// how often sampling polls in total: the Progress hook arms the
+// countdown at the seed-th committed seed, so the first poll after it
+// falls in that seed's KPT refresh or sample growth, and a few dozen
+// polls more stop a growth part-way (the one after seed 6 adds about
+// 8,400 sets). seed 0 cancels from the start, at the first KPT poll.
+// The θ cap sits above the big solve's θ, so its growth events sample.
 func TestEngineCanceledGrowthResumesExactly(t *testing.T) {
 	p := smallWCProblem(3, 36)
 	small := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 4,
-		MaxThetaPerAd: 50000, ShareSamples: true}
+		MaxThetaPerAd: 200000, ShareSamples: true}
 	big := small
 	big.Epsilon = 0.2
-	for _, shards := range []int{1, 3} {
-		type ref struct {
-			alloc *Allocation
-			stats *Stats
+	type ref struct {
+		alloc *Allocation
+		stats *Stats
+	}
+	var refs [2]ref
+	for i, opt := range []Options{small, big} {
+		a, st, err := solveWith(p, EngineOptions{}, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var refs [2]ref
+		refs[i] = ref{a, st}
+	}
+	for _, tc := range []struct {
+		seed  int
+		polls int64
+	}{{0, 1}, {1, 0}, {5, 1}, {6, 0}, {6, 20}, {10, 40}} {
+		name := fmt.Sprintf("seed=%d polls=%d", tc.seed, tc.polls)
+		eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: 4})
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(tc.polls)
+		opt := big
+		if tc.seed > 0 {
+			ctx.left.Store(math.MaxInt64) // until the hook arms it
+			assigned := 0
+			opt.Progress = func(ev ProgressEvent) {
+				if ev.Kind == ProgressSeedAssigned {
+					if assigned++; assigned == tc.seed {
+						ctx.left.Store(tc.polls)
+					}
+				}
+			}
+		}
+		_, stats, err := eng.Solve(ctx, p, opt)
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s: err = %v, want ErrCanceled", name, err)
+		}
+		if stats.TotalRRSets >= refs[1].stats.TotalRRSets {
+			t.Fatalf("%s: canceled solve drew %d sets, the full solve %d", name, stats.TotalRRSets, refs[1].stats.TotalRRSets)
+		}
 		for i, opt := range []Options{small, big} {
-			a, st, err := solveWith(p, EngineOptions{Shards: shards}, opt)
+			got, gotStats, err := eng.Solve(context.Background(), p, opt)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: solve %d: %v", name, i, err)
 			}
-			refs[i] = ref{a, st}
-		}
-		for _, left := range []int64{3, 30, 100, 187} {
-			name := fmt.Sprintf("shards=%d left=%d", shards, left)
-			eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: 4, Shards: shards})
-			ctx := &countdownCtx{Context: context.Background()}
-			ctx.left.Store(left)
-			_, stats, err := eng.Solve(ctx, p, big)
-			if !errors.Is(err, ErrCanceled) {
-				t.Fatalf("%s: err = %v, want ErrCanceled", name, err)
-			}
-			if stats.TotalRRSets >= refs[1].stats.TotalRRSets {
-				t.Fatalf("%s: canceled solve drew %d sets, the full solve %d", name, stats.TotalRRSets, refs[1].stats.TotalRRSets)
-			}
-			for i, opt := range []Options{small, big} {
-				got, gotStats, err := eng.Solve(context.Background(), p, opt)
-				if err != nil {
-					t.Fatalf("%s: solve %d: %v", name, i, err)
-				}
-				allocationsEqual(t, refs[i].alloc, got)
-				if fmt.Sprint(gotStats.Theta) != fmt.Sprint(refs[i].stats.Theta) {
-					t.Fatalf("%s: solve %d: θ %v after a canceled solve, %v cold", name, i, gotStats.Theta, refs[i].stats.Theta)
-				}
+			allocationsEqual(t, refs[i].alloc, got)
+			if fmt.Sprint(gotStats.Theta) != fmt.Sprint(refs[i].stats.Theta) {
+				t.Fatalf("%s: solve %d: θ %v after a canceled solve, %v cold", name, i, gotStats.Theta, refs[i].stats.Theta)
 			}
 		}
 	}

@@ -303,12 +303,11 @@ type ScalePoint struct {
 	Revenue      float64 // MC-evaluated π(S⃗) of the run's allocation
 	SeedCost     float64 // Σᵢ cᵢ(Sᵢ), the allocation's incentive spend
 	Duration     time.Duration
-	MemBytes     int64 // RR-set store footprint (shard universes and views)
+	MemBytes     int64 // RR-set store footprint (universes and views)
 	SamplerBytes int64 // shared sampling-pool scratch, O(workers·n)
 	Seeds        int
 	RRSets       int64 // total RR sets sampled
 	Workers      int   // RR-sampling scratch slots for the run
-	Shards       int   // engine's resolved RR-shard count (≥ 1)
 }
 
 // RRThroughput returns RR sets sampled per second of algorithm runtime.
@@ -339,7 +338,6 @@ func scalabilitySource(name string, params Params) (*scaleSrc, error) {
 		scale:         params.Scale,
 		seed:          params.Seed,
 		sampleWorkers: params.SampleWorkers,
-		shards:        params.Shards,
 	}
 	scaleSrcCache.Lock()
 	defer scaleSrcCache.Unlock()
@@ -355,10 +353,7 @@ func scalabilitySource(name string, params Params) (*scaleSrc, error) {
 	if src.Dataset.ProbModel != gen.ProbWC || s.model.NumTopics() != 1 {
 		s.model = topic.NewWeightedCascade(src.Dataset.Graph)
 	}
-	s.eng = core.NewEngine(s.ds.Graph, s.model, core.EngineOptions{
-		Workers: params.SampleWorkers,
-		Shards:  params.Shards,
-	})
+	s.eng = core.NewEngine(s.ds.Graph, s.model, core.EngineOptions{Workers: params.SampleWorkers})
 	scaleSrcCache.m[key] = s
 	return s, nil
 }
@@ -417,7 +412,6 @@ func ScalabilityAdvertisers(ctx context.Context, dataset string, hs []int, budge
 				Revenue: res.Revenue, SeedCost: res.SeedCost, Duration: res.Duration, MemBytes: res.MemBytes,
 				SamplerBytes: res.SamplerBytes, Seeds: res.Seeds,
 				RRSets: res.RRSets, Workers: res.SampleWorkers,
-				Shards: res.Shards,
 			})
 		}
 		runtime.GC()
@@ -460,75 +454,11 @@ func ScalabilityBudget(ctx context.Context, dataset string, budgets []float64, p
 				Revenue: res.Revenue, SeedCost: res.SeedCost, Duration: res.Duration, MemBytes: res.MemBytes,
 				SamplerBytes: res.SamplerBytes, Seeds: res.Seeds,
 				RRSets: res.RRSets, Workers: res.SampleWorkers,
-				Shards: res.Shards,
 			})
 		}
 		runtime.GC()
 	}
 	return out, nil
-}
-
-// ShardScaling measures RR-sampling behavior as the engine's shard
-// count grows, holding everything else (dataset, problem, seed, ε,
-// window) fixed: one TI-CSRM solve per shard count, each on its own
-// warm engine. Every point runs the same shard-group path, so the sweep
-// isolates the cost and parallel benefit of sharding rather than
-// comparing different code paths.
-func ShardScaling(ctx context.Context, dataset string, budget float64, shardCounts []int, params Params,
-	progress func(string)) ([]ScalePoint, error) {
-	params = params.withDefaults()
-	if params.Epsilon == 0 {
-		params.Epsilon = 0.3
-	}
-	if params.Window == 0 {
-		params.Window = 5000
-	}
-	if progress == nil {
-		progress = func(string) {}
-	}
-	const h = 5
-	scaled := budget / float64(params.Scale)
-	var out []ScalePoint
-	for _, shards := range shardCounts {
-		run := params
-		run.Shards = shards
-		src, err := scalabilitySource(dataset, run)
-		if err != nil {
-			return nil, err
-		}
-		progress(fmt.Sprintf("%s shards=%d %v", dataset, shards, AlgTICSRM))
-		p := scalabilityProblem(src.ds, src.model, h, scaled, 0.2)
-		res, err := RunAlgorithm(ctx, src.eng, p, AlgTICSRM, run, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ScalePoint{
-			Dataset: dataset, Algorithm: AlgTICSRM, H: h, Budget: scaled,
-			Revenue: res.Revenue, SeedCost: res.SeedCost, Duration: res.Duration, MemBytes: res.MemBytes,
-			SamplerBytes: res.SamplerBytes, Seeds: res.Seeds,
-			RRSets: res.RRSets, Workers: res.SampleWorkers,
-			Shards: res.Shards,
-		})
-		runtime.GC()
-	}
-	return out, nil
-}
-
-// ShardScalingTable renders the shard sweep: sampling throughput and
-// memory per shard count.
-func ShardScalingTable(points []ScalePoint) *Table {
-	t := &Table{
-		Title: "Sharded RR sampling: throughput vs shard count",
-		Header: []string{"dataset", "shards", "workers", "seconds", "rr_sets",
-			"rr_sets_per_sec", "rr_mem_mb"},
-	}
-	for _, pt := range points {
-		t.Append(pt.Dataset, pt.Shards, pt.Workers,
-			fmt.Sprintf("%.3f", pt.Duration.Seconds()), pt.RRSets,
-			fmt.Sprintf("%.0f", pt.RRThroughput()),
-			fmt.Sprintf("%.1f", float64(pt.MemBytes)/(1<<20)))
-	}
-	return t
 }
 
 // RuntimeTable renders Figure 5 series (runtime vs the swept variable).

@@ -145,9 +145,6 @@ type Params struct {
 	// incrementally repaired only when their stale fraction exceeds this
 	// bound (0 = repair on any staleness, the exact default).
 	MaxStaleFraction float64
-	// Shards is the engine's RR-shard count (0 is read as 1, the
-	// single-shard layout; see core.EngineOptions.Shards).
-	Shards int
 	// AlphaPoints is the number of α grid points per incentive model
 	// (default 5, as in Figures 2–3).
 	AlphaPoints int
@@ -209,7 +206,6 @@ type workbenchKey struct {
 	workers          int
 	sampleWorkers    int
 	maxStaleFraction float64
-	shards           int
 }
 
 var workbenchCache = struct {
@@ -249,7 +245,6 @@ func NewWorkbench(name string, params Params) (*Workbench, error) {
 		workers:          params.Workers,
 		sampleWorkers:    params.SampleWorkers,
 		maxStaleFraction: params.MaxStaleFraction,
-		shards:           params.Shards,
 	}
 	workbenchCache.Lock()
 	defer workbenchCache.Unlock()
@@ -275,7 +270,6 @@ func buildWorkbench(name string, params Params) (*Workbench, error) {
 	w.eng = core.NewEngine(ds.Graph, w.Model, core.EngineOptions{
 		Workers:          params.SampleWorkers,
 		MaxStaleFraction: params.MaxStaleFraction,
-		Shards:           params.Shards,
 	})
 	l := w.Model.NumTopics()
 
@@ -419,12 +413,11 @@ type RunResult struct {
 	SeedCost      float64 // Σ c_i(S_i)
 	Seeds         int
 	Duration      time.Duration
-	MemBytes      int64 // RR-set store footprint (shard universes and views)
+	MemBytes      int64 // RR-set store footprint (universes and views)
 	SamplerBytes  int64 // shared sampling pool scratch, O(workers·n)
 	Theta         []int
 	RRSets        int64 // total RR sets sampled across ads
 	SampleWorkers int   // RR-sampling scratch slots for the run
-	Shards        int   // engine's resolved RR-shard count (≥ 1)
 }
 
 // RRThroughput returns the sampling-dominated runs' headline rate: RR sets
@@ -466,7 +459,6 @@ func SolveAlgorithm(ctx context.Context, eng *core.Engine, p *core.Problem, alg 
 		eng = core.NewEngine(p.Graph, p.Model, core.EngineOptions{
 			Workers:          params.SampleWorkers,
 			MaxStaleFraction: params.MaxStaleFraction,
-			Shards:           params.Shards,
 		})
 	}
 	opt := core.Options{
@@ -509,7 +501,6 @@ func RunAlgorithm(ctx context.Context, eng *core.Engine, p *core.Problem, alg Al
 		eng = core.NewEngine(p.Graph, p.Model, core.EngineOptions{
 			Workers:          params.SampleWorkers,
 			MaxStaleFraction: params.MaxStaleFraction,
-			Shards:           params.Shards,
 		})
 	}
 	alloc, stats, err := SolveAlgorithm(ctx, eng, p, alg, params, prScores)
@@ -531,7 +522,6 @@ func RunAlgorithm(ctx context.Context, eng *core.Engine, p *core.Problem, alg Al
 		Theta:         stats.Theta,
 		RRSets:        stats.TotalRRSets,
 		SampleWorkers: stats.SampleWorkers,
-		Shards:        stats.Shards,
 	}, nil
 }
 

@@ -40,7 +40,6 @@ type FrontierPoint struct {
 	MemBytes     int64
 	SamplerBytes int64
 	Workers      int
-	Shards       int
 }
 
 // Frontier sweeps every registered algorithm on each preset dataset and
@@ -94,7 +93,6 @@ func Frontier(ctx context.Context, datasets []string, params Params,
 				MemBytes:     res.MemBytes,
 				SamplerBytes: res.SamplerBytes,
 				Workers:      res.SampleWorkers,
-				Shards:       res.Shards,
 			}
 			if info.Mode == core.ModeCostSensitive {
 				refRevenue, refDuration = res.Revenue, res.Duration
@@ -145,7 +143,6 @@ func FrontierRuns(points []FrontierPoint, params Params) []BenchRun {
 			RRMemoryBytes:      pt.MemBytes,
 			SamplerMemoryBytes: pt.SamplerBytes,
 			SampleWorkers:      pt.Workers,
-			Shards:             pt.Shards,
 		}
 	}
 	return runs

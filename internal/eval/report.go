@@ -30,9 +30,6 @@ type BenchReport struct {
 	Scale         string `json:"scale"`
 	Seed          uint64 `json:"seed"`
 	Workers       int    `json:"workers"`
-	// Shards is the engine RR-shard count the run was configured with
-	// (-shards; 0 is read as 1, see core.EngineOptions.Shards).
-	Shards int `json:"shards"`
 	// PeakRSSBytes is the process's peak resident set (VmHWM) at report
 	// time — the whole-run memory high-water mark, the number the
 	// mmap-vs-copy loading comparison is about. 0 when the platform
@@ -79,7 +76,6 @@ type BenchRun struct {
 	RRMemoryBytes      int64   `json:"rr_memory_bytes"`
 	SamplerMemoryBytes int64   `json:"sampler_memory_bytes"`
 	SampleWorkers      int     `json:"sample_workers"`
-	Shards             int     `json:"shards,omitempty"`
 }
 
 // NewBenchReport starts a report for the given harness parameters.
@@ -99,7 +95,6 @@ func NewBenchReport(params Params, gitSHA, gitDate string) *BenchReport {
 		Scale:         params.Scale.String(),
 		Seed:          params.Seed,
 		Workers:       workers,
-		Shards:        params.Shards,
 	}
 }
 
@@ -139,7 +134,6 @@ func BenchRunOf(res RunResult) BenchRun {
 		RRMemoryBytes:      res.MemBytes,
 		SamplerMemoryBytes: res.SamplerBytes,
 		SampleWorkers:      res.SampleWorkers,
-		Shards:             res.Shards,
 	}
 }
 
@@ -160,7 +154,6 @@ func BenchRunOfScale(pt ScalePoint) BenchRun {
 		RRMemoryBytes:      pt.MemBytes,
 		SamplerMemoryBytes: pt.SamplerBytes,
 		SampleWorkers:      pt.Workers,
-		Shards:             pt.Shards,
 	}
 }
 
@@ -180,9 +173,6 @@ func (r *BenchReport) Validate() error {
 	}
 	if r.Workers < 1 {
 		return fmt.Errorf("eval: report workers %d < 1", r.Workers)
-	}
-	if r.Shards < 0 {
-		return fmt.Errorf("eval: report shards %d < 0", r.Shards)
 	}
 	if r.PeakRSSBytes < 0 {
 		return fmt.Errorf("eval: report peak_rss_bytes %d < 0", r.PeakRSSBytes)
@@ -226,9 +216,6 @@ func (r *BenchReport) Validate() error {
 			}
 			if run.SampleWorkers < 1 {
 				return fmt.Errorf("eval: experiment %q run %d has sample_workers %d < 1", exp.ID, j, run.SampleWorkers)
-			}
-			if run.Shards < 0 {
-				return fmt.Errorf("eval: experiment %q run %d has shards %d < 0", exp.ID, j, run.Shards)
 			}
 		}
 	}

@@ -11,15 +11,18 @@ type bitset struct {
 	n     int
 }
 
-// appendZero extends the bitset by one cleared bit. Words are always
+// extend grows the bitset to at least n bits, cleared. Words are always
 // materialized through append(…, 0), so a freshly entered word never
 // carries stale bits.
-func (b *bitset) appendZero() {
-	if b.n>>6 == len(b.words) {
+func (b *bitset) extend(n int) {
+	for len(b.words) < (n+63)/64 {
 		b.words = append(b.words, 0)
 	}
-	b.n++
+	b.n = max(b.n, n)
 }
+
+// appendZero extends the bitset by one cleared bit.
+func (b *bitset) appendZero() { b.extend(b.n + 1) }
 
 // get reports bit i.
 func (b *bitset) get(i int32) bool {

@@ -1,30 +1,5 @@
 package rrset
 
-// CoverageState is the coverage-bookkeeping interface the allocation
-// engine works against. View implements it on top of a shared Universe,
-// addressing the paper's future-work item (i) — making TI-CSRM more
-// memory efficient — for ads with identical topic distributions (the
-// paper's pure-competition pairs), whose RR-set distributions coincide
-// and whose samples can therefore be shared; internal/shard's MergedView
-// implements it over several shard universes.
-type CoverageState interface {
-	// CovCount returns the marginal coverage of node v.
-	CovCount(v int32) int32
-	// CoverBy tombstones all live sets containing v; returns how many.
-	CoverBy(v int32) int
-	// NumCovered returns the number of covered sets.
-	NumCovered() int
-	// Size returns θ, the total sets visible to this state.
-	Size() int
-	// MaxCovCount returns the eligible node with maximum marginal
-	// coverage.
-	MaxCovCount(eligible func(v int32) bool) (node int32, count int32)
-	// MemoryFootprint estimates this state's own heap bytes.
-	MemoryFootprint() int64
-}
-
-var _ CoverageState = (*View)(nil)
-
 // Universe is an append-only store of RR sets with an inverted index,
 // shareable by multiple Views. Set IDs are assigned in insertion order,
 // so every node's indexed IDs are ascending — Views exploit this to stop
@@ -34,8 +9,8 @@ var _ CoverageState = (*View)(nil)
 //
 // Appending and indexing are separate steps. Add only appends; batch
 // growth (AddFrom, AddFromParallel(Ctx)) ends by indexing the batch as
-// one segment, and any index read (SetsContaining, NumSetsContaining,
-// Invalidate, View.CoverBy, StoredBytes) first indexes sets that bare
+// one segment, and any index read (NumSetsContaining, Invalidate,
+// NewViewPrefix, View.CoverBy, StoredBytes) first indexes sets that bare
 // Adds left behind. Growth on the engine's paths therefore always ends
 // indexed, and concurrent readers of a grown universe never build.
 type Universe struct {
@@ -260,16 +235,24 @@ func (u *Universe) repair(sample func(slot int32, dst []int32) []int32, chunks i
 	return repaired
 }
 
-// View is one advertiser's coverage state over a shared Universe prefix.
-// A View sees exactly the first `synced` sets; Sync extends the prefix
-// after the universe has grown. Per-view state is a packed coverage
-// bitset (1 bit per set) plus the bucket queue of live marginal
-// coverage counts — the shared set storage is accounted once by the
-// universe's owner.
+// View is one advertiser's coverage state over a Universe prefix — the
+// paper's per-ad RR sample as the greedy loops see it. A View sees
+// exactly the first `synced` sets; SyncTo extends the prefix after the
+// universe has grown. Per-view state is a packed coverage bitset (1 bit
+// per set) and one plain []int32 live marginal coverage count per node,
+// so CovCount is a load and every sync or tombstone is a ±1 per member;
+// the set storage is accounted once by the universe's owner.
+// MaxCovCount pays for the plain counts with an O(n) scan: the engine
+// asks it once per growth event, beside the O(n) candidate-heap rebuild
+// that follows, and selects per pick from its own heap.
+//
+// Several Views may share one universe (ShareSamples groups, the
+// paper's future-work item (i)): ads with identical topic distributions
+// draw from the same RR-set distribution, so their samples coincide.
 type View struct {
 	u        *Universe
 	covered  bitset
-	bq       bucketQueue
+	count    []int32 // node -> live marginal coverage
 	nCovered int
 	synced   int
 }
@@ -283,9 +266,26 @@ func NewView(u *Universe) *View {
 // the universe. A long-lived universe cache hands prefix views to solver
 // sessions so that a universe pre-grown by an earlier session replays
 // exactly the sample sizes a cold run would have seen.
+//
+// When the prefix is longer than the rest of the universe, the counts
+// start from the inverted-index degrees minus the sets beyond the
+// prefix, so attaching a view to a fully grown sample costs O(n) rather
+// than a walk over every stored member. A shorter prefix is walked
+// forward, which is cheaper when an earlier, larger solve grew a cached
+// universe far past this view's prefix.
 func NewViewPrefix(u *Universe, limit int) *View {
-	v := &View{u: u}
-	v.bq.init(u.n)
+	v := &View{u: u, count: make([]int32, u.n)}
+	limit = min(limit, u.Size())
+	if u.Size()-limit < limit {
+		copy(v.count, u.index().deg)
+		for id := limit; id < u.Size(); id++ {
+			for _, x := range u.Set(int32(id)) {
+				v.count[x]--
+			}
+		}
+		v.covered.extend(limit)
+		v.synced = limit
+	}
 	v.SyncTo(limit)
 	return v
 }
@@ -302,27 +302,28 @@ func (v *View) Sync() int {
 // many were integrated. A limit at or below the current prefix is a
 // no-op — views never shrink.
 func (v *View) SyncTo(limit int) int {
-	if limit > v.u.Size() {
-		limit = v.u.Size()
+	limit = min(limit, v.u.Size())
+	if limit <= v.synced {
+		return 0
 	}
-	added := 0
+	v.covered.extend(limit)
 	for id := v.synced; id < limit; id++ {
-		v.covered.appendZero()
 		for _, x := range v.u.Set(int32(id)) {
-			v.bq.inc(x)
+			v.count[x]++
 		}
-		added++
 	}
-	if limit > v.synced {
-		v.synced = limit
-	}
+	added := limit - v.synced
+	v.synced = limit
 	return added
 }
 
-// CovCount implements CoverageState.
-func (v *View) CovCount(node int32) int32 { return v.bq.count[node] }
+// CovCount returns the marginal coverage of node: the number of live
+// (uncovered) synced sets containing it.
+func (v *View) CovCount(node int32) int32 { return v.count[node] }
 
-// CoverBy implements CoverageState. Allocation-free.
+// CoverBy tombstones every live synced set containing node, decrementing
+// the counts of each tombstoned set's members, and returns how many sets
+// it covered. Allocation-free.
 func (v *View) CoverBy(node int32) int {
 	newly := 0
 	it := v.u.index().iter(node)
@@ -335,28 +336,37 @@ func (v *View) CoverBy(node int32) int {
 		}
 		v.covered.set(id)
 		newly++
-		for _, x := range v.u.data[v.u.offsets[id]:v.u.offsets[id+1]] {
-			v.bq.dec(x)
+		for _, x := range v.u.Set(id) {
+			v.count[x]--
 		}
 	}
 	v.nCovered += newly
 	return newly
 }
 
-// NumCovered implements CoverageState.
+// NumCovered returns the number of covered sets.
 func (v *View) NumCovered() int { return v.nCovered }
 
-// Size implements CoverageState: the synced prefix length is this view's θ.
+// Size returns the synced prefix length: this view's θ.
 func (v *View) Size() int { return v.synced }
 
-// MaxCovCount implements CoverageState via the indexed bucket queue,
-// with the linear-scan reference's exact tie-break semantics.
+// MaxCovCount returns the eligible node with the maximum marginal
+// coverage, by an ascending scan of the counts: the lowest eligible node
+// ID at the maximum (nil eligible = all nodes), hence the lowest
+// eligible node when every eligible count is 0, and (-1, 0) when no node
+// is eligible.
 func (v *View) MaxCovCount(eligible func(int32) bool) (node int32, count int32) {
-	return v.bq.maxEligible(eligible)
+	node = -1
+	for x, c := range v.count {
+		if (node < 0 || c > count) && (eligible == nil || eligible(int32(x))) {
+			node, count = int32(x), c
+		}
+	}
+	return node, count
 }
 
-// MemoryFootprint implements CoverageState: only the view's own state —
-// the shared universe is accounted once by its owner.
+// MemoryFootprint returns the view's own heap bytes — counts and
+// coverage bitset; the universe is accounted once by its owner.
 func (v *View) MemoryFootprint() int64 {
-	return v.covered.bytes() + v.bq.bytes()
+	return int64(cap(v.count))*4 + v.covered.bytes()
 }

@@ -207,8 +207,6 @@ type AlgorithmJSON struct {
 	OnePass        bool   `json:"one_pass"`
 	RoundRobin     bool   `json:"round_robin"`
 	SupportsWindow bool   `json:"supports_window"`
-	SupportsShards bool   `json:"supports_shards"`
-	SupportsDeltas bool   `json:"supports_deltas"`
 }
 
 // AlgorithmsResponse is the body of GET /v1/algorithms.
@@ -286,8 +284,6 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
 			OnePass:        info.OnePass,
 			RoundRobin:     info.RoundRobin,
 			SupportsWindow: info.SupportsWindow,
-			SupportsShards: info.SupportsShards,
-			SupportsDeltas: info.SupportsDeltas,
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -42,7 +42,6 @@ type engineRow struct {
 	universeBytes int64
 	samplerBytes  int64
 	workers       int64
-	shards        int64
 	generation    int64
 }
 
@@ -129,8 +128,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(r engineRow) int64 { return r.samplerBytes })
 	emit("rmserved_engine_workers", "RR-sampling scratch slots of the engine.", "gauge",
 		func(r engineRow) int64 { return r.workers })
-	emit("rm_shards", "Resolved RR-shard count of the engine (>= 1).", "gauge",
-		func(r engineRow) int64 { return r.shards })
 	emit("rmserved_graph_generation", "Serving graph generation of the engine (0 until its first mutate).", "gauge",
 		func(r engineRow) int64 { return r.generation })
 	emit("rmserved_engine_mutations_total", "Completed generation swaps on this engine.", "counter",
@@ -170,7 +167,6 @@ func (s *Server) engineRows() []engineRow {
 			universeBytes: e.CachedUniverseBytes(),
 			samplerBytes:  e.SamplerMemoryBytes(),
 			workers:       int64(e.Workers()),
-			shards:        int64(e.Shards()),
 			generation:    int64(e.Generation()),
 		})
 	}

@@ -75,10 +75,6 @@ type Config struct {
 	// Workers sizes every engine's sampling pool (EngineOptions). It
 	// changes no answer, so the result cache does not key on it.
 	Workers int
-	// Shards is every engine's RR-shard count (core.EngineOptions.Shards):
-	// 0 is read as 1, the single-shard layout; >1 samples shards in
-	// parallel. Part of the engines' determinism key, fixed per server.
-	Shards int
 	// SingletonRuns is the workbench's Monte-Carlo budget for singleton
 	// spreads on the quality datasets (0 = the eval default).
 	SingletonRuns int
@@ -313,7 +309,6 @@ func (s *Server) workbench(name string, h int) (*eval.Workbench, error) {
 		SingletonRuns:    s.cfg.SingletonRuns,
 		SampleWorkers:    s.cfg.Workers,
 		MaxStaleFraction: s.cfg.MaxStaleFraction,
-		Shards:           s.cfg.Shards,
 	})
 	if err != nil {
 		return nil, err
