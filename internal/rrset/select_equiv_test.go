@@ -158,13 +158,35 @@ func TestWarmArenaSamplingAllocationFree(t *testing.T) {
 	}
 }
 
-// TestCoverByAllocationFree: the greedy loop's per-pick view operations
-// — CovCount per heap key, CoverBy per assignment and the
-// eligibility-filtered MaxCovCount per growth event — must never
-// allocate: they only read and write the counts, walk the index and
-// flip bitset bits. The view attaches at a long prefix, so its counts
-// start from the index degrees.
+// TestCoverByAllocationFree: the greedy loop's inner operation — cover
+// all live sets containing a node — must never allocate: it only walks
+// the flat index, flips bitset bits and decrements the counts.
 func TestCoverByAllocationFree(t *testing.T) {
+	g := gen.RMAT(256, 2048, gen.DefaultRMAT, xrand.New(9))
+	probs := make([]float32, g.NumEdges())
+	for i := range probs {
+		probs[i] = 0.3
+	}
+	pool := NewPool(g, PoolOptions{Workers: 1})
+	u := NewUniverse(g.NumNodes())
+	u.AddFromParallel(pool.NewStream(NewSampleProbs(g, probs), 33), 4000)
+	v := NewView(u)
+	next := int32(0)
+	allocs := testing.AllocsPerRun(20, func() {
+		v.CoverBy(next % g.NumNodes())
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("CoverBy allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestViewZeroAlloc pins the view's per-pick operations allocation-free:
+// CovCount per heap key, CoverBy per assignment and the
+// eligibility-filtered MaxCovCount per growth event. They only read and
+// write the counts, walk the index and flip bitset bits. The view
+// attaches at a long prefix, so its counts start from the index degrees.
+func TestViewZeroAlloc(t *testing.T) {
 	g := gen.RMAT(256, 2048, gen.DefaultRMAT, xrand.New(9))
 	probs := make([]float32, g.NumEdges())
 	for i := range probs {
