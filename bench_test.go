@@ -239,7 +239,7 @@ func BenchmarkParallelSampling(b *testing.B) {
 			stream := rrset.NewPool(g, rrset.PoolOptions{Workers: w}).NewStream(probs, 7)
 			b.ResetTimer()
 			start := time.Now()
-			stream.SampleN(b.N, func([]int32, int64) {})
+			stream.SampleN(b.N, func([]int32) {})
 			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "sets/sec")
 		})
 	}

@@ -25,7 +25,7 @@ func TestSampleNCtxCancelMidStream(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		const want = 10_000
 		got := 0
-		err := s.SampleNCtx(ctx, want, func(nodes []int32, _ int64) {
+		err := s.SampleNCtx(ctx, want, func(nodes []int32) {
 			got++
 			if got == 40 {
 				cancel() // cancel after ~2.5 batches have been merged
@@ -43,6 +43,30 @@ func TestSampleNCtxCancelMidStream(t *testing.T) {
 	}
 }
 
+// A context canceled inside the yield of the last requested set comes
+// too late to stop anything: every set was emitted, so SampleNCtx
+// returns nil at every Workers, and a growth that completed reports so.
+func TestSampleNCtxCancelAtLastSetReturnsNil(t *testing.T) {
+	g := gen.RMAT(256, 1500, gen.DefaultRMAT, xrand.New(5))
+	probs := NewSampleProbs(g, testProbs(g.NumEdges(), 0.2))
+	const want = 100
+	for _, workers := range []int{1, 2, 4} {
+		pool := NewPool(g, PoolOptions{Workers: workers, BatchSize: 16})
+		ctx, cancel := context.WithCancel(context.Background())
+		got := 0
+		err := pool.NewStream(probs, 7).SampleNCtx(ctx, want, func([]int32) {
+			got++
+			if got == want {
+				cancel()
+			}
+		})
+		cancel()
+		if err != nil || got != want {
+			t.Fatalf("workers=%d: err = %v after %d of %d sets, want nil and every set", workers, err, got, want)
+		}
+	}
+}
+
 // A canceled SampleNCtx leaves the stream at the first slot it did not
 // emit: finishing the request with later calls gives exactly the
 // uncanceled sample, at one worker and at several.
@@ -56,7 +80,7 @@ func TestSampleNCtxCancelResumesExactly(t *testing.T) {
 		s := pool.NewStream(probs, seed)
 		u := NewUniverse(g.NumNodes())
 		ctx, cancel := context.WithCancel(context.Background())
-		err := s.SampleNCtx(ctx, want, func(nodes []int32, _ int64) {
+		err := s.SampleNCtx(ctx, want, func(nodes []int32) {
 			u.Add(nodes)
 			if u.Size() == 40 {
 				cancel()
@@ -83,11 +107,11 @@ func TestSampleNCtxMatchesSampleN(t *testing.T) {
 		// Yielded slices are windows into reused batch buffers, so the
 		// retained comparison copies must be taken inside the yield.
 		var a, b [][]int32
-		pool.NewStream(NewSampleProbs(g, probs), 9).SampleN(500, func(nodes []int32, _ int64) {
+		pool.NewStream(NewSampleProbs(g, probs), 9).SampleN(500, func(nodes []int32) {
 			a = append(a, append([]int32(nil), nodes...))
 		})
 		if err := pool.NewStream(NewSampleProbs(g, probs), 9).SampleNCtx(context.Background(), 500,
-			func(nodes []int32, _ int64) {
+			func(nodes []int32) {
 				b = append(b, append([]int32(nil), nodes...))
 			}); err != nil {
 			t.Fatal(err)

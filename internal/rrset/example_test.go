@@ -22,7 +22,7 @@ func ExampleStream() {
 
 	pool := rrset.NewPool(g, rrset.PoolOptions{Workers: 4, BatchSize: 64})
 	sets, withHub := 0, 0
-	pool.NewStream(probs, 1).SampleN(1000, func(nodes []int32, _ int64) {
+	pool.NewStream(probs, 1).SampleN(1000, func(nodes []int32) {
 		sets++
 		for _, v := range nodes {
 			if v == 0 {

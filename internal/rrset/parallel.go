@@ -25,20 +25,20 @@ func (u *Universe) AddFromParallel(src *Stream, count int) {
 // a canceled context it stops after adding only a prefix of the requested
 // sets, indexes that prefix and returns the context's error.
 func (u *Universe) AddFromParallelCtx(ctx context.Context, src *Stream, count int) error {
-	err := src.SampleNCtx(ctx, count, func(nodes []int32, _ int64) { u.Add(nodes) })
+	err := src.SampleNCtx(ctx, count, u.Add)
 	u.idx.extend(u.data, u.offsets, src.pool.Workers())
 	return err
 }
 
 // KptEstimateParallelCtx is KptEstimate drawing its geometric batches
-// from a stream. The κ(R) terms are accumulated in the stream's slot
-// order, so the estimate is a pure function of the stream's seed and
-// start slot. A canceled context aborts the estimation loop at the next
+// from a stream, each set's width summed from its members' in-degrees.
+// The κ(R) terms are accumulated in the stream's slot order, so the
+// estimate is a pure function of the stream's seed and start slot. A canceled context aborts the estimation loop at the next
 // batch boundary and returns the context's error (the partial estimate
 // is meaningless and discarded).
 func KptEstimateParallelCtx(ctx context.Context, src *Stream, m, n int64, size int, ell float64) (float64, error) {
 	return kptEstimate(func(count int, yield func(width int64)) error {
-		return src.SampleNCtx(ctx, count, func(_ []int32, width int64) { yield(width) })
+		return src.SampleNCtx(ctx, count, func(nodes []int32) { yield(width(src.pool.g, nodes)) })
 	}, m, n, size, ell)
 }
 

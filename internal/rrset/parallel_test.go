@@ -160,7 +160,7 @@ func TestParallelCounts(t *testing.T) {
 	} {
 		pool := NewPool(g, PoolOptions{Workers: tc.workers, BatchSize: tc.batch})
 		got := 0
-		pool.NewStream(NewSampleProbs(g, probs), 19).SampleN(tc.count, func(nodes []int32, width int64) {
+		pool.NewStream(NewSampleProbs(g, probs), 19).SampleN(tc.count, func(nodes []int32) {
 			if len(nodes) == 0 {
 				t.Fatalf("%+v: empty RR set", tc)
 			}
@@ -210,7 +210,7 @@ func TestParallelConcurrentAddFrom(t *testing.T) {
 func TestParallelZeroProb(t *testing.T) {
 	g, probs := line3(0.0)
 	pool := NewPool(g, PoolOptions{Workers: 2, BatchSize: 4})
-	pool.NewStream(NewSampleProbs(g, probs), 3).SampleN(40, func(nodes []int32, _ int64) {
+	pool.NewStream(NewSampleProbs(g, probs), 3).SampleN(40, func(nodes []int32) {
 		if len(nodes) != 1 {
 			t.Fatalf("p=0 RR set has %d nodes, want 1", len(nodes))
 		}

@@ -3,7 +3,9 @@ package rrset
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -28,44 +30,83 @@ type scratch struct {
 // of gathering the probability through the arc's canonical edge ID. The
 // canonical, edge-ID-indexed slice stays the form forward simulation
 // (internal/cascade) uses; this is a permuted copy of it, 4 bytes per arc.
+//
+// skip picks the kernel's path per node, 8 bytes per node: 1/ln(1−p) when
+// every in-arc of the node has the same p in (0, 1] (−0 at p = 1), so its
+// live in-arcs are drawn by geometric gaps, and NaN otherwise, where each
+// in-arc flips its own coin.
 type SampleProbs struct {
-	p []float32
+	p    []float32
+	skip []float64
 }
 
 // NewSampleProbs permutes canonical arc probabilities (indexed by edge
-// ID) into g's in-CSR order. The result belongs to g: sampling on any
-// other graph is undefined.
+// ID) into g's in-CSR order and marks the nodes whose in-arcs share one
+// probability for the skip path. The result belongs to g: sampling on
+// any other graph is undefined.
 func NewSampleProbs(g *graph.Graph, probs []float32) SampleProbs {
+	sp := perArcProbs(g, probs)
+	off, _, _ := g.InCSR()
+	for v := range sp.skip {
+		ps := sp.p[off[v]:off[v+1]]
+		if len(ps) > 0 && ps[0] > 0 && ps[0] <= 1 && !slices.ContainsFunc(ps, func(p float32) bool { return p != ps[0] }) {
+			sp.skip[v] = 1 / math.Log1p(-float64(ps[0]))
+		}
+	}
+	return sp
+}
+
+// perArcProbs is NewSampleProbs with every node on the per-arc path: the
+// kernel then flips one coin per examined arc, the draw rule the
+// sequential Sampler keeps as the reference distribution.
+func perArcProbs(g *graph.Graph, probs []float32) SampleProbs {
 	if int64(len(probs)) != g.NumEdges() {
 		panic(fmt.Sprintf("rrset: %d probs for %d edges", len(probs), g.NumEdges()))
 	}
-	_, _, ids := g.InCSR()
-	p := make([]float32, len(ids))
+	off, _, ids := g.InCSR()
+	sp := SampleProbs{p: make([]float32, len(ids)), skip: make([]float64, len(off)-1)}
 	for k, e := range ids {
-		p[k] = probs[e]
+		sp.p[k] = probs[e]
 	}
-	return SampleProbs{p: p}
+	for v := range sp.skip {
+		sp.skip[v] = math.NaN()
+	}
+	return sp
 }
 
-// sample draws one random RR set using this scratch: the lazy reverse BFS
-// of Borgs et al. (SODA 2014). The returned node slice is freshly
-// allocated and owned by the caller; scratch state is reusable immediately.
-func (sc *scratch) sample(g *graph.Graph, probs []float32, rng *xrand.RNG) (nodes []int32, width int64) {
-	return sc.sampleInto(nil, g, probs, rng)
+// width returns a set's width w(R), the number of arcs entering its
+// members: the quantity TIM's KPT estimator reads.
+func width(g *graph.Graph, nodes []int32) int64 {
+	off, _, _ := g.InCSR()
+	var w int64
+	for _, v := range nodes {
+		w += off[v+1] - off[v]
+	}
+	return w
 }
 
-// sampleInto draws one random RR set, appending its member nodes (target
-// first) onto dst and returning the extended slice and the set's width.
-// probs is in in-CSR order (SampleProbs). Writing into a caller-supplied
-// tail is what lets collections and streams ingest sets with zero per-set
-// allocations; the RNG consumption is identical to sample's, so
+// sampleInto draws one random RR set — the lazy reverse BFS of Borgs et
+// al. (SODA 2014) — appending its member nodes (target first) onto dst
+// and returning the extended slice. Writing into a caller-supplied tail
+// is what lets collections and streams ingest sets with zero per-set
+// allocations; the RNG consumption does not depend on dst, so
 // destination choice can never perturb the deterministic stream.
 //
-// The RNG draws are exactly one Int31n for the target, then one Uint64 per
-// examined arc whose source is unvisited and whose p > 0, compared as
-// float64(x>>11)/2^53 < p — the RNG.Float64 coin. The xoshiro state lives
-// in four locals for the whole BFS and is written back once per set.
-func (sc *scratch) sampleInto(dst []int32, g *graph.Graph, probs []float32, rng *xrand.RNG) (nodes []int32, width int64) {
+// The RNG draws are exactly one Int31n for the target, then per dequeued
+// member v, on v's in-arcs in in-CSR order:
+//   - skip path (probs.skip[v] ≤ 0): one Uint64 x per gap, with
+//     U = (x>>11 + 1)/2^53 in (0, 1] and gap ⌊ln U · skip[v]⌋, a
+//     Geometric(p) count of dead arcs before the next live one; the draws
+//     stop at the first gap that reaches past the last arc. A live arc
+//     whose source is already visited is passed over after its draw: by
+//     the live-edge equivalence its coin need not be skipped.
+//   - per-arc path: one Uint64 per arc whose source is unvisited and
+//     whose p > 0, compared as float64(x>>11)/2^53 < p — the RNG.Float64
+//     coin.
+//
+// The xoshiro state lives in four locals for the whole BFS and is
+// written back once per set.
+func (sc *scratch) sampleInto(dst []int32, g *graph.Graph, probs SampleProbs, rng *xrand.RNG) []int32 {
 	n := g.NumNodes()
 	if int64(len(sc.visited)) < int64(n) {
 		sc.visited = make([]int64, n)
@@ -78,14 +119,30 @@ func (sc *scratch) sampleInto(dst []int32, g *graph.Graph, probs []float32, rng 
 	visited[target] = epoch
 	// The members appended so far are the BFS queue: the front is an
 	// index cursor into nodes, starting at the target.
-	nodes = append(dst, target)
-	width = off[target+1] - off[target]
+	nodes := append(dst, target)
 	s0, s1, s2, s3 := rng.State()
 	for qi := len(dst); qi < len(nodes); qi++ {
 		v := nodes[qi]
 		lo, hi := off[v], off[v+1]
 		us := srcs[lo:hi]
-		ps := probs[lo:hi]
+		if inv := probs.skip[v]; inv <= 0 {
+			for i := 0; i < len(us); i++ {
+				var x uint64
+				x, s0, s1, s2, s3 = xrand.Next(s0, s1, s2, s3)
+				// Compared in float, so a huge gap (tiny p) cannot overflow.
+				gap := math.Log(float64(x>>11+1)/(1<<53)) * inv
+				if gap >= float64(len(us)-i) {
+					break
+				}
+				i += int(gap)
+				if u := us[i]; visited[u] != epoch {
+					visited[u] = epoch
+					nodes = append(nodes, u)
+				}
+			}
+			continue
+		}
+		ps := probs.p[lo:hi]
 		ps = ps[:len(us)] // lets ps[i] below go without a bounds check
 		for i, u := range us {
 			if visited[u] == epoch {
@@ -100,12 +157,11 @@ func (sc *scratch) sampleInto(dst []int32, g *graph.Graph, probs []float32, rng 
 			if float64(x>>11)/(1<<53) < float64(p) {
 				visited[u] = epoch
 				nodes = append(nodes, u)
-				width += off[u+1] - off[u]
 			}
 		}
 	}
 	rng.SetState(s0, s1, s2, s3)
-	return nodes, width
+	return nodes
 }
 
 // PoolOptions configures a Pool.
@@ -262,7 +318,7 @@ func (p *Pool) MemoryFootprint() int64 { return p.scratchBytes.Load() }
 // only for scratch slots.
 type Stream struct {
 	pool  *Pool
-	probs []float32 // in-CSR order (SampleProbs)
+	probs SampleProbs
 	seed  uint64
 	// next is the slot the next emitted set is drawn from: always the
 	// number of sets the stream has emitted, canceled calls included.
@@ -274,14 +330,13 @@ type Stream struct {
 }
 
 // flatBatch is one multi-worker batch of RR sets in flat form: all
-// member nodes concatenated, with per-set end offsets and widths. Within
+// member nodes concatenated, with per-set end offsets. Within
 // one SampleNCtx call the merger hands every drained batch back to the
 // workers for reuse, so a call allocates buffers for only the batches in
-// flight at once, not three slices per batch.
+// flight at once, not two slices per batch.
 type flatBatch struct {
-	data   []int32
-	ends   []int
-	widths []int64
+	data []int32
+	ends []int
 }
 
 // NewStream builds a stream of RR sets for the given ad-specific arc
@@ -296,7 +351,7 @@ func (p *Pool) NewStreamAt(probs SampleProbs, seed uint64, next int) *Stream {
 	if int64(len(probs.p)) != p.g.NumEdges() {
 		panic("rrset: stream probs length != graph edges")
 	}
-	return &Stream{pool: p, probs: probs.p, seed: seed, next: next}
+	return &Stream{pool: p, probs: probs, seed: seed, next: next}
 }
 
 // fill appends the sets of slots [lo, hi) onto b, drawing each from its
@@ -304,20 +359,18 @@ func (p *Pool) NewStreamAt(probs SampleProbs, seed uint64, next int) *Stream {
 func (s *Stream) fill(b *flatBatch, sc *scratch, rng *xrand.RNG, lo, hi int) {
 	for slot := lo; slot < hi; slot++ {
 		rng.Seed(slotSeed(s.seed, slot))
-		var width int64
-		b.data, width = sc.sampleInto(b.data, s.pool.g, s.probs, rng)
+		b.data = sc.sampleInto(b.data, s.pool.g, s.probs, rng)
 		b.ends = append(b.ends, len(b.data))
-		b.widths = append(b.widths, width)
 	}
 }
 
-// SampleN draws count RR sets and hands each — member nodes and width
-// w(R) — to yield, which runs on the calling goroutine. The node slice
+// SampleN draws count RR sets and hands each set's member nodes to
+// yield, which runs on the calling goroutine. The node slice
 // is a window into a reused batch buffer: it is valid only for the
 // duration of the yield call and must be copied to be retained (the
 // arena-backed Universe ingest path copies into its flat storage). The
 // sets are the stream's next count slots, in slot order.
-func (s *Stream) SampleN(count int, yield func(nodes []int32, width int64)) {
+func (s *Stream) SampleN(count int, yield func(nodes []int32)) {
 	s.SampleNCtx(context.Background(), count, yield)
 }
 
@@ -325,10 +378,12 @@ func (s *Stream) SampleN(count int, yield func(nodes []int32, width int64)) {
 // checked once per batch (the pool's BatchSize), so a canceled sampling
 // request returns within one batch's worth of reverse BFS work. On
 // cancellation it returns the context's error after emitting only a
-// prefix of the requested sets. Sets drawn but not emitted are dropped,
-// and the stream resumes at the first slot it did not emit: a later
-// call continues the uncanceled sequence exactly.
-func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []int32, width int64)) error {
+// prefix of the requested sets; once every requested set is emitted it
+// returns nil, even if the context was canceled during the last yield.
+// Sets drawn but not emitted are dropped, and the stream resumes at the
+// first slot it did not emit: a later call continues the uncanceled
+// sequence exactly.
+func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []int32)) error {
 	if count <= 0 {
 		return ctx.Err()
 	}
@@ -347,7 +402,7 @@ func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []i
 				return err
 			}
 			hi := min(s.next+p.batch, end)
-			s.buf.data, s.buf.ends, s.buf.widths = s.buf.data[:0], s.buf.ends[:0], s.buf.widths[:0]
+			s.buf.data, s.buf.ends = s.buf.data[:0], s.buf.ends[:0]
 			sc := p.acquire()
 			s.fill(&s.buf, sc, &rng, s.next, hi)
 			p.release(sc)
@@ -388,10 +443,9 @@ func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []i
 				var batch flatBatch
 				select {
 				case batch = <-free:
-					batch.data, batch.ends, batch.widths = batch.data[:0], batch.ends[:0], batch.widths[:0]
+					batch.data, batch.ends = batch.data[:0], batch.ends[:0]
 				default:
 					batch.ends = make([]int, 0, hi-lo)
-					batch.widths = make([]int64, 0, hi-lo)
 				}
 				// Borrow scratch for the batch only: the send below can
 				// block on the merger, and holding a slot there would let
@@ -423,14 +477,17 @@ func (s *Stream) SampleNCtx(ctx context.Context, count int, yield func(nodes []i
 		}
 	}
 	wg.Wait()
+	if s.next == first+count {
+		return nil
+	}
 	return ctx.Err()
 }
 
 // emit yields a batch's sets in order and advances the stream past them.
-func (s *Stream) emit(b flatBatch, yield func(nodes []int32, width int64)) {
+func (s *Stream) emit(b flatBatch, yield func(nodes []int32)) {
 	start := 0
-	for i, end := range b.ends {
-		yield(b.data[start:end:end], b.widths[i])
+	for _, end := range b.ends {
+		yield(b.data[start:end:end])
 		start = end
 	}
 	s.next += len(b.ends)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/xrand"
 )
 
@@ -76,7 +77,7 @@ func TestPoolScratchBoundedByWorkers(t *testing.T) {
 		}
 		var footprints []int64
 		for ads := 0; ads < 8; ads++ {
-			pool.NewStream(NewSampleProbs(g, probs), uint64(ads)).SampleN(200, func([]int32, int64) {})
+			pool.NewStream(NewSampleProbs(g, probs), uint64(ads)).SampleN(200, func([]int32) {})
 			footprints = append(footprints, pool.MemoryFootprint())
 		}
 		final := footprints[len(footprints)-1]
@@ -153,16 +154,31 @@ func TestPoolKptEstimate(t *testing.T) {
 	}
 }
 
-// The sequential Sampler on one xrand.New(seed) is the discipline every
-// stream followed before per-slot seeding (a Workers=1 Stream was
-// bit-identical to it), kept here as the reference. Both draw i.i.d. RR
-// sets from the same distribution, so at 20000 sets each their size
-// histograms (power-of-two buckets) must agree within 0.02 per bucket
-// (4 standard errors at the worst case p = 1/2), and every node's
-// inclusion count within 5 standard errors: |a−b| ≤ 5·√(a+b). The seeds
-// are fixed, so the test is deterministic.
+// The sequential Sampler on one xrand.New(seed) flips one coin per
+// examined arc on every node; it is the reference the stream's kernel
+// is held to, and the stream takes the geometric skip path wherever a
+// node's in-arcs share one probability. The inputs are the golden graph
+// (mixed probabilities with exact zeros and ones), the tiny dblp preset
+// under weighted cascade (every node on the skip path) and the tiny
+// flixster preset under TIC (mixed in-arcs: the per-arc path). Both
+// sides draw i.i.d. RR sets from the same distribution, so at 20000 sets
+// each their size histograms (power-of-two buckets) must agree within
+// 0.02 per bucket (4 standard errors at the worst case p = 1/2), and
+// every node's inclusion count within 5 standard errors:
+// |a−b| ≤ 5·√(a+b). The seeds are fixed, so the test is deterministic.
 func TestStreamMatchesSamplerDistribution(t *testing.T) {
-	g, canonical := goldenGraph()
+	for _, name := range []string{"golden", "dblp", "flixster"} {
+		t.Run(name, func(t *testing.T) {
+			g, canonical := goldenGraph()
+			if name != "golden" {
+				g, canonical = kernelPreset(t, name)
+			}
+			streamMatchesSampler(t, g, canonical)
+		})
+	}
+}
+
+func streamMatchesSampler(t *testing.T, g *graph.Graph, canonical []float32) {
 	const count = 20000
 	type tally struct {
 		sizes [32]int
@@ -182,7 +198,7 @@ func TestStreamMatchesSamplerDistribution(t *testing.T) {
 	}
 	str := tally{hits: make([]int, g.NumNodes())}
 	NewPool(g, PoolOptions{Workers: 2}).NewStream(NewSampleProbs(g, canonical), 2).SampleN(count,
-		func(nodes []int32, _ int64) { add(&str, nodes) })
+		func(nodes []int32) { add(&str, nodes) })
 
 	for b := range seq.sizes {
 		fa, fb := float64(seq.sizes[b])/count, float64(str.sizes[b])/count

@@ -2,9 +2,17 @@ package rrset
 
 import (
 	"runtime"
+	"slices"
 
 	"repro/internal/xrand"
 )
+
+// repairBuf is one RepairUniverse chunk's fresh sets in CSR form: the
+// members of its stale slots concatenated, and each set's end offset.
+type repairBuf struct {
+	data []int32
+	ends []uint32
+}
 
 // slotSeedMix is the splitmix64 increment.
 const slotSeedMix = 0x9e3779b97f4a7c15
@@ -62,13 +70,14 @@ func (p *Pool) repairUniverse(u *Universe, probs SampleProbs, seedKey uint64, ch
 		return 0
 	}
 	// Each chunk resamples a contiguous run of the stale slots into its
-	// own CSR buffer, sized from the members the slots held before.
+	// own CSR buffer, kept on the universe across repairs and sized at
+	// least to the members the slots held before.
 	slots := u.stale.appendSet(make([]int32, 0, u.nStale))
 	k := min(chunks, len(slots))
-	bufs := make([]struct {
-		data []int32
-		ends []uint32
-	}, k)
+	for len(u.repairBufs) < k {
+		u.repairBufs = append(u.repairBufs, repairBuf{})
+	}
+	bufs := u.repairBufs[:k]
 	scs, pooled := p.borrowScratch(k)
 	fanOut(k, func(c int) {
 		own := slots[c*len(slots)/k : (c+1)*len(slots)/k]
@@ -77,12 +86,12 @@ func (p *Pool) repairUniverse(u *Universe, probs SampleProbs, seedKey uint64, ch
 			members += int(u.offsets[slot+1] - u.offsets[slot])
 		}
 		b := &bufs[c]
-		b.data = make([]int32, 0, members+members/4)
-		b.ends = make([]uint32, len(own))
+		b.data = slices.Grow(b.data[:0], members+members/4)
+		b.ends = slices.Grow(b.ends[:0], len(own))[:len(own)]
 		var rng xrand.RNG
 		for i, slot := range own {
 			rng.Seed(slotSeed(seedKey, int(slot)))
-			b.data, _ = scs[c].sampleInto(b.data, p.g, probs.p, &rng)
+			b.data = scs[c].sampleInto(b.data, p.g, probs, &rng)
 			b.ends[i] = uint32(len(b.data))
 		}
 	})
@@ -116,7 +125,7 @@ func (p *Pool) RebuildUniverse(size int, probs SampleProbs, seedKey uint64) *Uni
 	for slot := 0; slot < size; slot++ {
 		buf = buf[:0]
 		rng := xrand.New(slotSeed(seedKey, slot))
-		buf, _ = sc.sampleInto(buf, p.g, probs.p, rng)
+		buf = sc.sampleInto(buf, p.g, probs, rng)
 		u.Add(buf)
 	}
 	u.index()

@@ -132,7 +132,7 @@ func TestRepairAllBitIdenticalToRebuild(t *testing.T) {
 	// the repair itself.
 	u := NewUniverse(g.NumNodes())
 	st := pool.NewStream(NewSampleProbs(g, probs), 7)
-	st.SampleN(size, func(nodes []int32, _ int64) { u.Add(nodes) })
+	st.SampleN(size, func(nodes []int32) { u.Add(nodes) })
 
 	if got := u.InvalidateAll(); got != size {
 		t.Fatalf("InvalidateAll = %d, want %d", got, size)
@@ -164,7 +164,7 @@ func TestPartialRepairSlotIdentity(t *testing.T) {
 	const size, seed = 400, uint64(3)
 
 	u := NewUniverse(g.NumNodes())
-	pool.NewStream(NewSampleProbs(g, probs), seed).SampleN(size, func(nodes []int32, _ int64) { u.Add(nodes) })
+	pool.NewStream(NewSampleProbs(g, probs), seed).SampleN(size, func(nodes []int32) { u.Add(nodes) })
 	before := make([][]int32, size)
 	for id := int32(0); int(id) < size; id++ {
 		before[id] = append([]int32(nil), u.Set(id)...)
@@ -299,7 +299,7 @@ func TestRepairSpeedup(t *testing.T) {
 	build := func() *Universe {
 		u := NewUniverse(g.NumNodes())
 		st := pool.NewStream(sp, 7)
-		st.SampleN(size, func(nodes []int32, _ int64) { u.Add(nodes) })
+		st.SampleN(size, func(nodes []int32) { u.Add(nodes) })
 		return u
 	}
 	// ~5% staleness: mark every 20th slot directly (node-driven
@@ -324,8 +324,7 @@ func TestRepairSpeedup(t *testing.T) {
 	var visited []int32
 	n := u.Repair(func(slot int32, dst []int32) []int32 {
 		visited = append(visited, slot)
-		nodes, _ := sc.sampleInto(dst, g, sp.p, xrand.New(slotSeed(seedKey, int(slot))))
-		return nodes
+		return sc.sampleInto(dst, g, sp, xrand.New(slotSeed(seedKey, int(slot))))
 	})
 	pool.release(sc)
 	if n != stale || len(visited) != stale {
@@ -365,7 +364,7 @@ func BenchmarkDeltaRepair(b *testing.B) {
 
 	base := NewUniverse(g.NumNodes())
 	st := pool.NewStream(sp, 7)
-	st.SampleN(size, func(nodes []int32, _ int64) { base.Add(nodes) })
+	st.SampleN(size, func(nodes []int32) { base.Add(nodes) })
 
 	b.Run("repair-5pct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -466,11 +465,18 @@ func sameIndex(t *testing.T, u, oracle *Universe) {
 // rebuild on them: set bytes, every node's index chain and degree. The
 // stream then resumes on the new probabilities, pushing more sets onto
 // the bulk-laid chains, and a second delta is repaired the same way.
+//
+// An odd mode starts every node on the kernel's skip path: its in-arcs
+// share one p drawn per node, now and then exactly 1 (all live) or 0
+// (per-arc path). Either way, a touched node's in-arcs get one shared p
+// or mixed ones at random, so repairs run across nodes switching between
+// the skip and the per-arc path.
 func FuzzUniverseRepair(f *testing.F) {
-	f.Add(uint64(1), uint16(300), uint8(3), uint8(40), uint8(60))
-	f.Add(uint64(7), uint16(1), uint8(1), uint8(0), uint8(255))
-	f.Add(uint64(42), uint16(2000), uint8(20), uint8(200), uint8(20))
-	f.Fuzz(func(t *testing.T, seed uint64, size uint16, touch, extra, pct uint8) {
+	f.Add(uint64(1), uint16(300), uint8(3), uint8(40), uint8(60), uint8(0))
+	f.Add(uint64(7), uint16(1), uint8(1), uint8(0), uint8(255), uint8(0))
+	f.Add(uint64(42), uint16(2000), uint8(20), uint8(200), uint8(20), uint8(0))
+	f.Add(uint64(5), uint16(800), uint8(6), uint8(90), uint8(120), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, size uint16, touch, extra, pct, mode uint8) {
 		rng := xrand.New(seed)
 		n := 2 + rng.Int31n(120)
 		m := int(n) * (1 + rng.Intn(6))
@@ -482,8 +488,24 @@ func FuzzUniverseRepair(f *testing.F) {
 		pool := NewPool(g, PoolOptions{Workers: 1 + int(seed%2), BatchSize: 1 + int(pct)%32})
 		scale := 0.02 + 0.98*float64(pct)/255
 		probs := make([]float32, g.NumEdges())
-		for i := range probs {
-			probs[i] = float32(scale * rng.Float64())
+		// setInArcs gives v's in-arcs one shared p (uniform) or one p each.
+		setInArcs := func(v int32, uniform bool) {
+			shared := float32(scale * rng.Float64())
+			switch rng.Intn(8) {
+			case 0:
+				shared = 1
+			case 1:
+				shared = 0
+			}
+			for _, e := range g.InEdgeIDs(v) {
+				if !uniform {
+					shared = float32(scale * rng.Float64())
+				}
+				probs[e] = shared
+			}
+		}
+		for v := int32(0); v < n; v++ {
+			setInArcs(v, mode%2 == 1)
 		}
 		const seedKey = uint64(0xfeed)
 		total := 1 + int(size)%3000
@@ -494,9 +516,7 @@ func FuzzUniverseRepair(f *testing.F) {
 			touched := make([]int32, 1+int(touch)%8)
 			for i := range touched {
 				touched[i] = rng.Int31n(n)
-				for _, e := range g.InEdgeIDs(touched[i]) {
-					probs[e] = float32(scale * rng.Float64())
-				}
+				setInArcs(touched[i], rng.Intn(2) == 0)
 			}
 			sp := NewSampleProbs(g, probs)
 			marked := u.Invalidate(touched)

@@ -24,7 +24,7 @@ import (
 // materializing the world.
 type Sampler struct {
 	g     *graph.Graph
-	probs []float32 // in-CSR order (SampleProbs)
+	probs SampleProbs // per-arc path on every node
 	rng   *xrand.RNG
 	sc    scratch
 	buf   []int32 // reused set buffer for the arena-ingest AddFrom path
@@ -35,10 +35,14 @@ type Sampler struct {
 // owns a private scratch slot and a private in-CSR-order copy of probs;
 // components sampling for many ads share scratch through a Pool and
 // probabilities through SampleProbs instead (see NewPool).
+//
+// A Sampler flips one coin per examined arc on every node, never taking
+// the kernel's geometric skip path, so it stays the reference that
+// tests hold streams' distribution against.
 func NewSampler(g *graph.Graph, probs []float32, rng *xrand.RNG) *Sampler {
 	return &Sampler{
 		g:     g,
-		probs: NewSampleProbs(g, probs).p,
+		probs: perArcProbs(g, probs),
 		rng:   rng,
 		sc:    scratch{visited: make([]int64, g.NumNodes())},
 	}
@@ -49,8 +53,9 @@ func NewSampler(g *graph.Graph, probs []float32, rng *xrand.RNG) *Sampler {
 // number of arcs entering its members, the quantity TIM's KPT estimator
 // calls w(R). The returned slice is freshly allocated and owned by the
 // caller.
-func (s *Sampler) Sample() (nodes []int32, width int64) {
-	return s.sc.sample(s.g, s.probs, s.rng)
+func (s *Sampler) Sample() (nodes []int32, w int64) {
+	nodes = s.sc.sampleInto(nil, s.g, s.probs, s.rng)
+	return nodes, width(s.g, nodes)
 }
 
 // Threshold computes L(s, ε) from Eq. 8 of the paper: the number of RR
@@ -79,9 +84,8 @@ func Threshold(n int64, s int, eps, ell, optS float64) float64 {
 func KptEstimate(s *Sampler, m, n int64, size int, ell float64) float64 {
 	kpt, _ := kptEstimate(func(count int, yield func(width int64)) error {
 		for i := 0; i < count; i++ {
-			var width int64
-			s.buf, width = s.sc.sampleInto(s.buf[:0], s.g, s.probs, s.rng)
-			yield(width)
+			s.buf = s.sc.sampleInto(s.buf[:0], s.g, s.probs, s.rng)
+			yield(width(s.g, s.buf))
 		}
 		return nil
 	}, m, n, size, ell)

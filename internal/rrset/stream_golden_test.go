@@ -32,24 +32,22 @@ func goldenGraph() (*graph.Graph, []float32) {
 	return g, probs
 }
 
-// hashSet folds one RR set (length, members, width) into h.
-func hashSet(h hash.Hash64, nodes []int32, width int64) {
-	var b [8]byte
+// hashSet folds one RR set (length, members) into h.
+func hashSet(h hash.Hash64, nodes []int32) {
+	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:4], uint32(len(nodes)))
 	h.Write(b[:4])
 	for _, v := range nodes {
 		binary.LittleEndian.PutUint32(b[:4], uint32(v))
 		h.Write(b[:4])
 	}
-	binary.LittleEndian.PutUint64(b[:], uint64(width))
-	h.Write(b[:])
 }
 
-// TestStreamGolden pins the exact RR stream — members and widths of the
-// first 10k sets, the KPT estimate bits, and a partial universe repair —
+// TestStreamGolden pins the exact RR stream — the members of the first
+// 10k sets, the KPT estimate bits, and a partial universe repair —
 // and asserts the one hash triple at Workers 1 and 2 (batch 256): any
-// change to per-slot seeding, RNG consumption, coin-flip comparison or
-// emission order shows up here.
+// change to per-slot seeding, RNG consumption, the per-arc coin or the
+// skip path's gap rule, or emission order shows up here.
 func TestStreamGolden(t *testing.T) {
 	g, canonical := goldenGraph()
 	probs := NewSampleProbs(g, canonical)
@@ -61,9 +59,9 @@ func TestStreamGolden(t *testing.T) {
 		st := pool.NewStream(probs, 77)
 		members := 0
 		for _, count := range []int{1000, 4000, 5000} {
-			st.SampleN(count, func(nodes []int32, width int64) {
+			st.SampleN(count, func(nodes []int32) {
 				members += len(nodes)
-				hashSet(h, nodes, width)
+				hashSet(h, nodes)
 			})
 		}
 		gotStream := h.Sum64()
@@ -83,7 +81,7 @@ func TestStreamGolden(t *testing.T) {
 		}
 		h = fnv.New64a()
 		for id := int32(0); int(id) < u.Size(); id++ {
-			hashSet(h, u.Set(id), 0)
+			hashSet(h, u.Set(id))
 		}
 		gotRepair := h.Sum64()
 

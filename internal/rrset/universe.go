@@ -31,6 +31,10 @@ type Universe struct {
 	// allocating a fresh arena.
 	spareData    []int32
 	spareOffsets []uint32
+	// repairBufs are the per-chunk buffers RepairUniverse draws the
+	// stale slots' fresh sets into, kept so that a repeated repair at one
+	// shape allocates none.
+	repairBufs []repairBuf
 }
 
 // NewUniverse creates an empty universe over n nodes.
@@ -73,9 +77,7 @@ func (u *Universe) Reset() {
 // scratch buffer (no per-set allocation).
 func (u *Universe) AddFrom(s *Sampler, count int) {
 	for i := 0; i < count; i++ {
-		var w int64
-		s.buf, w = s.sc.sampleInto(s.buf[:0], s.g, s.probs, s.rng)
-		_ = w
+		s.buf = s.sc.sampleInto(s.buf[:0], s.g, s.probs, s.rng)
 		u.Add(s.buf)
 	}
 	u.index()
@@ -96,11 +98,15 @@ func (u *Universe) Set(id int32) []int32 {
 }
 
 // MemoryFootprint returns the universe's heap bytes (arena, offsets,
-// index, staleness bitset, and the spare arena and offsets a Repair
-// left behind) in O(index segments).
+// index, staleness bitset, and the spare arena, offsets and draw
+// buffers a Repair left behind) in O(index segments + repair chunks).
 func (u *Universe) MemoryFootprint() int64 {
-	return int64(cap(u.data)+cap(u.spareData))*4 + int64(cap(u.offsets)+cap(u.spareOffsets))*4 +
+	bytes := int64(cap(u.data)+cap(u.spareData))*4 + int64(cap(u.offsets)+cap(u.spareOffsets))*4 +
 		u.idx.bytes() + u.stale.bytes()
+	for _, b := range u.repairBufs {
+		bytes += int64(cap(b.data)+cap(b.ends)) * 4
+	}
+	return bytes
 }
 
 // StoredBytes returns the bytes the stored sample occupies: the lengths
