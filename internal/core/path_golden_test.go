@@ -24,24 +24,24 @@ type pathGolden struct {
 // ApplyDelta, which runs on a carried, repaired and restreamed cached
 // universe. Every row is asserted equal at Workers 1 and 4.
 var pathGoldens = map[string]pathGolden{
-	"ti-csrm/share=false":          {0x1ab5cda0136e7c89, 218438, []int{56466, 54090, 52916, 54966}},
-	"ti-csrm/share=true":           {0xab74b5b8adf5451b, 58592, []int{58592, 58592, 58592, 58592}},
-	"ti-csrm/share=true+delta":     {0x121b7c9e91ef3483, 57715, []int{57715, 57715, 57715, 57715}},
-	"ti-carm/share=false":          {0xc25e9106a5bdfff0, 149081, []int{37446, 39390, 35017, 37228}},
-	"ti-carm/share=true":           {0x965fba66ec803b3e, 37081, []int{37081, 37081, 37081, 37081}},
-	"ti-carm/share=true+delta":     {0xee225564014edef4, 36738, []int{36738, 36738, 36738, 36738}},
-	"hc-csrm/share=false":          {0xd3bdb9f2e781a6c2, 140454, []int{37446, 34746, 33020, 35242}},
-	"hc-csrm/share=true":           {0xadc3cc4f6b81ebd3, 34184, []int{34184, 34184, 34184, 34184}},
-	"hc-csrm/share=true+delta":     {0xb74796a1b3d5d3e3, 33721, []int{33721, 33721, 33721, 33721}},
-	"hc-carm/share=false":          {0xdc459de085619b57, 140454, []int{37446, 34746, 33020, 35242}},
-	"hc-carm/share=true":           {0x552f2f7d00d09567, 34184, []int{34184, 34184, 34184, 34184}},
-	"hc-carm/share=true+delta":     {0xce073c489bb34dc6, 33721, []int{33721, 33721, 33721, 33721}},
-	"pagerank-gr/share=false":      {0x63fadd973a086463, 145217, []int{37446, 35526, 35017, 37228}},
-	"pagerank-gr/share=true":       {0xc4f52ae5edf3a0bc, 37081, []int{37081, 37081, 37081, 37081}},
-	"pagerank-gr/share=true+delta": {0x1b99b0f8579ea08f, 40412, []int{40412, 40412, 40412, 40412}},
-	"pagerank-rr/share=false":      {0x771e644e429c62b2, 144437, []int{37446, 34746, 35017, 37228}},
-	"pagerank-rr/share=true":       {0x54c9d4ae814846d9, 35420, []int{35420, 35420, 35420, 35420}},
-	"pagerank-rr/share=true+delta": {0x74933eeeeaf29a95, 36738, []int{36738, 36738, 36738, 36738}},
+	"ti-csrm/share=false":          {0x5c404a4fb5a4ee8c, 225466, []int{47082, 76688, 49420, 52276}},
+	"ti-csrm/share=true":           {0x1e1600185bc4d806, 70948, []int{70948, 70948, 70948, 70948}},
+	"ti-csrm/share=true+delta":     {0x9ae042199b64f2b7, 57060, []int{57060, 57060, 57060, 57060}},
+	"ti-carm/share=false":          {0xe000f41bdca0e9f2, 149359, []int{39228, 37425, 35717, 36989}},
+	"ti-carm/share=true":           {0x5aa57d0ffbb30fee, 37138, []int{37138, 37138, 37138, 37138}},
+	"ti-carm/share=true+delta":     {0x16a0233b5925b1a8, 37852, []int{37852, 37852, 37852, 37852}},
+	"hc-csrm/share=false":          {0x692c3e3c48d27f18, 134319, []int{31825, 36000, 34070, 32424}},
+	"hc-csrm/share=true":           {0x7cce6c6a94fdf818, 35564, []int{35564, 35564, 35564, 35564}},
+	"hc-csrm/share=true+delta":     {0x0155d742daed2aa5, 36357, []int{36357, 36357, 36357, 36357}},
+	"hc-carm/share=false":          {0x6946dded907706cc, 134319, []int{31825, 36000, 34070, 32424}},
+	"hc-carm/share=true":           {0xc0cd03e2ca3bbe26, 35564, []int{35564, 35564, 35564, 35564}},
+	"hc-carm/share=true+delta":     {0x05bbc2748a12998d, 36357, []int{36357, 36357, 36357, 36357}},
+	"pagerank-gr/share=false":      {0x7f6aebfdb1ac9222, 149359, []int{39228, 37425, 35717, 36989}},
+	"pagerank-gr/share=true":       {0x9a75cab80902c4d9, 36469, []int{36469, 36469, 36469, 36469}},
+	"pagerank-gr/share=true+delta": {0xe286548a36cf336e, 37852, []int{37852, 37852, 37852, 37852}},
+	"pagerank-rr/share=false":      {0x5980bb331936e6da, 149359, []int{39228, 37425, 35717, 36989}},
+	"pagerank-rr/share=true":       {0x8bd56c32e4218e89, 36469, []int{36469, 36469, 36469, 36469}},
+	"pagerank-rr/share=true+delta": {0xa8d28610a051bab5, 37852, []int{37852, 37852, 37852, 37852}},
 }
 
 // pathGoldenScores are static per-ad node rankings (out-degree) for the
