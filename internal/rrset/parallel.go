@@ -33,9 +33,10 @@ func (u *Universe) AddFromParallelCtx(ctx context.Context, src *Stream, count in
 // KptEstimateParallelCtx is KptEstimate drawing its geometric batches
 // from a stream, each set's width summed from its members' in-degrees.
 // The κ(R) terms are accumulated in the stream's slot order, so the
-// estimate is a pure function of the stream's seed and start slot. A canceled context aborts the estimation loop at the next
-// batch boundary and returns the context's error (the partial estimate
-// is meaningless and discarded).
+// estimate is a pure function of the stream's seed and start slot. A
+// canceled context aborts the estimation loop at the next batch
+// boundary and returns the context's error (the partial estimate is
+// meaningless and discarded).
 func KptEstimateParallelCtx(ctx context.Context, src *Stream, m, n int64, size int, ell float64) (float64, error) {
 	return kptEstimate(func(count int, yield func(width int64)) error {
 		return src.SampleNCtx(ctx, count, func(nodes []int32) { yield(width(src.pool.g, nodes)) })
