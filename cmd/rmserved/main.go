@@ -53,7 +53,6 @@ var (
 	drainFl    = flag.Duration("drain", 30*time.Second, "SIGTERM drain deadline for in-flight sessions")
 	warmFlag   = flag.Bool("warm", false, "build engines for the -datasets list before listening")
 	maxEvalW   = flag.Int("max-eval-workers", 0, "cap on per-request /v1/evaluate parallelism (0 = max(GOMAXPROCS, 2))")
-	maxStale   = flag.Float64("max-stale", 0, "stale RR-set fraction tolerated before a /v1/mutate swap forces incremental repair (0 = always repair)")
 	walDir     = flag.String("wal", "", "directory for the durable mutation WAL (empty = mutations are volatile); startup replays it before listening")
 	walSync    = flag.String("wal-sync", "always", "WAL fsync policy: always (fsync before ack) | never (crash loses the OS buffer tail)")
 	ckptEvery  = flag.Duration("checkpoint-interval", 0, "checkpoint mutated engines and compact their WALs this often (0 = only on POST /v1/checkpoint)")
@@ -113,7 +112,6 @@ func run() error {
 		CacheEntries:       *cacheSize,
 		DrainTimeout:       *drainFl,
 		MaxEvalWorkers:     *maxEvalW,
-		MaxStaleFraction:   *maxStale,
 		WALDir:             *walDir,
 		WALSync:            syncPolicy,
 		CheckpointInterval: *ckptEvery,

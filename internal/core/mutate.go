@@ -18,9 +18,10 @@ type DeltaResult struct {
 	// InvalidatedSets counts RR sets across all carried universes that
 	// this delta newly marked stale.
 	InvalidatedSets int
-	// RepairedSets counts stale RR-set slots resampled during the swap
-	// (staleness above the Engine's MaxStaleFraction; may include marks
-	// accumulated from earlier tolerated deltas).
+	// RepairedSets counts stale RR-set slots resampled during the swap.
+	// Every carried universe is repaired in the swap that invalidates
+	// it, so RepairedSets equals InvalidatedSets and no stale mark
+	// outlives the swap.
 	RepairedSets int
 	// RepairDuration is the wall time spent repairing those slots,
 	// summed over the carried universes. It is exactly 0 when the swap
@@ -39,12 +40,11 @@ type DeltaResult struct {
 // model, fresh sampling pool, empty probability memo — and then carries
 // the cached RR-set universes forward: each unlocked cache entry is
 // invalidated against the delta's touched nodes (only sets containing a
-// mutated arc's target go stale), incrementally repaired if staleness
-// exceeds EngineOptions.MaxStaleFraction, and re-keyed into the new
-// generation with its stream resumed on the new graph. Entries
-// locked by in-flight sessions are left on the old snapshot — those
-// sessions finish on their pinned generation and the new generation
-// re-samples on demand.
+// mutated arc's target go stale), its stale sets incrementally
+// repaired, and re-keyed into the new generation with its stream
+// resumed on the new graph. Entries locked by in-flight sessions are
+// left on the old snapshot — those sessions finish on their pinned
+// generation and the new generation re-samples on demand.
 //
 // Invalid deltas reject with graph.ErrBadDelta and leave the Engine
 // untouched. A concurrent ApplyDelta rejects with ErrSwapInProgress
@@ -168,7 +168,7 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 		// generation.
 		probs := next.edgeProbsFor(sg.gamma).sampling
 		res.InvalidatedSets += sg.u.Invalidate(remap.Touched)
-		if sg.u.StaleCount() > 0 && sg.u.StaleFraction() > e.opts.MaxStaleFraction {
+		if sg.u.StaleCount() > 0 {
 			t0 := time.Now()
 			res.RepairedSets += next.pool.RepairUniverse(sg.u, probs, keys[i].seed)
 			res.RepairDuration += time.Since(t0)

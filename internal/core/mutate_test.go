@@ -171,8 +171,8 @@ func TestApplyDeltaSwapInProgress(t *testing.T) {
 }
 
 // Unlocked cached universes must be carried across the swap:
-// invalidated against the touched nodes, repaired (at the default
-// MaxStaleFraction 0), and live in the new generation's cache.
+// invalidated against the touched nodes, repaired, and live in the new
+// generation's cache.
 func TestApplyDeltaCarriesUniverses(t *testing.T) {
 	p := smallWCProblem(3, 54)
 	eng := engineFor(p, 1)
@@ -203,7 +203,7 @@ func TestApplyDeltaCarriesUniverses(t *testing.T) {
 	if res.InvalidatedSets == 0 {
 		t.Fatal("touching an existing arc's target invalidated no RR sets")
 	}
-	// Default MaxStaleFraction 0: every stale set is repaired at the swap.
+	// Every stale set is repaired at the swap.
 	if res.RepairedSets != res.InvalidatedSets {
 		t.Fatalf("repaired %d of %d invalidated sets", res.RepairedSets, res.InvalidatedSets)
 	}
@@ -224,35 +224,6 @@ func TestApplyDeltaCarriesUniverses(t *testing.T) {
 	}
 	if got := eng.Counters().UniverseCacheMisses; got != missesBefore {
 		t.Fatalf("post-swap solve missed the carried cache (%d new misses)", got-missesBefore)
-	}
-}
-
-// With MaxStaleFraction 1 the swap tolerates any staleness: sets are
-// marked but never repaired, and the carried universe still serves.
-func TestApplyDeltaBoundedStaleness(t *testing.T) {
-	p := smallWCProblem(2, 55)
-	eng := NewEngine(p.Graph, p.Model, EngineOptions{Workers: 1, MaxStaleFraction: 1})
-	opt := Options{Mode: ModeCostSensitive, Epsilon: 0.3, Seed: 5,
-		MaxThetaPerAd: 20000, ShareSamples: true}
-
-	if _, _, err := eng.Solve(context.Background(), p, opt); err != nil {
-		t.Fatal(err)
-	}
-	eu, ev := pickExistingEdge(t, p.Graph)
-	res, err := eng.ApplyDelta(context.Background(),
-		&graph.Delta{SetProbs: []graph.ProbUpdate{{U: eu, V: ev, Topic: 0, P: 0.7}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.InvalidatedSets == 0 {
-		t.Fatal("no sets invalidated")
-	}
-	if res.RepairedSets != 0 {
-		t.Fatalf("repaired %d sets despite MaxStaleFraction 1", res.RepairedSets)
-	}
-	p1 := rebindProblem(eng, p)
-	if _, _, err := eng.Solve(context.Background(), p1, opt); err != nil {
-		t.Fatalf("solve on stale-tolerant carry: %v", err)
 	}
 }
 

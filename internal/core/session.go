@@ -30,27 +30,11 @@ type EngineOptions struct {
 	// repair-only scratch (8n bytes, also in Stats.SamplerMemoryBytes)
 	// per goroutine beyond them.
 	Workers int
-	// MaxStaleFraction bounds how much staleness a cached RR universe may
-	// carry across an ApplyDelta before the swap forces an incremental
-	// repair: a carried universe whose stale fraction exceeds the bound
-	// is repaired during the swap, one at or below it keeps its stale
-	// marks (accumulating across deltas) and its sets are served as-is.
-	// The default 0 repairs on any staleness — the conservative setting
-	// that keeps served samples exact; raise it to trade sample freshness
-	// for swap latency on rapidly mutating graphs. Values are clamped to
-	// [0, 1].
-	MaxStaleFraction float64
 }
 
 func (o EngineOptions) withDefaults() EngineOptions {
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.MaxStaleFraction < 0 {
-		o.MaxStaleFraction = 0
-	}
-	if o.MaxStaleFraction > 1 {
-		o.MaxStaleFraction = 1
 	}
 	return o
 }

@@ -140,11 +140,6 @@ type Params struct {
 	// of the shared scratch pool each run allocates (0 reads as 1). It
 	// changes no seed-pinned output, only how fast sampling runs.
 	SampleWorkers int
-	// MaxStaleFraction is the engine's bounded-staleness knob for dynamic
-	// graphs: cached RR universes carried across a graph mutation are
-	// incrementally repaired only when their stale fraction exceeds this
-	// bound (0 = repair on any staleness, the exact default).
-	MaxStaleFraction float64
 	// AlphaPoints is the number of α grid points per incentive model
 	// (default 5, as in Figures 2–3).
 	AlphaPoints int
@@ -198,14 +193,13 @@ func (w *Workbench) Engine() *core.Engine { return w.eng }
 // Workbench: two NewWorkbench calls agreeing on these fields get the
 // same (immutable, concurrency-safe) workbench back.
 type workbenchKey struct {
-	dataset          string
-	scale            gen.Scale
-	seed             uint64
-	h                int
-	singletonRuns    int
-	workers          int
-	sampleWorkers    int
-	maxStaleFraction float64
+	dataset       string
+	scale         gen.Scale
+	seed          uint64
+	h             int
+	singletonRuns int
+	workers       int
+	sampleWorkers int
 }
 
 var workbenchCache = struct {
@@ -237,14 +231,13 @@ func ResetWorkbenchCache() {
 func NewWorkbench(name string, params Params) (*Workbench, error) {
 	params = params.withDefaults()
 	key := workbenchKey{
-		dataset:          name,
-		scale:            params.Scale,
-		seed:             params.Seed,
-		h:                params.H,
-		singletonRuns:    params.SingletonRuns,
-		workers:          params.Workers,
-		sampleWorkers:    params.SampleWorkers,
-		maxStaleFraction: params.MaxStaleFraction,
+		dataset:       name,
+		scale:         params.Scale,
+		seed:          params.Seed,
+		h:             params.H,
+		singletonRuns: params.SingletonRuns,
+		workers:       params.Workers,
+		sampleWorkers: params.SampleWorkers,
 	}
 	workbenchCache.Lock()
 	defer workbenchCache.Unlock()
@@ -267,10 +260,7 @@ func buildWorkbench(name string, params Params) (*Workbench, error) {
 	}
 	ds := src.Dataset
 	w := &Workbench{Params: params, Dataset: ds, Model: src.Model}
-	w.eng = core.NewEngine(ds.Graph, w.Model, core.EngineOptions{
-		Workers:          params.SampleWorkers,
-		MaxStaleFraction: params.MaxStaleFraction,
-	})
+	w.eng = core.NewEngine(ds.Graph, w.Model, core.EngineOptions{Workers: params.SampleWorkers})
 	l := w.Model.NumTopics()
 
 	// Budget and singleton protocols dispatch on the dataset's own name,
@@ -434,8 +424,8 @@ func rrThroughput(sets int64, d time.Duration) float64 {
 }
 
 // SolveAlgorithm runs one algorithm's solve (without the Monte-Carlo
-// evaluation) through the given long-lived Engine (nil builds a
-// throwaway one). Dispatch is registry-driven: the algorithm's spec
+// evaluation) through the given long-lived Engine, which must be
+// non-nil. Dispatch is registry-driven: the algorithm's spec
 // names a core mode, the mode's capability flags decide whether window
 // search applies and whether PRScores must be supplied. PageRank scores
 // may be shared across calls via prScores (nil computes internally);
@@ -454,12 +444,6 @@ func SolveAlgorithm(ctx context.Context, eng *core.Engine, p *core.Problem, alg 
 	info, ok := core.ModeInfo(spec.mode)
 	if !ok {
 		return nil, nil, fmt.Errorf("eval: algorithm %v names unregistered mode %d", alg, int(spec.mode))
-	}
-	if eng == nil {
-		eng = core.NewEngine(p.Graph, p.Model, core.EngineOptions{
-			Workers:          params.SampleWorkers,
-			MaxStaleFraction: params.MaxStaleFraction,
-		})
 	}
 	opt := core.Options{
 		Mode:          spec.mode,
@@ -486,9 +470,9 @@ func SolveAlgorithm(ctx context.Context, eng *core.Engine, p *core.Problem, alg 
 }
 
 // RunAlgorithm executes one algorithm on a problem through the given
-// long-lived Engine (nil builds a throwaway one — the historical cold
-// path), evaluates the allocation with fresh Monte-Carlo, and returns the
-// result row. The context cancels both the solve and the evaluation.
+// long-lived Engine, which must be non-nil, evaluates the allocation
+// with fresh Monte-Carlo, and returns the result row. The context
+// cancels both the solve and the evaluation.
 // PageRank scores are computed on demand and may be shared across calls
 // via prScores (pass nil to compute internally).
 func RunAlgorithm(ctx context.Context, eng *core.Engine, p *core.Problem, alg Algorithm,
@@ -496,12 +480,6 @@ func RunAlgorithm(ctx context.Context, eng *core.Engine, p *core.Problem, alg Al
 	params = params.withDefaults()
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if eng == nil {
-		eng = core.NewEngine(p.Graph, p.Model, core.EngineOptions{
-			Workers:          params.SampleWorkers,
-			MaxStaleFraction: params.MaxStaleFraction,
-		})
 	}
 	alloc, stats, err := SolveAlgorithm(ctx, eng, p, alg, params, prScores)
 	if err != nil {

@@ -79,8 +79,8 @@ func TestInvalidateMarksExactlyContainingSets(t *testing.T) {
 	if got := u.Invalidate([]int32{1, 4}); got != 2 { // sets 3 and 4
 		t.Fatalf("Invalidate({1,4}) = %d, want 2", got)
 	}
-	if got, want := u.StaleFraction(), 4.0/5.0; got != want {
-		t.Fatalf("StaleFraction = %v, want %v", got, want)
+	if got := u.StaleCount(); got != 4 {
+		t.Fatalf("StaleCount = %d, want 4", got)
 	}
 	// Out-of-range nodes are ignored.
 	if got := u.Invalidate([]int32{-1, 99}); got != 0 {
@@ -101,7 +101,7 @@ func TestInvalidateMarksExactlyContainingSets(t *testing.T) {
 			t.Fatalf("Repair visited %v, want %v", visited, wantSlots)
 		}
 	}
-	if u.StaleCount() != 0 || u.StaleFraction() != 0 {
+	if u.StaleCount() != 0 {
 		t.Fatal("staleness not cleared by Repair")
 	}
 	// Fresh slot kept its bytes; repaired slots hold the replacements.

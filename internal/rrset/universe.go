@@ -125,8 +125,9 @@ func (u *Universe) StoredBytes() int64 {
 // reverse BFS examines only the in-arcs of its members, so a set not
 // containing a mutated arc's target can never have observed that arc
 // and stays valid verbatim. Returns how many sets became newly stale;
-// already-stale sets and out-of-range nodes are ignored, so Invalidate
-// accumulates across successive deltas until Repair runs.
+// already-stale sets and out-of-range nodes are ignored, so calls
+// before one Repair count each set once. The engine invalidates and
+// repairs in the same generation swap, so no stale mark outlives it.
 func (u *Universe) Invalidate(touched []int32) int {
 	newly := 0
 	ix := u.index()
@@ -163,14 +164,6 @@ func (u *Universe) InvalidateAll() int {
 
 // StaleCount returns the number of sets currently marked stale.
 func (u *Universe) StaleCount() int { return u.nStale }
-
-// StaleFraction returns StaleCount()/Size(), or 0 for an empty universe.
-func (u *Universe) StaleFraction() float64 {
-	if u.Size() == 0 {
-		return 0
-	}
-	return float64(u.nStale) / float64(u.Size())
-}
 
 // Repair resamples every stale slot in place: sample is called once per
 // stale slot (ascending), appending the replacement set's members onto

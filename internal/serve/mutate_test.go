@@ -30,7 +30,7 @@ func serverGraph(t *testing.T, cfg Config, name string, h int) *graph.Graph {
 	t.Helper()
 	wb, err := eval.NewWorkbench(name, eval.Params{
 		Scale: cfg.Scale, Seed: cfg.DatasetSeed, H: h,
-		SampleWorkers: cfg.Workers, MaxStaleFraction: cfg.MaxStaleFraction,
+		SampleWorkers: cfg.Workers,
 	})
 	if err != nil {
 		t.Fatalf("workbench: %v", err)
@@ -240,22 +240,23 @@ func repairSeconds(t *testing.T, url string) float64 {
 }
 
 // TestMutateRepairTiming pins repair_ms against repaired_sets: exactly 0
-// when the swap repaired nothing (MaxStaleFraction 1 carries the stale
-// universe as-is), positive when it resampled sets (the default 0
-// repairs on any staleness). The engine's repair-seconds counter in
-// /metrics follows: 0 before the mutate, positive only after a repair.
+// when the swap repaired nothing (a mutate before any share_samples
+// solve finds no cached universe to carry), positive when it resampled
+// sets. The engine's repair-seconds counter in /metrics follows: 0
+// before the mutate, positive only after a repair.
 func TestMutateRepairTiming(t *testing.T) {
-	for i, maxStale := range []float64{1, 0} {
+	for i, solveFirst := range []bool{false, true} {
 		cfg := mutateConfig(uint64(95 + i))
-		cfg.MaxStaleFraction = maxStale
 		_, ts := newTestServer(t, cfg)
-		resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Dataset: "flixster", H: 4, Mode: "ti-csrm",
-			Seed: up(3), Alpha: fp(0.2), Epsilon: 0.3, MaxThetaPerAd: 20000, ShareSamples: true})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("solve: %d %s", resp.StatusCode, body)
-		}
-		if secs := repairSeconds(t, ts.URL); secs != 0 {
-			t.Fatalf("repair seconds %v before any mutate, want 0", secs)
+		if solveFirst {
+			resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Dataset: "flixster", H: 4, Mode: "ti-csrm",
+				Seed: up(3), Alpha: fp(0.2), Epsilon: 0.3, MaxThetaPerAd: 20000, ShareSamples: true})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("solve: %d %s", resp.StatusCode, body)
+			}
+			if secs := repairSeconds(t, ts.URL); secs != 0 {
+				t.Fatalf("repair seconds %v before any mutate, want 0", secs)
+			}
 		}
 
 		// Re-weight an arc into the node of highest in-degree, which the
@@ -267,7 +268,7 @@ func TestMutateRepairTiming(t *testing.T) {
 				hub = v
 			}
 		}
-		resp, body = postJSON(t, ts.URL+"/v1/mutate", MutateRequest{
+		resp, body := postJSON(t, ts.URL+"/v1/mutate", MutateRequest{
 			Dataset:  "flixster",
 			SetProbs: []MutateProb{{U: g.InNeighbors(hub)[0], V: hub, Topic: 0, P: 0.5}},
 		})
@@ -278,18 +279,23 @@ func TestMutateRepairTiming(t *testing.T) {
 		if err := json.Unmarshal(body, &mr); err != nil {
 			t.Fatal(err)
 		}
-		if mr.InvalidatedSets == 0 {
-			t.Fatalf("MaxStaleFraction %v: delta invalidated no sets: %s", maxStale, body)
-		}
-		if maxStale == 1 {
-			if mr.RepairedSets != 0 || mr.RepairMS != 0 {
-				t.Fatalf("MaxStaleFraction 1: repaired_sets %d, repair_ms %v; want both 0", mr.RepairedSets, mr.RepairMS)
+		if !solveFirst {
+			if mr.CarriedUniverses != 0 || mr.InvalidatedSets != 0 || mr.RepairedSets != 0 || mr.RepairMS != 0 {
+				t.Fatalf("mutate with no cached universe: %s; want carried_universes, invalidated_sets, repaired_sets and repair_ms all 0", body)
 			}
-		} else if mr.RepairedSets == 0 || mr.RepairMS <= 0 {
-			t.Fatalf("MaxStaleFraction 0: repaired_sets %d, repair_ms %v; want both positive", mr.RepairedSets, mr.RepairMS)
+			if secs := repairSeconds(t, ts.URL); secs != 0 {
+				t.Fatalf("repair seconds %v after a swap that repaired nothing, want 0", secs)
+			}
+			continue
 		}
-		if secs := repairSeconds(t, ts.URL); (secs > 0) != (mr.RepairedSets > 0) {
-			t.Fatalf("MaxStaleFraction %v: repair seconds %v after repairing %d sets", maxStale, secs, mr.RepairedSets)
+		if mr.InvalidatedSets == 0 {
+			t.Fatalf("delta invalidated no sets: %s", body)
+		}
+		if mr.RepairedSets == 0 || mr.RepairMS <= 0 {
+			t.Fatalf("repaired_sets %d, repair_ms %v; want both positive", mr.RepairedSets, mr.RepairMS)
+		}
+		if secs := repairSeconds(t, ts.URL); secs <= 0 {
+			t.Fatalf("repair seconds %v after repairing %d sets, want positive", secs, mr.RepairedSets)
 		}
 	}
 }

@@ -78,11 +78,6 @@ type Config struct {
 	// SingletonRuns is the workbench's Monte-Carlo budget for singleton
 	// spreads on the quality datasets (0 = the eval default).
 	SingletonRuns int
-	// MaxStaleFraction is each engine's bounded-staleness knob for
-	// /v1/mutate: carried RR universes are incrementally repaired at the
-	// swap only when their stale fraction exceeds this bound (default 0 =
-	// repair on any staleness, keeping served samples exact).
-	MaxStaleFraction float64
 	// MaxConcurrent bounds solve/evaluate sessions running at once
 	// (default GOMAXPROCS); MaxQueue bounds sessions waiting for a slot
 	// (default 64) — beyond it requests get 429 + Retry-After.
@@ -303,12 +298,11 @@ func (s *Server) workbench(name string, h int) (*eval.Workbench, error) {
 	// Build outside s.mu: eval.NewWorkbench serializes internally, and a
 	// slow first build must not block /metrics or /v1/datasets.
 	wb, err := eval.NewWorkbench(name, eval.Params{
-		Scale:            s.cfg.Scale,
-		Seed:             s.cfg.DatasetSeed,
-		H:                h,
-		SingletonRuns:    s.cfg.SingletonRuns,
-		SampleWorkers:    s.cfg.Workers,
-		MaxStaleFraction: s.cfg.MaxStaleFraction,
+		Scale:         s.cfg.Scale,
+		Seed:          s.cfg.DatasetSeed,
+		H:             h,
+		SingletonRuns: s.cfg.SingletonRuns,
+		SampleWorkers: s.cfg.Workers,
 	})
 	if err != nil {
 		return nil, err

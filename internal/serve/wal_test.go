@@ -54,15 +54,17 @@ func mutateProb(t *testing.T, url string, u, v int32, p float32) MutateResult {
 	return mr
 }
 
-// solveBytes runs the reference solve and returns the response with
+// solveBytes runs the reference solve, on the engine's cached RR
+// universes when share is set, and returns the response with
 // stats.duration_ms zeroed before re-marshaling: the duration is wall
 // clock, everything else in the body is deterministic and must survive
 // recovery byte-for-byte.
-func solveBytes(t *testing.T, url string) (SolveResult, []byte) {
+func solveBytes(t *testing.T, url string, share bool) (SolveResult, []byte) {
 	t.Helper()
 	resp, body := postJSON(t, url+"/v1/solve", SolveRequest{
 		Dataset: "flixster", H: 4, Mode: "ti-csrm",
 		Seed: up(3), Alpha: fp(0.2), Epsilon: 0.3, MaxThetaPerAd: 20000,
+		ShareSamples: share,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve: %d %s", resp.StatusCode, body)
@@ -105,15 +107,24 @@ func recoveredServer(t *testing.T, cfg Config) (*Server, *httptest.Server, int) 
 
 // TestMutateWALRecoveryBitIdentical is the core durability contract: an
 // acked mutation survives a restart, and a recovered server's solve is
-// byte-identical to the pre-restart one.
+// byte-identical to the pre-restart one. A share_samples solve before
+// the mutate caches RR universes, so the pre-restart solve runs on
+// universes the swap carried and repaired while the recovered server
+// samples cold: the two must still agree.
 func TestMutateWALRecoveryBitIdentical(t *testing.T) {
 	cfg := walConfig(t, 9301)
 	u, v := firstArc(t, cfg)
 	sA, tsA := newTestServer(t, cfg)
-	if mr := mutateProb(t, tsA.URL, u, v, 0.9); mr.Generation != 1 {
+	solveBytes(t, tsA.URL, true)
+	mr := mutateProb(t, tsA.URL, u, v, 0.9)
+	if mr.Generation != 1 {
 		t.Fatalf("mutate generation = %d, want 1", mr.Generation)
 	}
-	srA, bodyA := solveBytes(t, tsA.URL)
+	if mr.CarriedUniverses == 0 || mr.InvalidatedSets == 0 {
+		t.Fatalf("mutate carried %d universes and invalidated %d sets; want both positive",
+			mr.CarriedUniverses, mr.InvalidatedSets)
+	}
+	srA, bodyA := solveBytes(t, tsA.URL, true)
 	if srA.Generation != 1 {
 		t.Fatalf("pre-restart solve generation = %d, want 1", srA.Generation)
 	}
@@ -124,7 +135,7 @@ func TestMutateWALRecoveryBitIdentical(t *testing.T) {
 	if replayed != 1 {
 		t.Fatalf("replayed %d deltas, want 1", replayed)
 	}
-	srB, bodyB := solveBytes(t, tsB.URL)
+	srB, bodyB := solveBytes(t, tsB.URL, true)
 	if srB.Generation != 1 {
 		t.Fatalf("post-recovery solve generation = %d, want 1", srB.Generation)
 	}
@@ -212,7 +223,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 	if mr := mutateProb(t, tsA.URL, u, v, 0.9); mr.Generation != 3 {
 		t.Fatalf("post-checkpoint mutate generation %d", mr.Generation)
 	}
-	_, bodyA := solveBytes(t, tsA.URL)
+	_, bodyA := solveBytes(t, tsA.URL, false)
 	tsA.Close()
 	sA.Close()
 
@@ -222,7 +233,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 	if replayed != 1 {
 		t.Fatalf("replayed %d deltas after checkpoint, want 1", replayed)
 	}
-	srB, bodyB := solveBytes(t, tsB.URL)
+	srB, bodyB := solveBytes(t, tsB.URL, false)
 	if srB.Generation != 3 {
 		t.Fatalf("recovered generation %d, want 3", srB.Generation)
 	}
