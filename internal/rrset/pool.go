@@ -21,6 +21,10 @@ import (
 type scratch struct {
 	visited []int64
 	epoch   int64
+	// exactDraws counts the skip-path draws whose gap lnUniform could not
+	// settle, so sampleInto took math.Log for them (see sampleInto). Tests
+	// read it to bound how often that happens.
+	exactDraws int64
 }
 
 // SampleProbs is one ad's arc probabilities laid out in the order the
@@ -95,11 +99,16 @@ func width(g *graph.Graph, nodes []int32) int64 {
 // The RNG draws are exactly one Int31n for the target, then per dequeued
 // member v, on v's in-arcs in in-CSR order:
 //   - skip path (probs.skip[v] ≤ 0): one Uint64 x per gap, with
-//     U = (x>>11 + 1)/2^53 in (0, 1] and gap ⌊ln U · skip[v]⌋, a
+//     U = (x>>11 + 1)/2^53 in (0, 1] and gap ⌊math.Log(U) · skip[v]⌋, a
 //     Geometric(p) count of dead arcs before the next live one; the draws
 //     stop at the first gap that reaches past the last arc. A live arc
 //     whose source is already visited is passed over after its draw: by
-//     the live-edge equivalence its coin need not be skipped.
+//     the live-edge equivalence its coin need not be skipped. The gap is
+//     computed from lnUniform's table logarithm wherever its error
+//     bound (skipMargin) settles ⌊·⌋ and the stop test, and from
+//     math.Log otherwise, so both give the math.Log rule's gap. A p = 1
+//     node (skip[v] = −0) takes its gap-0 draws, one per arc, without a
+//     logarithm.
 //   - per-arc path: one Uint64 per arc whose source is unvisited and
 //     whose p > 0, compared as float64(x>>11)/2^53 < p — the RNG.Float64
 //     coin.
@@ -125,16 +134,40 @@ func (sc *scratch) sampleInto(dst []int32, g *graph.Graph, probs SampleProbs, rn
 		v := nodes[qi]
 		lo, hi := off[v], off[v+1]
 		us := srcs[lo:hi]
-		if inv := probs.skip[v]; inv <= 0 {
+		switch inv := probs.skip[v]; {
+		case inv == 0:
+			// p = 1: every gap is 0 and every arc live. The draws are
+			// still taken, one per arc, as the gap rule takes them.
+			for _, u := range us {
+				_, s0, s1, s2, s3 = xrand.Next(s0, s1, s2, s3)
+				if visited[u] != epoch {
+					visited[u] = epoch
+					nodes = append(nodes, u)
+				}
+			}
+			continue
+		case inv < 0:
+			margin := skipMargin(inv)
 			for i := 0; i < len(us); i++ {
 				var x uint64
 				x, s0, s1, s2, s3 = xrand.Next(s0, s1, s2, s3)
 				// Compared in float, so a huge gap (tiny p) cannot overflow.
-				gap := math.Log(float64(x>>11+1)/(1<<53)) * inv
-				if gap >= float64(len(us)-i) {
+				rem := float64(len(us) - i)
+				gap := lnUniform(x) * inv
+				if gap >= rem+margin {
 					break
 				}
-				i += int(gap)
+				// gap < rem+margin keeps n in int's range unless margin >
+				// 1/2, and then no f passes the test below.
+				n := int(gap)
+				if f := gap - float64(n); !(f >= margin && f <= 1-margin) {
+					sc.exactDraws++
+					if gap = math.Log(float64(x>>11+1)/(1<<53)) * inv; gap >= rem {
+						break
+					}
+					n = int(gap)
+				}
+				i += n
 				if u := us[i]; visited[u] != epoch {
 					visited[u] = epoch
 					nodes = append(nodes, u)

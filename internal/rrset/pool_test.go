@@ -158,8 +158,9 @@ func TestPoolKptEstimate(t *testing.T) {
 // examined arc on every node; it is the reference the stream's kernel
 // is held to, and the stream takes the geometric skip path wherever a
 // node's in-arcs share one probability. The inputs are the golden graph
-// (mixed probabilities with exact zeros and ones), the tiny dblp preset
-// under weighted cascade (every node on the skip path) and the tiny
+// (mixed probabilities with exact zeros and ones), the tiny dblp and
+// epinions presets under weighted cascade (every node on the skip path;
+// epinions' in-degree-1 nodes take its p = 1 branch) and the tiny
 // flixster preset under TIC (mixed in-arcs: the per-arc path). Both
 // sides draw i.i.d. RR sets from the same distribution, so at 20000 sets
 // each their size histograms (power-of-two buckets) must agree within
@@ -167,7 +168,7 @@ func TestPoolKptEstimate(t *testing.T) {
 // every node's inclusion count within 5 standard errors:
 // |a−b| ≤ 5·√(a+b). The seeds are fixed, so the test is deterministic.
 func TestStreamMatchesSamplerDistribution(t *testing.T) {
-	for _, name := range []string{"golden", "dblp", "flixster"} {
+	for _, name := range []string{"golden", "dblp", "epinions", "flixster"} {
 		t.Run(name, func(t *testing.T) {
 			g, canonical := goldenGraph()
 			if name != "golden" {
