@@ -57,8 +57,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		evCA := repro.EvaluateMC(p, ca, 1500, 2, 11)
-		evCS := repro.EvaluateMC(p, cs, 1500, 2, 11)
+		evCA, err := eng.Evaluate(ctx, p, ca, 1500, 2, 11)
+		if err != nil {
+			log.Fatal(err)
+		}
+		evCS, err := eng.Evaluate(ctx, p, cs, 1500, 2, 11)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-12v  %-8.4g  %12.1f  %12.1f  %14.1f  %14.1f\n",
 			c.kind, c.alpha,
 			evCA.TotalRevenue(), evCS.TotalRevenue(),

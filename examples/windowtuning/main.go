@@ -47,7 +47,10 @@ func main() {
 			log.Fatal(err)
 		}
 		elapsed := time.Since(start)
-		ev := repro.EvaluateMC(p, alloc, 1500, 2, 13)
+		ev, err := eng.Evaluate(ctx, p, alloc, 1500, 2, 13)
+		if err != nil {
+			log.Fatal(err)
+		}
 		label := fmt.Sprintf("%d", win)
 		if win == 0 {
 			label = "N"

@@ -173,9 +173,19 @@ func TestTICSRMBeatsPageRankBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evCS := core.EvaluateMC(p, cs, 2000, 2, 1234)
-	evGR := core.EvaluateMC(p, gr, 2000, 2, 1234)
-	evRR := core.EvaluateMC(p, rr, 2000, 2, 1234)
+	eng := core.NewEngine(p.Graph, p.Model, core.EngineOptions{})
+	evCS, err := eng.Evaluate(context.Background(), p, cs, 2000, 2, 1234)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evGR, err := eng.Evaluate(context.Background(), p, gr, 2000, 2, 1234)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evRR, err := eng.Evaluate(context.Background(), p, rr, 2000, 2, 1234)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Allow a small tolerance: on tiny instances the heuristics can come
 	// close, but they should not win outright.
 	if evCS.TotalRevenue() < 0.95*evGR.TotalRevenue() {

@@ -87,13 +87,6 @@ type Options struct {
 	// re-solving the same instance reuses the samples already drawn;
 	// prefix views keep cache hits bit-identical to a cold run.
 	ShareSamples bool
-	// ForbiddenNodes are globally unavailable as seeds for every ad (used
-	// by the adaptive setting for already-committed seeds).
-	ForbiddenNodes []int32
-	// ExcludedNodes[i] lists nodes unavailable for ad i only (used by the
-	// adaptive setting for users already engaged with ad i). nil means no
-	// per-ad exclusions.
-	ExcludedNodes [][]int32
 	// Progress, when non-nil, receives solver progress events — per-ad θ
 	// growth and committed seeds with the running revenue estimate —
 	// synchronously on the solving goroutine. Keep the hook cheap (hand
@@ -303,9 +296,6 @@ func (e *solver) setPi(ad *adState, pi float64) {
 // solve runs the session: initialization (KPT estimates and initial RR
 // samples), the allocation loop, and the final allocation assembly.
 func (e *solver) solve() (*Allocation, error) {
-	for _, v := range e.opt.ForbiddenNodes {
-		e.assigned[v] = true
-	}
 	rng := xrand.New(e.opt.Seed)
 	if e.opt.ShareSamples {
 		// Group advertisers by topic distribution; members of a group
@@ -493,20 +483,8 @@ func (e *solver) initAd(i int, g *adGroup) (*adState, error) {
 	ad.view = rrset.NewViewPrefix(g.u, g.vsize)
 	ad.theta = ad.view.Size()
 	g.members = append(g.members, ad)
-	e.applyExclusions(ad)
 	e.rebuildHeap(ad)
 	return ad, nil
-}
-
-// applyExclusions prunes the per-ad excluded nodes from the advertiser's
-// ground set before the first candidate heap is built.
-func (e *solver) applyExclusions(ad *adState) {
-	if e.opt.ExcludedNodes == nil {
-		return
-	}
-	for _, v := range e.opt.ExcludedNodes[ad.idx] {
-		ad.pruned[v] = true
-	}
 }
 
 // gammaKey builds the ShareSamples grouping key for a topic distribution.

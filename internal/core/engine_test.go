@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -75,13 +76,17 @@ func TestEngineGadgetCAvsCS(t *testing.T) {
 
 // Independent Monte-Carlo evaluation must agree with the engine's own
 // estimates on the gadget.
-func TestEvaluateMCAgreesWithEngine(t *testing.T) {
+func TestEvaluateAgreesWithEngine(t *testing.T) {
 	p := engineGadget()
-	cs, _, err := solveFresh(p, Options{Mode: ModeCostSensitive, Seed: 2})
+	eng := engineFor(p, 1)
+	cs, _, err := eng.Solve(context.Background(), p, Options{Mode: ModeCostSensitive, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := EvaluateMC(p, cs, 2000, 2, 99)
+	ev, err := eng.Evaluate(context.Background(), p, cs, 2000, 2, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(ev.TotalRevenue()-cs.TotalRevenue()) > 0.3 {
 		t.Errorf("MC evaluation %v vs engine estimate %v", ev.TotalRevenue(), cs.TotalRevenue())
 	}

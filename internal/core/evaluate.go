@@ -1,9 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/cascade"
 	"repro/internal/xrand"
 )
@@ -45,66 +42,29 @@ func (ev *Evaluation) TotalSeedCost() float64 {
 // propagation model (the paper's future-work item (iii)): all ads
 // propagate simultaneously and each user engages with at most one ad per
 // time window. Engagement counts — hence revenues — can only shrink
-// relative to EvaluateMC's independent propagation.
+// relative to Engine.Evaluate's independent propagation.
 func EvaluateCompetitive(p *Problem, a *Allocation, runs, workers int, seed uint64) *Evaluation {
-	h := p.NumAds()
-	probs := make([][]float32, h)
+	probs := make([][]float32, p.NumAds())
 	for i := range probs {
 		probs[i] = p.EdgeProbs(i)
 	}
 	sim := cascade.NewMultiAdSimulator(p.Graph, probs)
-	spreads := sim.Engagements(a.Seeds, runs, workers, xrand.New(seed))
+	return newEvaluation(p, a, sim.Engagements(a.Seeds, runs, workers, xrand.New(seed)))
+}
+
+// newEvaluation prices an allocation from its per-ad spread estimates.
+func newEvaluation(p *Problem, a *Allocation, spread []float64) *Evaluation {
+	h := len(spread)
 	ev := &Evaluation{
-		Spread:   spreads,
+		Spread:   spread,
 		Revenue:  make([]float64, h),
 		SeedCost: make([]float64, h),
 		Payment:  make([]float64, h),
 	}
-	for i := 0; i < h; i++ {
-		ev.Revenue[i] = p.Ads[i].CPE * spreads[i]
+	for i := range spread {
+		ev.Revenue[i] = p.Ads[i].CPE * spread[i]
 		ev.SeedCost[i] = p.Incentives[i].TotalCost(a.Seeds[i])
 		ev.Payment[i] = ev.Revenue[i] + ev.SeedCost[i]
 	}
 	return ev
-}
-
-// EvaluateMC scores an allocation with fresh Monte-Carlo simulation (runs
-// cascades per ad, split across workers). It is the legacy one-shot front
-// end of Engine.Evaluate (no cancellation, probabilities re-materialized
-// per call).
-func EvaluateMC(p *Problem, a *Allocation, runs, workers int, seed uint64) *Evaluation {
-	ev, _ := evaluateMC(context.Background(), p, a, runs, workers, seed, p.EdgeProbs)
-	return ev
-}
-
-// evaluateMC is the evaluation loop shared by EvaluateMC and
-// Engine.Evaluate: probsOf supplies the per-ad arc probabilities (the
-// Engine passes its memoized cache) and ctx is checked between
-// advertisers. The per-ad RNG split happens before the cancellation
-// check, so a completed evaluation is bit-identical regardless of front
-// end.
-func evaluateMC(ctx context.Context, p *Problem, a *Allocation, runs, workers int,
-	seed uint64, probsOf func(i int) []float32) (*Evaluation, error) {
-	h := p.NumAds()
-	ev := &Evaluation{
-		Spread:   make([]float64, h),
-		Revenue:  make([]float64, h),
-		SeedCost: make([]float64, h),
-		Payment:  make([]float64, h),
-	}
-	rng := xrand.New(seed)
-	for i := 0; i < h; i++ {
-		adRng := rng.Split()
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: evaluation %w: %w", ErrCanceled, err)
-		}
-		if len(a.Seeds[i]) > 0 {
-			sim := cascade.NewSimulator(p.Graph, probsOf(i))
-			ev.Spread[i] = sim.SpreadParallel(a.Seeds[i], runs, workers, adRng)
-		}
-		ev.Revenue[i] = p.Ads[i].CPE * ev.Spread[i]
-		ev.SeedCost[i] = p.Incentives[i].TotalCost(a.Seeds[i])
-		ev.Payment[i] = ev.Revenue[i] + ev.SeedCost[i]
-	}
-	return ev, nil
 }

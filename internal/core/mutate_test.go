@@ -110,8 +110,8 @@ func TestApplyDeltaGenerationWindow(t *testing.T) {
 	if _, _, err := eng.Solve(context.Background(), p1, opt); err != nil {
 		t.Fatalf("one-swap-old solve: %v", err)
 	}
-	if err := eng.checkOwnership(p0); !errors.Is(err, ErrInvalidProblem) {
-		t.Fatalf("checkOwnership(gen 0) = %v, want ErrInvalidProblem", err)
+	if _, err := eng.snapshotFor(p0); !errors.Is(err, ErrInvalidProblem) {
+		t.Fatalf("snapshotFor(gen 0) = %v, want ErrInvalidProblem", err)
 	}
 }
 

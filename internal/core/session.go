@@ -7,9 +7,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cascade"
 	"repro/internal/graph"
 	"repro/internal/rrset"
 	"repro/internal/topic"
+	"repro/internal/xrand"
 )
 
 // EngineOptions configures a long-lived Engine: the resources that are
@@ -187,9 +189,9 @@ func (sn *snapshot) edgeProbsFor(gamma topic.Distribution) adProbs {
 //     skip the O(m) materialization;
 //   - with Options.ShareSamples, RR-set universes are cached across
 //     solves keyed on (normalized gammas, stream seed): a re-solve of the
-//     same instance — the replanning loop pattern — reuses the samples it
-//     already drew, growing them only when a session needs more. Prefix
-//     views keep cache hits bit-identical to a cold run;
+//     same instance reuses the samples it already drew, growing them
+//     only when a session needs more. Prefix views keep cache hits
+//     bit-identical to a cold run;
 //   - exclusive RR samples are recycled: a finished solve's per-ad
 //     universes go on the snapshot's free list, and the next exclusive
 //     solve empties and refills their arenas instead of growing fresh
@@ -341,35 +343,6 @@ func (e *Engine) CachedUniverseBytes() int64 {
 	return total
 }
 
-// universeKeys snapshots the keys currently in the current generation's
-// universe cache.
-func (e *Engine) universeKeys() map[universeKey]bool {
-	sn := e.cur.Load()
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	keys := make(map[universeKey]bool, len(sn.universes))
-	for k := range sn.universes {
-		keys[k] = true
-	}
-	return keys
-}
-
-// evictUniversesExcept drops every current-generation cache entry whose
-// key is not in keep — used by the adaptive loop to discard its
-// one-shot per-round universes. Entries are healthy (not marked dead);
-// a session still holding one simply keeps its orphaned reference until
-// it finishes.
-func (e *Engine) evictUniversesExcept(keep map[universeKey]bool) {
-	sn := e.cur.Load()
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	for k := range sn.universes {
-		if !keep[k] {
-			delete(sn.universes, k)
-		}
-	}
-}
-
 // Reset drops the current generation's memoized edge probabilities,
 // cached RR-set universes and recycled exclusive universes (sessions
 // already holding a cache entry keep it until they finish, and a solve
@@ -383,13 +356,6 @@ func (e *Engine) Reset() {
 	sn.free = nil
 	sn.probs = map[string]adProbs{}
 	sn.universes = map[universeKey]*sharedGroup{}
-}
-
-// edgeProbsFor memoizes against the current generation — the
-// convenience entry the adaptive loop uses between rounds; sessions use
-// their pinned snapshot's method instead.
-func (e *Engine) edgeProbsFor(gamma topic.Distribution) []float32 {
-	return e.cur.Load().edgeProbsFor(gamma).canonical
 }
 
 // lockSharedGroup checks out (creating on miss) the snapshot's cached
@@ -520,14 +486,6 @@ func (e *Engine) Solve(ctx context.Context, p *Problem, opt Options) (*Allocatio
 	return alloc, s.stats, nil
 }
 
-// checkOwnership rejects a problem built on a graph or topic model this
-// Engine is not serving (neither current nor one swap old) — the shared
-// guard of every Engine method.
-func (e *Engine) checkOwnership(p *Problem) error {
-	_, err := e.snapshotFor(p)
-	return err
-}
-
 // validateSolve checks everything the solve path used to assume (or
 // panic on): a well-formed problem built on this Engine's graph and
 // model, options inside their domain, and consistent auxiliary inputs.
@@ -560,26 +518,6 @@ func (e *Engine) validateSolve(p *Problem, opt Options) (*snapshot, error) {
 			if int64(len(scores)) != int64(p.Graph.NumNodes()) {
 				return nil, fmt.Errorf("core: %w: PRScores[%d] covers %d nodes, graph has %d",
 					ErrInvalidProblem, i, len(scores), p.Graph.NumNodes())
-			}
-		}
-	}
-	n := p.Graph.NumNodes()
-	for _, v := range opt.ForbiddenNodes {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("core: %w: forbidden node %d out of range", ErrInvalidProblem, v)
-		}
-	}
-	if opt.ExcludedNodes != nil {
-		if len(opt.ExcludedNodes) != p.NumAds() {
-			return nil, fmt.Errorf("core: %w: ExcludedNodes has %d entries for %d ads",
-				ErrInvalidProblem, len(opt.ExcludedNodes), p.NumAds())
-		}
-		for i, excl := range opt.ExcludedNodes {
-			for _, v := range excl {
-				if v < 0 || v >= n {
-					return nil, fmt.Errorf("core: %w: excluded node %d out of range for ad %d",
-						ErrInvalidProblem, v, i)
-				}
 			}
 		}
 	}
@@ -617,9 +555,19 @@ func (e *Engine) Evaluate(ctx context.Context, p *Problem, a *Allocation, runs, 
 		}
 	}
 	e.evaluations.Add(1)
-	return evaluateMC(ctx, p, a, runs, workers, seed, func(i int) []float32 {
-		return sn.edgeProbsFor(p.Ads[i].Gamma).canonical
-	})
+	spread := make([]float64, p.NumAds())
+	rng := xrand.New(seed)
+	for i := range spread {
+		adRng := rng.Split()
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: evaluation %w: %w", ErrCanceled, err)
+		}
+		if len(a.Seeds[i]) > 0 {
+			sim := cascade.NewSimulator(p.Graph, sn.edgeProbsFor(p.Ads[i].Gamma).canonical)
+			spread[i] = sim.SpreadParallel(a.Seeds[i], runs, workers, adRng)
+		}
+	}
+	return newEvaluation(p, a, spread), nil
 }
 
 // ProgressKind labels a ProgressEvent.

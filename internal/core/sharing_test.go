@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -30,8 +31,15 @@ func TestEngineShareSamples(t *testing.T) {
 			sharedStats.RRMemoryBytes, exclStats.RRMemoryBytes)
 	}
 	// Same estimator accuracy regime: revenues must be comparable.
-	evExcl := EvaluateMC(p, exclusive, 2000, 2, 77)
-	evShared := EvaluateMC(p, sharedAlloc, 2000, 2, 77)
+	eng := engineFor(p, 1)
+	evExcl, err := eng.Evaluate(context.Background(), p, exclusive, 2000, 2, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evShared, err := eng.Evaluate(context.Background(), p, sharedAlloc, 2000, 2, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rel := math.Abs(evExcl.TotalRevenue()-evShared.TotalRevenue()) /
 		math.Max(evExcl.TotalRevenue(), 1)
 	if rel > 0.1 {

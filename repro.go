@@ -43,7 +43,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/incentive"
 	"repro/internal/topic"
-	"repro/internal/xrand"
 )
 
 // Core problem and algorithm types.
@@ -138,8 +137,6 @@ type (
 	Dataset = gen.Dataset
 	// Scale shrinks dataset presets for development machines.
 	Scale = gen.Scale
-	// RNG is the library's deterministic random number generator.
-	RNG = xrand.RNG
 )
 
 // Harness types.
@@ -233,9 +230,6 @@ func PageRankScores(p *Problem) [][]float64 {
 	return baseline.ScoresForProblem(p, baseline.PageRankOptions{})
 }
 
-// NewRNG returns a deterministic RNG for the given seed.
-func NewRNG(seed uint64) *RNG { return xrand.New(seed) }
-
 // NewWorkbench builds the fixed part of an experiment sweep for a dataset
 // preset ("flixster", "epinions", "dblp", "livejournal").
 func NewWorkbench(dataset string, params Params) (*Workbench, error) {
@@ -260,11 +254,6 @@ func NewMCOracle(p *Problem, runs int, seed uint64) SpreadOracle {
 	return core.NewMCOracle(p, runs, seed)
 }
 
-// EvaluateMC scores an allocation with fresh Monte-Carlo simulation.
-func EvaluateMC(p *Problem, a *Allocation, runs, workers int, seed uint64) *Evaluation {
-	return core.EvaluateMC(p, a, runs, workers, seed)
-}
-
 // EvaluateCompetitive scores an allocation under hard-competition
 // propagation: every user engages with at most one ad per window (the
 // paper's future-work item iii).
@@ -274,21 +263,6 @@ func EvaluateCompetitive(p *Problem, a *Allocation, runs, workers int, seed uint
 
 // Fig1Instance returns the paper's Figure 1 tightness gadget.
 func Fig1Instance() *Problem { return core.Fig1Instance() }
-
-// Adaptive-seeding types (future-work item iv).
-type (
-	// AdaptiveOptions configures the observe-then-replan loop.
-	AdaptiveOptions = core.AdaptiveOptions
-	// AdaptiveResult compares the adaptive policy with one-shot
-	// allocation in the same realized world.
-	AdaptiveResult = core.AdaptiveResult
-)
-
-// AdaptiveRun executes the adaptive seeding policy: plan with remaining
-// budgets, commit a batch, observe the realized cascades, re-plan.
-func AdaptiveRun(p *Problem, opt AdaptiveOptions) (*AdaptiveResult, error) {
-	return core.AdaptiveRun(p, opt)
-}
 
 // SaveAllocation writes an allocation to a JSON file.
 func SaveAllocation(path string, a *Allocation) error { return core.SaveAllocation(path, a) }

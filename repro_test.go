@@ -26,7 +26,10 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if alloc.NumSeeds() == 0 || stats.Duration <= 0 {
 		t.Fatal("quickstart produced no work")
 	}
-	ev := EvaluateMC(p, alloc, 500, 2, 7)
+	ev, err := eng.Evaluate(context.Background(), p, alloc, 500, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ev.TotalRevenue() <= 0 {
 		t.Fatal("no revenue")
 	}
@@ -89,45 +92,5 @@ func TestPublicAPIReferenceGreedy(t *testing.T) {
 	if math.Abs(ca.TotalRevenue()-3) > 0.2 || math.Abs(cs.TotalRevenue()-6) > 0.2 {
 		t.Errorf("gadget revenues: CA %v (want ≈3), CS %v (want ≈6)",
 			ca.TotalRevenue(), cs.TotalRevenue())
-	}
-}
-
-// TestPublicAPILearning smoke-tests the model-learning surface.
-func TestPublicAPILearning(t *testing.T) {
-	rng := NewRNG(3)
-	w, err := NewWorkbench("epinions", Params{Scale: ScaleTiny, Seed: 3, H: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := w.Dataset.Graph
-	probs := w.Model.EdgeProbs(w.Ads[0].Gamma)
-
-	eps := SimulateEpisodes(g, probs, 200, 2, rng.Split())
-	learned := EstimateIC(g, eps, LearnOptions{Iterations: 5})
-	if int64(len(learned)) != g.NumEdges() {
-		t.Fatal("learned probabilities have wrong length")
-	}
-	if ll := CascadeLogLikelihood(g, learned, eps); math.IsNaN(ll) || ll > 0 {
-		t.Errorf("log-likelihood %v out of range", ll)
-	}
-}
-
-// TestPublicAPIAdaptive smoke-tests the adaptive loop through the facade.
-func TestPublicAPIAdaptive(t *testing.T) {
-	w, err := NewWorkbench("epinions", Params{Scale: ScaleTiny, Seed: 11, H: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := w.Problem(Linear, 0.3)
-	res, err := AdaptiveRun(p, AdaptiveOptions{
-		Engine:    Options{Epsilon: 0.3, Seed: 11, MaxThetaPerAd: 20000},
-		Rounds:    2,
-		WorldSeed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AdaptiveRevenue <= 0 || res.OneShotRevenue <= 0 {
-		t.Error("adaptive run produced no revenue")
 	}
 }
