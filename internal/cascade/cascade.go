@@ -14,6 +14,7 @@ package cascade
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -43,9 +44,6 @@ func NewSimulator(g *graph.Graph, probs []float32) *Simulator {
 		queue:   make([]int32, 0, 256),
 	}
 }
-
-// Graph returns the simulator's graph.
-func (s *Simulator) Graph() *graph.Graph { return s.g }
 
 // RunOnce simulates a single cascade from seeds and returns the number of
 // activated nodes (seeds included; duplicate seeds count once). Not safe
@@ -84,93 +82,86 @@ func (s *Simulator) RunOnce(seeds []int32, rng *xrand.RNG) int {
 	return activated
 }
 
-// Spread estimates σ(seeds) as the average activated count over the given
-// number of Monte-Carlo runs.
-func (s *Simulator) Spread(seeds []int32, runs int, rng *xrand.RNG) float64 {
+// fanOut runs item i for every i in [0, n) on min(workers, n)
+// goroutines, the first of them the caller's. Goroutine w builds its
+// state once with newState(w) and keeps one RNG, which it reseeds to
+// xrand.SlotSeed(seed, i) before item i: what item i draws depends on
+// (seed, i) alone, never on workers or on which goroutine took it. It
+// returns every goroutine's state for the caller to combine; summing
+// exact integer totals keeps the combined result scheduling-free.
+func fanOut[T any](n, workers int, seed uint64, newState func(w int) T, item func(st T, rng *xrand.RNG, i int)) []T {
+	workers = max(1, min(workers, n))
+	states := make([]T, workers)
+	var next atomic.Int64
+	work := func(w int) {
+		st := newState(w)
+		states[w] = st
+		var rng xrand.RNG
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			rng.Seed(xrand.SlotSeed(seed, i))
+			item(st, &rng, i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	return states
+}
+
+// spreadWorker is one Spread goroutine's simulator and activation total.
+type spreadWorker struct {
+	sim   *Simulator
+	total int64
+}
+
+// Spread estimates σ(seeds) as the average activated count over runs
+// Monte-Carlo cascades on up to workers goroutines; run r draws from
+// xrand.SlotSeed(seed, r), so the estimate is a function of (seeds,
+// runs, seed) alone. Like RunOnce it is not safe for concurrent use on
+// one Simulator.
+func (s *Simulator) Spread(seeds []int32, runs, workers int, seed uint64) float64 {
 	if runs <= 0 {
 		panic("cascade: Spread needs runs > 0")
 	}
-	total := 0
-	for r := 0; r < runs; r++ {
-		total += s.RunOnce(seeds, rng)
-	}
-	return float64(total) / float64(runs)
-}
-
-// SpreadParallel estimates σ(seeds) using the given number of workers, each
-// with an independent RNG split from rng. The result is deterministic for a
-// fixed (seed, workers, runs) triple because per-worker sums are combined
-// order-independently.
-func (s *Simulator) SpreadParallel(seeds []int32, runs, workers int, rng *xrand.RNG) float64 {
-	if workers <= 1 || runs < 4*workers {
-		return s.Spread(seeds, runs, rng)
-	}
-	per := runs / workers
-	extra := runs % workers
-	totals := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		r := per
-		if w < extra {
-			r++
+	ws := fanOut(runs, workers, seed, func(w int) *spreadWorker {
+		if w == 0 {
+			return &spreadWorker{sim: s}
 		}
-		wrng := rng.Split()
-		sim := NewSimulator(s.g, s.probs)
-		wg.Add(1)
-		go func(w, r int, wrng *xrand.RNG, sim *Simulator) {
-			defer wg.Done()
-			var sum int64
-			for i := 0; i < r; i++ {
-				sum += int64(sim.RunOnce(seeds, wrng))
-			}
-			totals[w] = sum
-		}(w, r, wrng, sim)
-	}
-	wg.Wait()
+		return &spreadWorker{sim: NewSimulator(s.g, s.probs)}
+	}, func(wk *spreadWorker, rng *xrand.RNG, _ int) {
+		wk.total += int64(wk.sim.RunOnce(seeds, rng))
+	})
 	var total int64
-	for _, t := range totals {
-		total += t
+	for _, wk := range ws {
+		total += wk.total
 	}
 	return float64(total) / float64(runs)
 }
 
-// SingletonSpreads estimates σ({u}) for every node using runs Monte-Carlo
-// simulations per node, parallelized across workers. This mirrors the
-// paper's 5K-run Monte-Carlo estimation of singleton spreads on FLIXSTER
-// and EPINIONS (used to set seed incentives).
-func SingletonSpreads(g *graph.Graph, probs []float32, runs, workers int, rng *xrand.RNG) []float64 {
-	n := int(g.NumNodes())
-	out := make([]float64, n)
-	if workers < 1 {
-		workers = 1
-	}
-	type job struct {
-		lo, hi int
-		rng    *xrand.RNG
-	}
-	jobs := make([]job, 0, workers)
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+// SingletonSpreads estimates σ({u}) for every node u from runs
+// Monte-Carlo cascades on up to workers goroutines; node u's runs draw
+// one after another from xrand.SlotSeed(seed, u). This mirrors the
+// paper's 5K-run Monte-Carlo estimation of singleton spreads on
+// FLIXSTER and EPINIONS (used to set seed incentives).
+func SingletonSpreads(g *graph.Graph, probs []float32, runs, workers int, seed uint64) []float64 {
+	out := make([]float64, g.NumNodes())
+	fanOut(len(out), workers, seed, func(int) *Simulator {
+		return NewSimulator(g, probs)
+	}, func(sim *Simulator, rng *xrand.RNG, u int) {
+		seeds := []int32{int32(u)}
+		total := 0
+		for r := 0; r < runs; r++ {
+			total += sim.RunOnce(seeds, rng)
 		}
-		jobs = append(jobs, job{lo: lo, hi: hi, rng: rng.Split()})
-	}
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		sim := NewSimulator(g, probs)
-		wg.Add(1)
-		go func(j job, sim *Simulator) {
-			defer wg.Done()
-			seed := make([]int32, 1)
-			for u := j.lo; u < j.hi; u++ {
-				seed[0] = int32(u)
-				out[u] = sim.Spread(seed, runs, j.rng)
-			}
-		}(j, sim)
-	}
-	wg.Wait()
+		out[u] = float64(total) / float64(runs)
+	})
 	return out
 }
 

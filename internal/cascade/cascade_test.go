@@ -44,7 +44,7 @@ func TestSpreadLineGraphExactValue(t *testing.T) {
 	const p = 0.5
 	g, probs := lineGraph(p)
 	sim := NewSimulator(g, probs)
-	got := sim.Spread([]int32{0}, 200000, xrand.New(3))
+	got := sim.Spread([]int32{0}, 200000, 1, 3)
 	want := 1 + p + p*p
 	if math.Abs(got-want) > 0.02 {
 		t.Errorf("spread = %v, want %v", got, want)
@@ -103,7 +103,7 @@ func TestSpreadMatchesExact(t *testing.T) {
 		seeds := []int32{rng.Int31n(n)}
 		exact := ExactSpread(g, probs, seeds)
 		sim := NewSimulator(g, probs)
-		mc := sim.Spread(seeds, 100000, rng.Split())
+		mc := sim.Spread(seeds, 100000, 2, rng.Uint64())
 		if math.Abs(mc-exact) > 0.05*math.Max(1, exact) {
 			t.Errorf("trial %d: MC %v vs exact %v", trial, mc, exact)
 		}
@@ -123,43 +123,81 @@ func TestSpreadMonotoneInSeeds(t *testing.T) {
 		probs[i] = 0.2
 	}
 	sim := NewSimulator(g, probs)
-	s1 := sim.Spread([]int32{0}, 20000, xrand.New(6))
-	s2 := sim.Spread([]int32{0, 1}, 20000, xrand.New(6))
+	s1 := sim.Spread([]int32{0}, 20000, 1, 6)
+	s2 := sim.Spread([]int32{0, 1}, 20000, 1, 6)
 	if s2 < s1-0.1 {
 		t.Errorf("spread decreased when adding seed: %v -> %v", s1, s2)
 	}
 }
 
-func TestSpreadParallelAgrees(t *testing.T) {
+// TestEstimatorsWorkersIdentity pins the seeding rule of the three
+// Monte-Carlo estimators against hand-written sequential loops — run r
+// of Spread and Engagements draws from xrand.SlotSeed(seed, r), node u's
+// runs in SingletonSpreads from xrand.SlotSeed(seed, u) — and checks
+// that every workers setting, including fewer items than workers,
+// returns the same bits.
+func TestEstimatorsWorkersIdentity(t *testing.T) {
 	rng := xrand.New(7)
 	b := graph.NewBuilder(50, 200)
 	for i := 0; i < 200; i++ {
 		b.AddEdge(rng.Int31n(50), rng.Int31n(50))
 	}
 	g := b.Build()
-	m := topic.NewWeightedCascade(g)
-	probs := m.EdgeProbs(topic.Distribution{1})
-	sim := NewSimulator(g, probs)
-	seq := sim.Spread([]int32{0, 1, 2}, 40000, xrand.New(8))
-	par := sim.SpreadParallel([]int32{0, 1, 2}, 40000, 4, xrand.New(9))
-	if math.Abs(seq-par) > 0.05*math.Max(1, seq) {
-		t.Errorf("parallel %v vs sequential %v", par, seq)
+	wc := topic.NewWeightedCascade(g).EdgeProbs(topic.Distribution{1})
+	flat := make([]float32, g.NumEdges())
+	for i := range flat {
+		flat[i] = 0.3
 	}
-}
+	const runs, singletonRuns, seed = 301, 20, 9
+	seeds := []int32{0, 1, 2}
+	sets := [][]int32{{0, 1}, {2}}
 
-func TestSpreadParallelDeterministic(t *testing.T) {
-	g, probs := lineGraph(0.5)
-	sim := NewSimulator(g, probs)
-	a := sim.SpreadParallel([]int32{0}, 1000, 4, xrand.New(10))
-	b := sim.SpreadParallel([]int32{0}, 1000, 4, xrand.New(10))
-	if a != b {
-		t.Errorf("parallel spread not deterministic: %v vs %v", a, b)
+	ref := NewSimulator(g, wc)
+	total := 0
+	for r := 0; r < runs; r++ {
+		total += ref.RunOnce(seeds, xrand.New(xrand.SlotSeed(seed, r)))
+	}
+	wantSpread := float64(total) / runs
+	wantSingle := make([]float64, g.NumNodes())
+	for u := range wantSingle {
+		urng := xrand.New(xrand.SlotSeed(seed, u))
+		total := 0
+		for r := 0; r < singletonRuns; r++ {
+			total += ref.RunOnce([]int32{int32(u)}, urng)
+		}
+		wantSingle[u] = float64(total) / singletonRuns
+	}
+	multi := NewMultiAdSimulator(g, [][]float32{wc, flat})
+	wantEng := make([]float64, len(sets))
+	for r := 0; r < runs; r++ {
+		for i, c := range multi.RunOnce(sets, xrand.New(xrand.SlotSeed(seed, r))) {
+			wantEng[i] += float64(c)
+		}
+	}
+	for i := range wantEng {
+		wantEng[i] /= runs
+	}
+
+	for _, workers := range []int{1, 2, 3, 4, 64} {
+		if got := NewSimulator(g, wc).Spread(seeds, runs, workers, seed); got != wantSpread {
+			t.Errorf("workers=%d: Spread %v, want %v", workers, got, wantSpread)
+		}
+		for u, got := range SingletonSpreads(g, wc, singletonRuns, workers, seed) {
+			if got != wantSingle[u] {
+				t.Errorf("workers=%d: SingletonSpreads[%d] %v, want %v", workers, u, got, wantSingle[u])
+			}
+		}
+		for i, got := range multi.Engagements(sets, runs, workers, seed) {
+			if got != wantEng[i] {
+				t.Errorf("workers=%d: Engagements[%d] %v, want %v", workers, i, got, wantEng[i])
+			}
+		}
 	}
 }
 
 func TestSingletonSpreads(t *testing.T) {
 	g, probs := lineGraph(1.0)
-	s := SingletonSpreads(g, probs, 100, 2, xrand.New(11))
+	s := SingletonSpreads(g, probs, 100, 2, 11)
 	want := []float64{3, 2, 1}
 	for u := range want {
 		if math.Abs(s[u]-want[u]) > 1e-9 {

@@ -2,7 +2,6 @@ package cascade
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -123,57 +122,40 @@ func (m *MultiAdSimulator) RunOnce(seedSets [][]int32, rng *xrand.RNG) []int {
 	return counts
 }
 
-// Engagements estimates the expected per-ad engagement counts over the
-// given number of Monte-Carlo runs, split across workers.
-func (m *MultiAdSimulator) Engagements(seedSets [][]int32, runs, workers int, rng *xrand.RNG) []float64 {
-	h := len(m.probs)
-	out := make([]float64, h)
+// Engagements estimates the expected per-ad engagement counts over runs
+// Monte-Carlo propagations on up to workers goroutines; run r draws from
+// xrand.SlotSeed(seed, r), so the estimate is a function of (seedSets,
+// runs, seed) alone.
+func (m *MultiAdSimulator) Engagements(seedSets [][]int32, runs, workers int, seed uint64) []float64 {
 	if runs <= 0 {
 		panic("cascade: Engagements needs runs > 0")
 	}
-	if workers <= 1 || runs < 4*workers {
-		for r := 0; r < runs; r++ {
-			c := m.RunOnce(seedSets, rng)
-			for i, v := range c {
-				out[i] += float64(v)
-			}
+	h := len(m.probs)
+	ws := fanOut(runs, workers, seed, func(w int) *multiWorker {
+		wk := &multiWorker{sim: m, totals: make([]int64, h)}
+		if w > 0 {
+			wk.sim = NewMultiAdSimulator(m.g, m.probs)
 		}
-		for i := range out {
-			out[i] /= float64(runs)
+		return wk
+	}, func(wk *multiWorker, rng *xrand.RNG, _ int) {
+		for i, c := range wk.sim.RunOnce(seedSets, rng) {
+			wk.totals[i] += int64(c)
 		}
-		return out
-	}
-	per := runs / workers
-	extra := runs % workers
-	totals := make([][]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		r := per
-		if w < extra {
-			r++
-		}
-		wrng := rng.Split()
-		sim := NewMultiAdSimulator(m.g, m.probs)
-		totals[w] = make([]int64, h)
-		wg.Add(1)
-		go func(w, r int, wrng *xrand.RNG, sim *MultiAdSimulator) {
-			defer wg.Done()
-			for j := 0; j < r; j++ {
-				c := sim.RunOnce(seedSets, wrng)
-				for i, v := range c {
-					totals[w][i] += int64(v)
-				}
-			}
-		}(w, r, wrng, sim)
-	}
-	wg.Wait()
-	for _, t := range totals {
-		for i, v := range t {
-			out[i] += float64(v)
-		}
-	}
+	})
+	out := make([]float64, h)
 	for i := range out {
-		out[i] /= float64(runs)
+		var total int64
+		for _, wk := range ws {
+			total += wk.totals[i]
+		}
+		out[i] = float64(total) / float64(runs)
 	}
 	return out
+}
+
+// multiWorker is one Engagements goroutine's simulator and per-ad
+// engagement totals.
+type multiWorker struct {
+	sim    *MultiAdSimulator
+	totals []int64
 }

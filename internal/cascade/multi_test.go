@@ -22,9 +22,9 @@ func TestMultiAdSingleAdMatchesPlainSimulator(t *testing.T) {
 		probs[i] = 0.25
 	}
 	seeds := []int32{0, 1}
-	plain := NewSimulator(g, probs).Spread(seeds, 40000, xrand.New(2))
+	plain := NewSimulator(g, probs).Spread(seeds, 40000, 1, 2)
 	multi := NewMultiAdSimulator(g, [][]float32{probs}).
-		Engagements([][]int32{seeds}, 40000, 1, xrand.New(3))
+		Engagements([][]int32{seeds}, 40000, 1, 3)
 	if math.Abs(plain-multi[0]) > 0.05*math.Max(1, plain) {
 		t.Errorf("multi-ad single-ad %v vs plain %v", multi[0], plain)
 	}
@@ -114,9 +114,9 @@ func TestMultiAdCompetitionReducesSpread(t *testing.T) {
 	}
 	seeds0 := []int32{0, 1}
 	seeds1 := []int32{2, 3}
-	indep := NewSimulator(g, probs).Spread(seeds0, 30000, xrand.New(8))
+	indep := NewSimulator(g, probs).Spread(seeds0, 30000, 1, 8)
 	multi := NewMultiAdSimulator(g, [][]float32{probs, probs}).
-		Engagements([][]int32{seeds0, seeds1}, 30000, 2, xrand.New(9))
+		Engagements([][]int32{seeds0, seeds1}, 30000, 2, 9)
 	if multi[0] > indep+0.2 {
 		t.Errorf("competitive spread %v exceeds independent spread %v", multi[0], indep)
 	}
@@ -149,8 +149,8 @@ func TestMultiAdParallelDeterministic(t *testing.T) {
 	}
 	m := NewMultiAdSimulator(g, [][]float32{probs, probs})
 	sets := [][]int32{{0}, {1}}
-	a := m.Engagements(sets, 2000, 4, xrand.New(12))
-	b2 := m.Engagements(sets, 2000, 4, xrand.New(12))
+	a := m.Engagements(sets, 2000, 4, 12)
+	b2 := m.Engagements(sets, 2000, 4, 12)
 	for i := range a {
 		if a[i] != b2[i] {
 			t.Fatal("parallel competitive estimate not deterministic")

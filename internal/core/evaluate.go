@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/cascade"
-	"repro/internal/xrand"
-)
+import "repro/internal/cascade"
 
 // Evaluation is an algorithm-independent re-estimate of an allocation's
 // value: every algorithm's output is scored with the same fresh
@@ -42,14 +39,15 @@ func (ev *Evaluation) TotalSeedCost() float64 {
 // propagation model (the paper's future-work item (iii)): all ads
 // propagate simultaneously and each user engages with at most one ad per
 // time window. Engagement counts — hence revenues — can only shrink
-// relative to Engine.Evaluate's independent propagation.
+// relative to Engine.Evaluate's independent propagation. As there, the
+// result depends on seed, never on workers.
 func EvaluateCompetitive(p *Problem, a *Allocation, runs, workers int, seed uint64) *Evaluation {
 	probs := make([][]float32, p.NumAds())
 	for i := range probs {
 		probs[i] = p.EdgeProbs(i)
 	}
 	sim := cascade.NewMultiAdSimulator(p.Graph, probs)
-	return newEvaluation(p, a, sim.Engagements(a.Seeds, runs, workers, xrand.New(seed)))
+	return newEvaluation(p, a, sim.Engagements(a.Seeds, runs, workers, seed))
 }
 
 // newEvaluation prices an allocation from its per-ad spread estimates.

@@ -41,22 +41,24 @@ func (o *ExactOracle) Spread(ad int, seeds []int32) float64 {
 
 // MCOracle estimates spreads by Monte-Carlo simulation with deterministic
 // per-query reseeding, so repeated queries for the same (ad, set) give
-// identical answers and marginals use common random numbers.
+// identical answers and marginals use common random numbers (run r of
+// every query on an ad draws from the same seed).
 type MCOracle struct {
-	p    *Problem
-	sims []*cascade.Simulator
-	runs int
-	seed uint64
+	sims  []*cascade.Simulator
+	seeds []uint64 // per-ad base seed of Simulator.Spread
+	runs  int
 }
 
 // NewMCOracle builds a Monte-Carlo oracle performing the given number of
 // runs per query.
 func NewMCOracle(p *Problem, runs int, seed uint64) *MCOracle {
-	sims := make([]*cascade.Simulator, p.NumAds())
-	for i := range sims {
-		sims[i] = cascade.NewSimulator(p.Graph, p.EdgeProbs(i))
+	o := &MCOracle{runs: runs}
+	rng := xrand.New(seed)
+	for i := 0; i < p.NumAds(); i++ {
+		o.sims = append(o.sims, cascade.NewSimulator(p.Graph, p.EdgeProbs(i)))
+		o.seeds = append(o.seeds, rng.Split().Uint64())
 	}
-	return &MCOracle{p: p, sims: sims, runs: runs, seed: seed}
+	return o
 }
 
 // Spread implements SpreadOracle.
@@ -64,8 +66,7 @@ func (o *MCOracle) Spread(ad int, seeds []int32) float64 {
 	if len(seeds) == 0 {
 		return 0
 	}
-	rng := xrand.New(o.seed ^ uint64(ad)*0x9e3779b97f4a7c15)
-	return o.sims[ad].Spread(seeds, o.runs, rng)
+	return o.sims[ad].Spread(seeds, o.runs, 1, o.seeds[ad])
 }
 
 // CAGreedy is the Cost-Agnostic Greedy Algorithm (Algorithm 1): at each

@@ -525,9 +525,10 @@ func (e *Engine) validateSolve(p *Problem, opt Options) (*snapshot, error) {
 }
 
 // Evaluate scores an allocation with fresh Monte-Carlo simulation (runs
-// cascades per ad, split across workers), using the pinned snapshot's
-// memoized edge probabilities. Cancellation is honored between
-// advertisers.
+// cascades per ad on up to workers goroutines), using the pinned
+// snapshot's memoized edge probabilities. Every run draws from its own
+// seed (cascade.Simulator.Spread), so the result depends on seed, never
+// on workers. Cancellation is honored between advertisers.
 func (e *Engine) Evaluate(ctx context.Context, p *Problem, a *Allocation, runs, workers int, seed uint64) (*Evaluation, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -558,13 +559,15 @@ func (e *Engine) Evaluate(ctx context.Context, p *Problem, a *Allocation, runs, 
 	spread := make([]float64, p.NumAds())
 	rng := xrand.New(seed)
 	for i := range spread {
-		adRng := rng.Split()
+		// A splitmix step per ad, not SlotSeed(seed, i): nested SlotSeeds
+		// are symmetric, so ad i's run j would replay ad j's run i.
+		adSeed := rng.Split().Uint64()
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: evaluation %w: %w", ErrCanceled, err)
 		}
 		if len(a.Seeds[i]) > 0 {
 			sim := cascade.NewSimulator(p.Graph, sn.edgeProbsFor(p.Ads[i].Gamma).canonical)
-			spread[i] = sim.SpreadParallel(a.Seeds[i], runs, workers, adRng)
+			spread[i] = sim.Spread(a.Seeds[i], runs, workers, adSeed)
 		}
 	}
 	return newEvaluation(p, a, spread), nil

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cascade"
 	"repro/internal/topic"
-	"repro/internal/xrand"
 )
 
 // engineFor builds an Engine for a test problem at the given worker
@@ -297,13 +296,9 @@ func TestEngineSolveInvalidInputs(t *testing.T) {
 // TestEvaluateGolden pins the Monte-Carlo estimators bit for bit:
 // Engine.Evaluate's per-ad spreads on smallWCProblem(3, 38), and
 // EvaluateCompetitive and cascade.SingletonSpreads on one fixed input
-// each, at workers 1, 2 and 4, plus Evaluate's cancellation.
-//
-// The pinned values differ per worker count. That is an open defect,
-// not a contract: every MC estimator splits its RNG per worker (or per
-// chunk of nodes), so the workers setting changes the answers, not only
-// the speed. Once MC runs are seeded per run, the three rows of each
-// table collapse into one.
+// each, plus Evaluate's cancellation. Every MC run draws from its own
+// seed, so one row per estimator must hold at every worker count
+// (workers 3 splits the runs unevenly).
 func TestEvaluateGolden(t *testing.T) {
 	p := smallWCProblem(3, 38)
 	eng := engineFor(p, 1)
@@ -312,18 +307,10 @@ func TestEvaluateGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEval := map[int][3]uint64{
-		1: {0x4046000000000000, 0x404fe88888888889, 0x4040822222222222},
-		2: {0x4046000000000000, 0x40500fc962fc9630, 0x4040ba06d3a06d3a},
-		4: {0x4046000000000000, 0x40501e4b17e4b17e, 0x404059999999999a},
-	}
-	wantComp := map[int][3]uint64{
-		1: {0x4046000000000000, 0x404e9a06d3a06d3a, 0x403a0ccccccccccd},
-		2: {0x4046000000000000, 0x404e8e81b4e81b4f, 0x403b2740da740da7},
-		4: {0x4046000000000000, 0x404ef8bf258bf259, 0x40395f92c5f92c60},
-	}
-	wantSingle := map[int]uint64{1: 0x331bdb21ff6396e2, 2: 0x774467695e147602, 4: 0x6615dbc025b74c57}
-	for _, workers := range []int{1, 2, 4} {
+	wantEval := [3]uint64{0x4046000000000000, 0x404fe88888888889, 0x4040822222222222}
+	wantComp := [3]uint64{0x4046000000000000, 0x404e9a06d3a06d3a, 0x403a0ccccccccccd}
+	const wantSingle = 0x331bdb21ff6396e2
+	for _, workers := range []int{1, 2, 3, 4} {
 		ev, err := eng.Evaluate(ctx, p, alloc, 300, workers, 77)
 		if err != nil {
 			t.Fatal(err)
@@ -337,19 +324,19 @@ func TestEvaluateGolden(t *testing.T) {
 			gotComp[i] = math.Float64bits(comp.Spread[i])
 		}
 		h := fnv.New64a()
-		for _, s := range cascade.SingletonSpreads(p.Graph, p.EdgeProbs(0), 50, workers, xrand.New(77)) {
+		for _, s := range cascade.SingletonSpreads(p.Graph, p.EdgeProbs(0), 50, workers, 77) {
 			_ = binary.Write(h, binary.LittleEndian, math.Float64bits(s))
 		}
 		gotSingle := h.Sum64()
 		t.Logf("workers=%d: evaluate=%#x competitive=%#x singletons=%#x", workers, gotEval, gotComp, gotSingle)
-		if gotEval != wantEval[workers] {
-			t.Errorf("workers=%d: Evaluate spread bits %#x, want %#x", workers, gotEval, wantEval[workers])
+		if gotEval != wantEval {
+			t.Errorf("workers=%d: Evaluate spread bits %#x, want %#x", workers, gotEval, wantEval)
 		}
-		if gotComp != wantComp[workers] {
-			t.Errorf("workers=%d: EvaluateCompetitive spread bits %#x, want %#x", workers, gotComp, wantComp[workers])
+		if gotComp != wantComp {
+			t.Errorf("workers=%d: EvaluateCompetitive spread bits %#x, want %#x", workers, gotComp, wantComp)
 		}
-		if gotSingle != wantSingle[workers] {
-			t.Errorf("workers=%d: SingletonSpreads hash %#x, want %#x", workers, gotSingle, wantSingle[workers])
+		if gotSingle != wantSingle {
+			t.Errorf("workers=%d: SingletonSpreads hash %#x, want %#x", workers, gotSingle, uint64(wantSingle))
 		}
 	}
 	canceled, cancel := context.WithCancel(ctx)

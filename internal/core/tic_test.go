@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/cascade"
 	"repro/internal/gen"
 	"repro/internal/incentive"
 	"repro/internal/topic"
@@ -22,7 +23,7 @@ func ticProblem(h int, seed uint64) *Problem {
 	incs := make([]*incentive.Table, h)
 	for i := range incs {
 		probs := model.EdgeProbs(ads[i].Gamma)
-		sigma := incentive.SingletonsMC(g, probs, 200, 2, rng.Split())
+		sigma := cascade.SingletonSpreads(g, probs, 200, 2, rng.Split().Uint64())
 		incs[i] = incentive.Build(incentive.Linear, 0.2, sigma)
 	}
 	return &Problem{Graph: g, Model: model, Ads: ads, Incentives: incs}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gen"
@@ -326,7 +327,7 @@ func buildWorkbench(name string, params Params) (*Workbench, error) {
 				continue
 			}
 			probs := w.Model.EdgeProbs(ad.Gamma)
-			s := incentive.SingletonsMC(ds.Graph, probs, params.SingletonRuns, params.Workers, mcRng.Split())
+			s := cascade.SingletonSpreads(ds.Graph, probs, params.SingletonRuns, params.Workers, mcRng.Split().Uint64())
 			cache[key] = s
 			w.Singletons[i] = s
 		}

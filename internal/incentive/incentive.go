@@ -10,18 +10,16 @@
 //	superlinear  c_i(u) = α · σ_i({u})²
 //
 // where α > 0 is a host-chosen scale (dollar cents). Singleton spreads can
-// come from Monte-Carlo simulation (the paper's FLIXSTER/EPINIONS setup,
-// 5K runs) or from the out-degree proxy (the paper's DBLP/LIVEJOURNAL
-// setup).
+// come from Monte-Carlo simulation (cascade.SingletonSpreads, the paper's
+// FLIXSTER/EPINIONS setup, 5K runs) or from the out-degree proxy (the
+// paper's DBLP/LIVEJOURNAL setup).
 package incentive
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/cascade"
 	"repro/internal/graph"
-	"repro/internal/xrand"
 )
 
 // Kind selects one of the paper's four incentive models.
@@ -144,12 +142,6 @@ func (t *Table) TotalCost(S []int32) float64 {
 		sum += t.costs[u]
 	}
 	return sum
-}
-
-// SingletonsMC estimates singleton spreads by Monte-Carlo simulation
-// (the paper's 5K-run protocol on the quality datasets).
-func SingletonsMC(g *graph.Graph, probs []float32, runs, workers int, rng *xrand.RNG) []float64 {
-	return cascade.SingletonSpreads(g, probs, runs, workers, rng)
 }
 
 // SingletonsOutDegree returns the out-degree proxy for singleton spreads

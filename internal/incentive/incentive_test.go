@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/xrand"
 )
 
 func sigma4() []float64 { return []float64{1, 2, 4, 10} }
@@ -111,15 +110,5 @@ func TestSingletonsOutDegree(t *testing.T) {
 		if s[u] != w {
 			t.Errorf("out-degree proxy of %d = %v, want %v", u, s[u], w)
 		}
-	}
-}
-
-func TestSingletonsMCLine(t *testing.T) {
-	b := graph.NewBuilder(2, 1)
-	b.AddEdge(0, 1)
-	g := b.Build()
-	s := SingletonsMC(g, []float32{1}, 50, 1, xrand.New(1))
-	if s[0] != 2 || s[1] != 1 {
-		t.Errorf("MC singletons = %v, want [2 1]", s)
 	}
 }

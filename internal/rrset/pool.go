@@ -338,8 +338,8 @@ func (p *Pool) MemoryFootprint() int64 { return p.scratchBytes.Load() }
 // shared Pool. It owns only the probabilities, the seed and its next
 // slot, and borrows scratch from the pool batch by batch.
 //
-// Slot k of a stream seeded s is drawn from an RNG seeded slotSeed(s,
-// k), the discipline RepairUniverse and RebuildUniverse use, so the
+// Slot k of a stream seeded s is drawn from an RNG seeded
+// xrand.SlotSeed(s, k), the discipline RepairUniverse and RebuildUniverse use, so the
 // emitted sequence is a pure function of the seed — never of the pool's
 // Workers or BatchSize, of how the sets are split across SampleN calls,
 // or of goroutine scheduling — and repairing a stale slot redraws it
@@ -391,7 +391,7 @@ func (p *Pool) NewStreamAt(probs SampleProbs, seed uint64, next int) *Stream {
 // own reseeded rng with scratch sc.
 func (s *Stream) fill(b *flatBatch, sc *scratch, rng *xrand.RNG, lo, hi int) {
 	for slot := lo; slot < hi; slot++ {
-		rng.Seed(slotSeed(s.seed, slot))
+		rng.Seed(xrand.SlotSeed(s.seed, slot))
 		b.data = sc.sampleInto(b.data, s.pool.g, s.probs, rng)
 		b.ends = append(b.ends, len(b.data))
 	}

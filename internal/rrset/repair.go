@@ -14,20 +14,6 @@ type repairBuf struct {
 	ends []uint32
 }
 
-// slotSeedMix is the splitmix64 increment.
-const slotSeedMix = 0x9e3779b97f4a7c15
-
-// slotSeed derives the RNG seed of slot k under seed: every RR set a
-// Stream emits, RepairUniverse redraws or RebuildUniverse builds comes
-// from xrand.New(slotSeed(seed, k)). Each slot's seed depends only on
-// (seed, k) — not on which other slots are stale, nor on the graph
-// generation, nor on how many workers drew it — which is what makes a
-// partial Repair byte-identical to a cold stream of the same seed on
-// the new graph.
-func slotSeed(seed uint64, k int) uint64 {
-	return seed ^ (uint64(k)+1)*slotSeedMix
-}
-
 // repairChunkMembers is the fewest stored members per RepairUniverse
 // chunk and per range of a growth step's index build: a universe (or a
 // segment) below twice this repairs (or builds) on the calling goroutine
@@ -37,8 +23,8 @@ func slotSeed(seed uint64, k int) uint64 {
 const repairChunkMembers = 1 << 15
 
 // RepairUniverse resamples exactly the universe's stale slots in place
-// on the pool's graph, each from its slotSeed(seedKey, slot) RNG — the
-// draw a Stream seeded seedKey makes for that slot. Repairing a universe
+// on the pool's graph, each from its xrand.SlotSeed(seedKey, slot) RNG —
+// the draw a Stream seeded seedKey makes for that slot. Repairing a universe
 // a stream of seedKey filled, after invalidating the nodes whose in-arcs
 // changed, therefore gives exactly what that stream would emit on the
 // new graph. A delta touching few nodes resamples a few slots
@@ -90,7 +76,7 @@ func (p *Pool) repairUniverse(u *Universe, probs SampleProbs, seedKey uint64, ch
 		b.ends = slices.Grow(b.ends[:0], len(own))[:len(own)]
 		var rng xrand.RNG
 		for i, slot := range own {
-			rng.Seed(slotSeed(seedKey, int(slot)))
+			rng.Seed(xrand.SlotSeed(seedKey, int(slot)))
 			b.data = scs[c].sampleInto(b.data, p.g, probs, &rng)
 			b.ends[i] = uint32(len(b.data))
 		}
@@ -111,7 +97,7 @@ func (p *Pool) repairUniverse(u *Universe, probs SampleProbs, seedKey uint64, ch
 }
 
 // RebuildUniverse samples a fresh universe of size sets, slot s drawn
-// from xrand.New(slotSeed(seedKey, s)), one set at a time on one
+// from xrand.New(xrand.SlotSeed(seedKey, s)), one set at a time on one
 // scratch slot. It is the sequential cold-start reference that streams
 // and RepairUniverse are benchmarked and bit-identity tested against.
 func (p *Pool) RebuildUniverse(size int, probs SampleProbs, seedKey uint64) *Universe {
@@ -124,7 +110,7 @@ func (p *Pool) RebuildUniverse(size int, probs SampleProbs, seedKey uint64) *Uni
 	var buf []int32
 	for slot := 0; slot < size; slot++ {
 		buf = buf[:0]
-		rng := xrand.New(slotSeed(seedKey, slot))
+		rng := xrand.New(xrand.SlotSeed(seedKey, slot))
 		buf = sc.sampleInto(buf, p.g, probs, rng)
 		u.Add(buf)
 	}

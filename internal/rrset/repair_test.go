@@ -324,7 +324,7 @@ func TestRepairSpeedup(t *testing.T) {
 	var visited []int32
 	n := u.Repair(func(slot int32, dst []int32) []int32 {
 		visited = append(visited, slot)
-		return sc.sampleInto(dst, g, sp, xrand.New(slotSeed(seedKey, int(slot))))
+		return sc.sampleInto(dst, g, sp, xrand.New(xrand.SlotSeed(seedKey, int(slot))))
 	})
 	pool.release(sc)
 	if n != stale || len(visited) != stale {

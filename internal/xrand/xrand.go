@@ -56,6 +56,19 @@ func (r *RNG) Split() *RNG {
 	return New(r.Uint64())
 }
 
+// SlotSeed derives the RNG seed of item k (an RR-set slot, a Monte-Carlo
+// run, a singleton's node) under seed: seed ^ (k+1)·0x9e3779b97f4a7c15,
+// the splitmix64 increment. An item's draws then depend only on (seed,
+// k) — never on how many workers drew it, which worker took it, or
+// which other items were drawn — so a parallel estimate equals a
+// sequential one bit for bit. The mix is XOR-linear, so nesting it is
+// symmetric (SlotSeed(SlotSeed(s, i), j) == SlotSeed(SlotSeed(s, j), i)):
+// derive a two-level seed through a splitmix step, e.g.
+// New(s).Split().Uint64(), instead.
+func SlotSeed(seed uint64, k int) uint64 {
+	return seed ^ (uint64(k)+1)*0x9e3779b97f4a7c15
+}
+
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Next is one xoshiro256** step on an explicit state: it returns the
