@@ -307,9 +307,9 @@ func TestEvaluateGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEval := [3]uint64{0x4046000000000000, 0x404fe88888888889, 0x4040822222222222}
-	wantComp := [3]uint64{0x4046000000000000, 0x404e9a06d3a06d3a, 0x403a0ccccccccccd}
-	const wantSingle = 0x331bdb21ff6396e2
+	wantEval := [3]uint64{0x4046000000000000, 0x40506d0369d0369d, 0x404117e4b17e4b18}
+	wantComp := [3]uint64{0x4046000000000000, 0x404ea4b17e4b17e5, 0x403993a06d3a06d4}
+	const wantSingle = 0xf5b8908110f6ea34
 	for _, workers := range []int{1, 2, 3, 4} {
 		ev, err := eng.Evaluate(ctx, p, alloc, 300, workers, 77)
 		if err != nil {
