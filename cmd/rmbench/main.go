@@ -62,7 +62,7 @@ var (
 	gitDate    = flag.String("gitdate", "", "git commit date recorded in the -json report")
 	snapFlag   = flag.String("snapshot", "", "register file-backed datasets as comma-separated name=path entries (snapshot or edge-list files)")
 	quiet      = flag.Bool("quiet", false, "suppress progress output")
-	workers    = flag.Int("workers", 0, "RR-sampling scratch slots shared by all ads per run (default 0 = all CPU cores; results do not depend on it)")
+	workers    = flag.Int("workers", 0, "goroutines for RR sampling and Monte-Carlo simulation per run (default 0 = all CPU cores; results do not depend on it)")
 	timeout    = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); Ctrl-C also cancels gracefully")
 )
 
@@ -106,6 +106,7 @@ func params() (eval.Params, error) {
 		MCEvalRuns:    *mcEval,
 		SingletonRuns: *singleRuns,
 		AlphaPoints:   *alphaPts,
+		Workers:       nw,
 		SampleWorkers: nw,
 	}, nil
 }

@@ -49,7 +49,7 @@ var (
 	topSeeds  = flag.Int("top", 5, "how many seeds to list per ad")
 	outPath   = flag.String("out", "", "write the allocation as JSON to this file")
 	share     = flag.Bool("share", false, "share RR samples across ads with identical topics")
-	workers   = flag.Int("workers", 0, "RR-sampling scratch slots shared by all ads (default 0 = all CPU cores; results do not depend on it)")
+	workers   = flag.Int("workers", 0, "goroutines for RR sampling and Monte-Carlo simulation (default 0 = all CPU cores; results do not depend on it)")
 	rssFlag   = flag.Bool("rss", false, "report the process peak RSS (VmHWM) after the solve")
 	timeout   = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit); Ctrl-C also cancels gracefully")
 	progFlag  = flag.Bool("progress", false, "stream solver progress events (θ growth, committed seeds) to stderr")
@@ -91,7 +91,7 @@ func run(ctx context.Context) error {
 		nw = runtime.NumCPU()
 	}
 	params := eval.Params{Scale: scale, Seed: *seed, H: *hFlag, Epsilon: *epsFlag,
-		Window: *window, MaxThetaPerAd: *maxTheta, SampleWorkers: nw}
+		Window: *window, MaxThetaPerAd: *maxTheta, Workers: nw, SampleWorkers: nw}
 	name := *datasetFl
 	if *snapFlag != "" {
 		// Register the file under its own path so the workbench resolves
@@ -141,9 +141,7 @@ func run(ctx context.Context) error {
 		}
 		return fmt.Errorf("solve failed: %w", err)
 	}
-	// MC evaluation keeps its historical fixed 2-way split: -workers tunes
-	// RR sampling only, so evaluated revenue stays machine-independent.
-	ev, err := eng.Evaluate(ctx, p, alloc, 2000, 2, *seed^0xabcdef)
+	ev, err := eng.Evaluate(ctx, p, alloc, 2000, nw, *seed^0xabcdef)
 	if err != nil {
 		return fmt.Errorf("evaluation failed: %w", err)
 	}

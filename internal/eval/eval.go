@@ -135,7 +135,9 @@ type Params struct {
 	// SingletonRuns is the number of Monte-Carlo runs for singleton
 	// spreads on the quality datasets (paper: 5000; default 500).
 	SingletonRuns int
-	// Workers bounds simulation parallelism (default NumCPU).
+	// Workers bounds Monte-Carlo simulation parallelism (default
+	// NumCPU). It changes speed only: every MC run draws from its own
+	// seed.
 	Workers int
 	// SampleWorkers is the engine's RR-sampling worker count — the size
 	// of the shared scratch pool each run allocates (0 reads as 1). It
@@ -199,7 +201,6 @@ type workbenchKey struct {
 	seed          uint64
 	h             int
 	singletonRuns int
-	workers       int
 	sampleWorkers int
 }
 
@@ -237,7 +238,6 @@ func NewWorkbench(name string, params Params) (*Workbench, error) {
 		seed:          params.Seed,
 		h:             params.H,
 		singletonRuns: params.SingletonRuns,
-		workers:       params.Workers,
 		sampleWorkers: params.SampleWorkers,
 	}
 	workbenchCache.Lock()

@@ -14,7 +14,8 @@ import (
 
 // resultCache is a bounded LRU over marshaled response bodies. The
 // engine is deterministic for a fixed cache key (a solve is a pure
-// function of its instance, options and Seed, at any sampling Workers),
+// function of its instance, options and Seed, at any sampling Workers,
+// and an evaluation of its allocation, runs and seed at any Workers),
 // so replaying the stored bytes is bit-identical to re-solving —
 // the cache trades memory for latency without changing any answer.
 // Entries are immutable once stored; get returns the shared slice and
@@ -113,15 +114,16 @@ func solveCacheKey(kind string, scale gen.Scale, dsSeed uint64, dataset string,
 }
 
 // evalCacheKey extends the instance identity with the allocation being
-// scored, the Monte-Carlo parameters, and the graph generation (same
-// rationale as solveCacheKey: a mutate invalidates evaluate answers).
+// scored, the Monte-Carlo runs and seed (not workers, which changes
+// speed only), and the graph generation (same rationale as
+// solveCacheKey: a mutate invalidates evaluate answers).
 func evalCacheKey(scale gen.Scale, dsSeed uint64, dataset string, h int,
 	ikind incentive.Kind, alpha float64, p *core.Problem,
-	seeds [][]int32, runs, workers int, seed uint64) string {
+	seeds [][]int32, runs int, seed uint64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "eval|%s|%s|%d|%d|%v|%x|%d|%d|%d|gen:%d",
+	fmt.Fprintf(&b, "eval|%s|%s|%d|%d|%v|%x|%d|%d|gen:%d",
 		dataset, scale, dsSeed, h, ikind, math.Float64bits(alpha),
-		runs, workers, seed, p.Graph.Generation())
+		runs, seed, p.Graph.Generation())
 	for _, ad := range p.Ads {
 		fmt.Fprintf(&b, "|g:%s;c:%x;b:%x", core.GammaKey(ad.Gamma),
 			math.Float64bits(ad.CPE), math.Float64bits(ad.Budget))

@@ -81,8 +81,10 @@ type EvaluateRequest struct {
 	// Runs is the number of Monte-Carlo cascades (default 2000, capped
 	// at Config.MaxEvalRuns).
 	Runs int `json:"runs,omitempty"`
-	// Workers is the simulation parallelism (default 2 — the CLI's
-	// fixed split, machine-independent), capped at Config.MaxEvalWorkers.
+	// Workers is the number of simulation goroutines (default 2, capped
+	// at Config.MaxEvalWorkers). It sets speed only: every cascade draws
+	// from its own per-run seed, so any value returns the same answer
+	// and shares one result-cache entry.
 	Workers int `json:"workers,omitempty"`
 	// Seed drives the evaluation cascades (pointer: explicit 0 is
 	// honored, omitted defaults to 1^0xabcdef as in the CLIs).
@@ -580,7 +582,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	p := wb.Problem(kind, alpha)
 	key := evalCacheKey(s.cfg.Scale, s.cfg.DatasetSeed, req.Dataset, h, kind,
-		alpha, p, req.Seeds, req.Runs, req.Workers, seed)
+		alpha, p, req.Seeds, req.Runs, seed)
 	if !req.NoCache {
 		if body, ok := s.cache.get(key); ok {
 			s.met.cacheHits.Add(1)

@@ -29,7 +29,8 @@
 // Result cache. Successful responses are cached keyed on the full solve
 // identity — dataset coordinates, every ad's normalized topic
 // distribution (core.GammaKey), CPEs and budgets, the graph generation,
-// and all output-affecting options (mode, ε, seed, window, workers …).
+// and all output-affecting options (mode, ε, seed, window …; never a
+// workers count, which changes only speed).
 // The engine is deterministic for a fixed key, so a hit replays the
 // stored bytes and is bit-identical to re-solving cold; a /v1/mutate
 // bumps the generation, so no cached response crosses it.

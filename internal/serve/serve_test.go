@@ -680,6 +680,44 @@ func TestEvaluateWorkersCapped(t *testing.T) {
 	}
 }
 
+// TestEvaluateWorkersShareCacheEntry: workers sets only how many
+// goroutines run the cascades, so two evaluations differing only in
+// workers are one cache entry, and a recomputation at a third worker
+// count returns the same bytes.
+func TestEvaluateWorkersShareCacheEntry(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.MaxEvalWorkers = 3
+	_, ts := newTestServer(t, cfg)
+
+	req := EvaluateRequest{Dataset: "flixster", H: 2, Seeds: [][]int32{{0, 3}, {5}}, Runs: 300, Seed: up(4), Workers: 1}
+	resp, first := postJSON(t, ts.URL+"/v1/evaluate", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("evaluate workers=1: %d %s", resp.StatusCode, first)
+	}
+	if h := resp.Header.Get("X-RM-Cache"); h != "miss" {
+		t.Errorf("workers=1 X-RM-Cache = %q, want miss", h)
+	}
+	req.Workers = 2
+	resp, second := postJSON(t, ts.URL+"/v1/evaluate", req)
+	if h := resp.Header.Get("X-RM-Cache"); h != "hit" {
+		t.Errorf("workers=2 X-RM-Cache = %q, want hit", h)
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("workers=2 body differs:\n%s\n%s", first, second)
+	}
+	req.Workers, req.NoCache = 3, true
+	resp, third := postJSON(t, ts.URL+"/v1/evaluate", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("evaluate workers=3: %d %s", resp.StatusCode, third)
+	}
+	if h := resp.Header.Get("X-RM-Cache"); h != "miss" {
+		t.Errorf("workers=3 no_cache X-RM-Cache = %q, want miss", h)
+	}
+	if !bytes.Equal(first, third) {
+		t.Errorf("recomputed workers=3 body differs:\n%s\n%s", first, third)
+	}
+}
+
 // TestZeroAndOmittedParams pins the zero-vs-omitted contract: omitted
 // alpha/seed/epsilon normalize to the documented defaults before cache
 // keying (explicit defaults hit the same entry), while explicit zeros

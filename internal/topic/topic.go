@@ -151,17 +151,6 @@ func NewUniformIC(g *graph.Graph, p float64) *Model {
 	return &Model{g: g, probs: [][]float32{probs}}
 }
 
-// NewTrivalency builds a single-topic trivalency model: each arc draws its
-// probability uniformly from {0.1, 0.01, 0.001} (Chen et al., KDD 2010).
-func NewTrivalency(g *graph.Graph, rng *xrand.RNG) *Model {
-	probs := make([]float32, g.NumEdges())
-	vals := [3]float32{0.1, 0.01, 0.001}
-	for i := range probs {
-		probs[i] = vals[rng.Intn(3)]
-	}
-	return &Model{g: g, probs: [][]float32{probs}}
-}
-
 // TICParams controls the synthetic TIC probability generator standing in
 // for the paper's MLE-learned FLIXSTER probabilities.
 type TICParams struct {
@@ -177,9 +166,10 @@ type TICParams struct {
 	Weights []float64
 }
 
-// DefaultTICParams mirrors the trivalency levels with moderate per-topic
-// sparsity, calibrated so singleton spreads on the FLIXSTER-like graph are
-// in the tens-to-hundreds range, as in the paper's learned model.
+// DefaultTICParams mirrors the trivalency levels {0.1, 0.01, 0.001} (Chen
+// et al., KDD 2010) with moderate per-topic sparsity, calibrated so
+// singleton spreads on the FLIXSTER-like graph are in the
+// tens-to-hundreds range, as in the paper's learned model.
 func DefaultTICParams() TICParams {
 	return TICParams{
 		L:        10,

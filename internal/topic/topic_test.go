@@ -93,17 +93,6 @@ func TestUniformIC(t *testing.T) {
 	}
 }
 
-func TestTrivalency(t *testing.T) {
-	g := line3()
-	m := NewTrivalency(g, xrand.New(1))
-	for e := int64(0); e < g.NumEdges(); e++ {
-		p := m.Prob(0, e)
-		if p != 0.1 && math.Abs(p-0.01) > 1e-9 && math.Abs(p-0.001) > 1e-9 {
-			t.Errorf("trivalency prob = %v not in {0.1,0.01,0.001}", p)
-		}
-	}
-}
-
 func TestEdgeProbsMixing(t *testing.T) {
 	g := line3()
 	// Two topics with known probabilities per edge.
