@@ -297,8 +297,8 @@ func TestEngineSolveInvalidInputs(t *testing.T) {
 // Engine.Evaluate's per-ad spreads on smallWCProblem(3, 38), and
 // EvaluateCompetitive and cascade.SingletonSpreads on one fixed input
 // each, plus Evaluate's cancellation. Every MC run draws from its own
-// seed, so one row per estimator must hold at every worker count
-// (workers 3 splits the runs unevenly).
+// seed, so one row per estimator must hold at every worker count,
+// whichever goroutine draws which run.
 func TestEvaluateGolden(t *testing.T) {
 	p := smallWCProblem(3, 38)
 	eng := engineFor(p, 1)
@@ -309,7 +309,7 @@ func TestEvaluateGolden(t *testing.T) {
 	}
 	wantEval := [3]uint64{0x4046000000000000, 0x40506d0369d0369d, 0x404117e4b17e4b18}
 	wantComp := [3]uint64{0x4046000000000000, 0x404ea4b17e4b17e5, 0x403993a06d3a06d4}
-	const wantSingle = 0xf5b8908110f6ea34
+	const wantSingle uint64 = 0xf5b8908110f6ea34
 	for _, workers := range []int{1, 2, 3, 4} {
 		ev, err := eng.Evaluate(ctx, p, alloc, 300, workers, 77)
 		if err != nil {
@@ -336,7 +336,7 @@ func TestEvaluateGolden(t *testing.T) {
 			t.Errorf("workers=%d: EvaluateCompetitive spread bits %#x, want %#x", workers, gotComp, wantComp)
 		}
 		if gotSingle != wantSingle {
-			t.Errorf("workers=%d: SingletonSpreads hash %#x, want %#x", workers, gotSingle, uint64(wantSingle))
+			t.Errorf("workers=%d: SingletonSpreads hash %#x, want %#x", workers, gotSingle, wantSingle)
 		}
 	}
 	canceled, cancel := context.WithCancel(ctx)
