@@ -195,6 +195,35 @@ func TestEstimatorsWorkersIdentity(t *testing.T) {
 	}
 }
 
+// TestSpreadParallelAgrees checks that Spread's multi-worker path, on a
+// different seed, estimates the same spread as a single-worker run.
+func TestSpreadParallelAgrees(t *testing.T) {
+	rng := xrand.New(7)
+	b := graph.NewBuilder(50, 200)
+	for i := 0; i < 200; i++ {
+		b.AddEdge(rng.Int31n(50), rng.Int31n(50))
+	}
+	g := b.Build()
+	m := topic.NewWeightedCascade(g)
+	probs := m.EdgeProbs(topic.Distribution{1})
+	sim := NewSimulator(g, probs)
+	seq := sim.Spread([]int32{0, 1, 2}, 40000, 1, 8)
+	par := sim.Spread([]int32{0, 1, 2}, 40000, 4, 9)
+	if math.Abs(seq-par) > 0.05*math.Max(1, seq) {
+		t.Errorf("parallel %v vs sequential %v", par, seq)
+	}
+}
+
+func TestSpreadParallelDeterministic(t *testing.T) {
+	g, probs := lineGraph(0.5)
+	sim := NewSimulator(g, probs)
+	a := sim.Spread([]int32{0}, 1000, 4, 10)
+	b := sim.Spread([]int32{0}, 1000, 4, 10)
+	if a != b {
+		t.Errorf("parallel spread not deterministic: %v vs %v", a, b)
+	}
+}
+
 func TestSingletonSpreads(t *testing.T) {
 	g, probs := lineGraph(1.0)
 	s := SingletonSpreads(g, probs, 100, 2, 11)
