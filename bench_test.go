@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cascade"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -352,9 +353,27 @@ func BenchmarkCascadeSimulation(b *testing.B) {
 	model := topic.NewWeightedCascade(g)
 	sim := cascade.NewSimulator(g, model.EdgeProbs(topic.Distribution{1}))
 	seeds := []int32{0, 1, 2, 3, 4}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.RunOnce(seeds, rng)
+	}
+}
+
+// BenchmarkSingletonSpreads is the Monte-Carlo singleton pass of a
+// workbench build on the tiny epinions preset (the incentive tables'
+// spreads): every node's 500 runs, on one worker.
+func BenchmarkSingletonSpreads(b *testing.B) {
+	src, err := dataset.Default.Open("epinions", gen.ScaleTiny, xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := src.Dataset.Graph
+	probs := src.Model.EdgeProbs(topic.Distribution{1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cascade.SingletonSpreads(g, probs, 500, 1, 1)
 	}
 }
 

@@ -48,38 +48,53 @@ func NewSimulator(g *graph.Graph, probs []float32) *Simulator {
 // RunOnce simulates a single cascade from seeds and returns the number of
 // activated nodes (seeds included; duplicate seeds count once). Not safe
 // for concurrent use — clone simulators per goroutine.
+//
+// The draws are exactly one Uint64 per arc out of an activated node
+// whose target is not yet active and whose p > 0, in BFS order and CSR
+// order within a node, compared as float64(x>>11)/2^53 < p — the
+// RNG.Float64 coin. An arc with p ≤ 0 or NaN draws nothing. The
+// xoshiro state lives in four locals for the whole cascade and is
+// written back once, and the activated list doubles as the BFS queue,
+// so a run allocates nothing once the list has grown to the largest
+// cascade.
 func (s *Simulator) RunOnce(seeds []int32, rng *xrand.RNG) int {
 	s.epoch++
+	epoch, visited := s.epoch, s.visited
+	off, targets := s.g.CSR()
+	// The activated nodes are the queue: the front is an index cursor.
 	q := s.queue[:0]
-	activated := 0
 	for _, u := range seeds {
-		if s.visited[u] == s.epoch {
-			continue
+		if visited[u] != epoch {
+			visited[u] = epoch
+			q = append(q, u)
 		}
-		s.visited[u] = s.epoch
-		q = append(q, u)
-		activated++
 	}
-	for len(q) > 0 {
-		u := q[0]
-		q = q[1:]
-		lo, hi := s.g.OutEdgeRange(u)
-		nb := s.g.OutNeighbors(u)
-		for i, v := range nb {
-			if s.visited[v] == s.epoch {
+	s0, s1, s2, s3 := rng.State()
+	for qi := 0; qi < len(q); qi++ {
+		u := q[qi]
+		lo, hi := off[u], off[u+1]
+		vs := targets[lo:hi]
+		ps := s.probs[lo:hi]
+		ps = ps[:len(vs)] // lets ps[i] below go without a bounds check
+		for i, v := range vs {
+			if visited[v] == epoch {
 				continue
 			}
-			p := s.probs[lo+int64(i)]
-			_ = hi
-			if p > 0 && rng.Float64() < float64(p) {
-				s.visited[v] = s.epoch
+			p := ps[i]
+			if !(p > 0) {
+				continue
+			}
+			var x uint64
+			x, s0, s1, s2, s3 = xrand.Next(s0, s1, s2, s3)
+			if float64(x>>11)/(1<<53) < float64(p) {
+				visited[v] = epoch
 				q = append(q, v)
-				activated++
 			}
 		}
 	}
+	rng.SetState(s0, s1, s2, s3)
 	s.queue = q[:0]
-	return activated
+	return len(q)
 }
 
 // fanOut runs item i for every i in [0, n) on min(workers, n)

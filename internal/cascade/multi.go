@@ -25,11 +25,13 @@ type MultiAdSimulator struct {
 	g     *graph.Graph
 	probs [][]float32
 
-	owner   []int32 // -1 = not engaged, else ad index; epoch-tagged via stamp
-	stamp   []int64
-	epoch   int64
-	claims  []int32 // per-round conflict resolution scratch
-	claimed []int32 // nodes claimed this round
+	// Scratch state reused across runs (epoch trick avoids clearing).
+	stamp    []int64 // stamp[v] == epoch: v engaged in this run
+	epoch    int64
+	claims   []int32 // per-round successful attempts on each node
+	winner   []int32 // ad a node claimed this round adopts
+	claimed  []int32 // nodes claimed this round, in first-claim order
+	frontier []frontierEntry
 }
 
 // NewMultiAdSimulator builds a simulator for h ads; probs[i] holds ad i's
@@ -47,9 +49,9 @@ func NewMultiAdSimulator(g *graph.Graph, probs [][]float32) *MultiAdSimulator {
 	return &MultiAdSimulator{
 		g:      g,
 		probs:  probs,
-		owner:  make([]int32, n),
 		stamp:  make([]int64, n),
 		claims: make([]int32, n),
+		winner: make([]int32, n),
 	}
 }
 
@@ -61,20 +63,34 @@ type frontierEntry struct {
 // RunOnce simulates a single competitive propagation and returns the
 // number of engagements per ad (seeds included). Seed sets must be
 // pairwise disjoint. Not safe for concurrent use.
-func (m *MultiAdSimulator) RunOnce(seedSets [][]int32, rng *xrand.RNG) []int {
+func (m *MultiAdSimulator) RunOnce(seedSets [][]int32, rng *xrand.RNG) []int64 {
+	counts := make([]int64, len(m.probs))
+	m.run(seedSets, rng, counts)
+	return counts
+}
+
+// run simulates one competitive propagation and adds each ad's
+// engagements (seeds included) to counts, allocating nothing once the
+// frontier and claimed lists have grown to the largest run. Per arc out
+// of a frontier node to a not-yet-engaged target it draws one
+// RNG.Float64 coin u unless p ≤ 0, and the attempt succeeds unless
+// u ≥ p (so a NaN p draws and succeeds). A success takes one Intn(k)
+// reservoir draw, k the node's successes so far this round; Intn(1)
+// still draws.
+func (m *MultiAdSimulator) run(seedSets [][]int32, rng *xrand.RNG, counts []int64) {
 	if len(seedSets) != len(m.probs) {
 		panic(fmt.Sprintf("cascade: %d seed sets for %d ads", len(seedSets), len(m.probs)))
 	}
 	m.epoch++
-	counts := make([]int, len(seedSets))
-	var frontier []frontierEntry
+	epoch, stamp, claims, winner := m.epoch, m.stamp, m.claims, m.winner
+	off, targets := m.g.CSR()
+	frontier := m.frontier[:0]
 	for ad, seeds := range seedSets {
 		for _, u := range seeds {
-			if m.stamp[u] == m.epoch {
+			if stamp[u] == epoch {
 				panic(fmt.Sprintf("cascade: node %d seeded for two ads", u))
 			}
-			m.stamp[u] = m.epoch
-			m.owner[u] = int32(ad)
+			stamp[u] = epoch
 			counts[ad]++
 			frontier = append(frontier, frontierEntry{node: u, ad: int32(ad)})
 		}
@@ -82,44 +98,42 @@ func (m *MultiAdSimulator) RunOnce(seedSets [][]int32, rng *xrand.RNG) []int {
 	// claims[v] holds, during a round, the number of successful attempts
 	// on v; the adopted ad is reservoir-sampled among them so each
 	// succeeding ad wins with equal probability.
-	winner := make(map[int32]int32)
+	claimed := m.claimed
 	for len(frontier) > 0 {
-		m.claimed = m.claimed[:0]
-		for k := range winner {
-			delete(winner, k)
-		}
+		claimed = claimed[:0]
 		for _, fe := range frontier {
-			probs := m.probs[fe.ad]
-			lo, _ := m.g.OutEdgeRange(fe.node)
-			for i, v := range m.g.OutNeighbors(fe.node) {
-				if m.stamp[v] == m.epoch {
+			lo, hi := off[fe.node], off[fe.node+1]
+			vs := targets[lo:hi]
+			ps := m.probs[fe.ad][lo:hi]
+			ps = ps[:len(vs)]
+			for i, v := range vs {
+				if stamp[v] == epoch {
 					continue // already engaged in an earlier round
 				}
-				p := probs[lo+int64(i)]
+				p := ps[i]
 				if p <= 0 || rng.Float64() >= float64(p) {
 					continue
 				}
-				if m.claims[v] == 0 {
-					m.claimed = append(m.claimed, v)
+				if claims[v] == 0 {
+					claimed = append(claimed, v)
 				}
-				m.claims[v]++
+				claims[v]++
 				// Reservoir sampling over successful attempts.
-				if rng.Intn(int(m.claims[v])) == 0 {
+				if rng.Intn(int(claims[v])) == 0 {
 					winner[v] = fe.ad
 				}
 			}
 		}
 		frontier = frontier[:0]
-		for _, v := range m.claimed {
-			m.claims[v] = 0
+		for _, v := range claimed {
+			claims[v] = 0
 			ad := winner[v]
-			m.stamp[v] = m.epoch
-			m.owner[v] = ad
+			stamp[v] = epoch
 			counts[ad]++
 			frontier = append(frontier, frontierEntry{node: v, ad: ad})
 		}
 	}
-	return counts
+	m.frontier, m.claimed = frontier, claimed
 }
 
 // Engagements estimates the expected per-ad engagement counts over runs
@@ -138,9 +152,7 @@ func (m *MultiAdSimulator) Engagements(seedSets [][]int32, runs, workers int, se
 		}
 		return wk
 	}, func(wk *multiWorker, rng *xrand.RNG, _ int) {
-		for i, c := range wk.sim.RunOnce(seedSets, rng) {
-			wk.totals[i] += int64(c)
-		}
+		wk.sim.run(seedSets, rng, wk.totals)
 	})
 	out := make([]float64, h)
 	for i := range out {
