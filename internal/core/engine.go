@@ -151,10 +151,12 @@ type Stats struct {
 // prefix views. An exclusive ad is the single member of an uncached
 // group; under Options.ShareSamples the ads with identical topic
 // distributions share one group whose universe and stream come from the
-// Engine's cross-solve cache. vsize is this session's virtual sample
-// size — the running maximum of member θ requirements — so that views
-// over a pre-grown cached universe replay exactly the prefix a cold run
-// would have seen.
+// Engine's cross-solve cache. A shared group reads its KPT sets from
+// the cache entry's KPT universe, from slot kptNext on, and its KPT
+// stream only draws the slots that universe does not hold yet. vsize
+// is this session's virtual sample size — the running maximum of member
+// θ requirements — so that views over a pre-grown cached universe
+// replay exactly the prefix a cold run would have seen.
 type adGroup struct {
 	u      *rrset.Universe
 	src    *rrset.Stream
@@ -163,6 +165,7 @@ type adGroup struct {
 	// count is refreshed after every growth this session performs. nil
 	// for exclusive (session-private) groups.
 	sg      *sharedGroup
+	kptNext int
 	kpt     float64
 	kptAtS  int
 	vsize   int
@@ -179,7 +182,7 @@ func (e *solver) growUniverse(g *adGroup) error {
 		err = g.u.AddFromParallelCtx(e.ctx, g.src, need)
 	}
 	if g.sg != nil {
-		g.sg.bytes.Store(g.u.MemoryFootprint())
+		g.sg.bytes.Store(g.sg.footprint())
 	}
 	if err != nil {
 		return e.canceled(err)
@@ -310,14 +313,14 @@ func (e *solver) solve() (*Allocation, error) {
 				// Stream seeds are drawn positionally from the solve seed,
 				// in first-occurrence ad order.
 				sSeed, kSeed := rng.Uint64(), rng.Uint64()
-				uk := universeKey{gamma: key, seed: sSeed}
+				uk := universeKey{gamma: key, seed: sSeed, kptSeed: kSeed}
 				sg, err := e.eng.lockSharedGroup(e.ctx, e.snap, uk, probs, e.p.Ads[i].Gamma)
 				if err != nil {
 					return nil, e.canceled(err)
 				}
 				e.locked = append(e.locked, sg)
 				g = &adGroup{u: sg.u, src: sg.src, sg: sg}
-				// The KPT stream replays from scratch every session, so
+				// The KPT sample replays from slot 0 every session, so
 				// refresh sequences depend only on this session's seed —
 				// exactly the cold-run behavior.
 				if err := e.estimateKpt(g, probs, kSeed); err != nil {
@@ -446,16 +449,38 @@ func (e *solver) emitProgress(kind ProgressKind, ad *adState, node int32) {
 }
 
 // estimateKpt builds the group's KPT stream (seeded kSeed) and takes
-// the initial KPT estimate at s=1.
+// the initial KPT estimate at s=1. A shared group first repairs the KPT
+// sets that swaps since its last read left stale, on this session's
+// generation, and its stream resumes where the cached sets end.
 func (e *solver) estimateKpt(g *adGroup, probs rrset.SampleProbs, kSeed uint64) error {
-	g.kptSrc = e.snap.pool.NewStream(probs, kSeed)
+	if g.sg != nil {
+		e.snap.pool.RepairUniverse(g.sg.kptU, probs, kSeed)
+		g.kptSrc = e.snap.pool.NewStreamAt(probs, kSeed, g.sg.kptU.Size())
+	} else {
+		g.kptSrc = e.snap.pool.NewStream(probs, kSeed)
+	}
 	g.kptAtS = 1
 	var err error
-	g.kpt, err = rrset.KptEstimateParallelCtx(e.ctx, g.kptSrc, e.m, int64(e.n), 1, e.opt.Ell)
-	if err != nil {
-		return e.canceled(err)
+	g.kpt, err = e.kptAt(g, 1)
+	return err
+}
+
+// kptAt takes one KPT estimate at seed-set size s from the group's next
+// KPT slots: a shared group reads what its cache entry holds and draws
+// the rest into it, an exclusive group streams every set.
+func (e *solver) kptAt(g *adGroup, s int) (float64, error) {
+	var kpt float64
+	var err error
+	if g.sg != nil {
+		kpt, err = rrset.KptEstimateCarriedCtx(e.ctx, g.sg.kptU, g.kptSrc, &g.kptNext, e.m, int64(e.n), s, e.opt.Ell)
+		g.sg.bytes.Store(g.sg.footprint())
+	} else {
+		kpt, err = rrset.KptEstimateParallelCtx(e.ctx, g.kptSrc, e.m, int64(e.n), s, e.opt.Ell)
 	}
-	return nil
+	if err != nil {
+		return 0, e.canceled(err)
+	}
+	return kpt, nil
 }
 
 // initAd sets up one advertiser as a member of its sample group
@@ -765,9 +790,9 @@ func (e *solver) grow(ad *adState) error {
 func (e *solver) refreshKpt(ad *adState) error {
 	g := ad.group
 	if ad.s >= 2*g.kptAtS {
-		kpt, err := rrset.KptEstimateParallelCtx(e.ctx, g.kptSrc, e.m, int64(e.n), ad.s, e.opt.Ell)
+		kpt, err := e.kptAt(g, ad.s)
 		if err != nil {
-			return e.canceled(err)
+			return err
 		}
 		if kpt > g.kpt {
 			g.kpt = kpt

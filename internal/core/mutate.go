@@ -22,6 +22,11 @@ type DeltaResult struct {
 	// Every carried universe is repaired in the swap that invalidates
 	// it, so RepairedSets equals InvalidatedSets and no stale mark
 	// outlives the swap.
+	//
+	// The three repair fields count RR sets only. Each carried entry's
+	// KPT sets are invalidated in the swap too, but left stale: the next
+	// ShareSamples solve that locks the entry repairs them on its own
+	// generation, as part of the solve and outside RepairDuration.
 	RepairedSets int
 	// RepairDuration is the wall time spent repairing those slots,
 	// summed over the carried universes. It is exactly 0 when the swap
@@ -42,9 +47,11 @@ type DeltaResult struct {
 // invalidated against the delta's touched nodes (only sets containing a
 // mutated arc's target go stale), its stale sets incrementally
 // repaired, and re-keyed into the new generation with its stream
-// resumed on the new graph. Entries locked by in-flight sessions are
-// left on the old snapshot — those sessions finish on their pinned
-// generation and the new generation re-samples on demand.
+// resumed on the new graph. The entry's KPT sets are invalidated alike
+// and carried stale, for the next solve that reads them to repair.
+// Entries locked by in-flight sessions are left on the old snapshot —
+// those sessions finish on their pinned generation and the new
+// generation re-samples on demand.
 //
 // Invalid deltas reject with graph.ErrBadDelta and leave the Engine
 // untouched. A concurrent ApplyDelta rejects with ErrSwapInProgress
@@ -168,6 +175,10 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 		// generation.
 		probs := next.edgeProbsFor(sg.gamma).sampling
 		res.InvalidatedSets += sg.u.Invalidate(remap.Touched)
+		// Stale KPT marks pile up across swaps until a session reads the
+		// entry, and that is exact: a set holding no touched node examined
+		// no changed arc, so it is still a valid draw.
+		sg.kptU.Invalidate(remap.Touched)
 		if sg.u.StaleCount() > 0 {
 			t0 := time.Now()
 			res.RepairedSets += next.pool.RepairUniverse(sg.u, probs, keys[i].seed)
@@ -177,9 +188,10 @@ func (p *PreparedDelta) Commit(ctx context.Context) (*DeltaResult, error) {
 			lock:  make(chan struct{}, 1),
 			u:     sg.u,
 			src:   next.pool.NewStreamAt(probs, keys[i].seed, sg.u.Size()),
+			kptU:  sg.kptU,
 			gamma: sg.gamma,
 		}
-		carried.bytes.Store(sg.u.MemoryFootprint())
+		carried.bytes.Store(carried.footprint())
 		next.mu.Lock()
 		next.universes[keys[i]] = carried
 		next.mu.Unlock()

@@ -44,37 +44,50 @@ func (o EngineOptions) withDefaults() EngineOptions {
 // universeKey identifies one cross-solve shared RR-set universe: the
 // normalized topic distribution (gammaKey) determines the RR-set
 // distribution, the stream seed pins the exact deterministic sample
-// sequence.
+// sequence and the KPT seed the KPT sample's.
 type universeKey struct {
-	gamma string
-	seed  uint64
+	gamma   string
+	seed    uint64
+	kptSeed uint64
 }
 
 // sharedGroup is one cached RR sample: a universe and the deterministic
-// stream that fills it. Its lock (a 1-slot channel, so waiters can
-// abandon on context cancellation) is held by a solve session for the
-// session's whole lifetime, serializing the (rare) case of concurrent
-// solves that share both topic distribution and seed; solves with
-// different seeds or gammas never contend. The stream's position always
+// stream that fills it, beside the group's KPT sets. Its lock (a 1-slot
+// channel, so waiters can abandon on context cancellation) is held by a
+// solve session for the session's whole lifetime, serializing the
+// (rare) case of concurrent solves that share both topic distribution
+// and seed; solves with different seeds or gammas never contend. The stream's position always
 // equals the universe's size, so growing the sample from any session
 // extends the same deterministic sequence.
 type sharedGroup struct {
 	lock chan struct{}
 	u    *rrset.Universe
 	src  *rrset.Stream
+	// kptU holds the KPT sets sessions have drawn from the key's KPT
+	// seed, slot k drawn as xrand.SlotSeed(kptSeed, k) like u's sets, so
+	// a re-solve reads their widths instead of redrawing them. A swap
+	// only invalidates it (its stale sets are not part of the delta's
+	// repair); the first session to lock the carried entry repairs it on
+	// its own generation before estimating.
+	kptU *rrset.Universe
 	// gamma is the entry's (unnormalized) topic distribution, kept so a
 	// generation swap can re-materialize edge probabilities on the new
 	// model when carrying the universe forward.
 	gamma topic.Distribution
-	// bytes caches u.MemoryFootprint(), refreshed by the holding
-	// session after growth, so monitors (CachedUniverseBytes) can read a
-	// consistent size without touching universe internals that a
-	// concurrent session may be appending to.
+	// bytes caches footprint(), refreshed by the holding session after
+	// growth, so monitors (CachedUniverseBytes) can read a consistent
+	// size without touching universe internals that a concurrent session
+	// may be appending to.
 	bytes atomic.Int64
 	// dead marks an entry a swap carried into a newer generation; waiters
 	// re-fetch a fresh entry from the cache instead of using it. Written
 	// and read only while holding lock.
 	dead bool
+}
+
+// footprint returns the heap bytes of the entry's RR and KPT sets.
+func (sg *sharedGroup) footprint() int64 {
+	return sg.u.MemoryFootprint() + sg.kptU.MemoryFootprint()
 }
 
 // snapshot is one immutable graph generation plus every cache keyed by
@@ -329,9 +342,9 @@ func (e *Engine) CachedUniverses() int {
 }
 
 // CachedUniverseBytes returns the heap footprint of the current
-// generation's universe cache (as of each universe's last completed
-// growth — safe to call while solves are in flight). Universes only
-// grow; call Reset to release them.
+// generation's universe cache, each entry's KPT sets included (as of
+// each universe's last completed growth — safe to call while solves are
+// in flight). Universes only grow; call Reset to release them.
 func (e *Engine) CachedUniverseBytes() int64 {
 	sn := e.cur.Load()
 	sn.mu.Lock()
@@ -376,6 +389,7 @@ func (e *Engine) lockSharedGroup(ctx context.Context, sn *snapshot, key universe
 				lock:  make(chan struct{}, 1),
 				u:     rrset.NewUniverse(sn.graph.NumNodes()),
 				src:   sn.pool.NewStream(probs, key.seed),
+				kptU:  rrset.NewUniverse(sn.graph.NumNodes()),
 				gamma: append(topic.Distribution(nil), gamma...),
 			}
 			sn.universes[key] = sg

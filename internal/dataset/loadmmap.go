@@ -166,6 +166,9 @@ func parsePayload(r *mapReader) (*Snapshot, error) {
 		if r.err == nil && int64(len(pz)) != g.NumEdges() {
 			return nil, errFormat("topic %d has %d probs, graph has %d edges", z, len(pz), g.NumEdges())
 		}
+		if err := checkProbs(z, pz); err != nil {
+			return nil, err
+		}
 		probs = append(probs, pz)
 	}
 	if r.err != nil {

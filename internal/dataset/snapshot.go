@@ -196,6 +196,9 @@ func Read(r io.Reader) (*Snapshot, error) {
 		if br.err == nil && int64(len(pz)) != g.NumEdges() {
 			return nil, errFormat("topic %d has %d probs, graph has %d edges", z, len(pz), g.NumEdges())
 		}
+		if err := checkProbs(z, pz); err != nil {
+			return nil, err
+		}
 		probs = append(probs, pz)
 	}
 	if br.err != nil {
@@ -226,6 +229,19 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, badRead(err)
 	}
 	return s, nil
+}
+
+// checkProbs rejects a topic whose arc probabilities hold a NaN or a
+// value outside [0, 1], the rule graph.ApplyDelta applies to SetProbs:
+// no loaded model hands a sampling or cascade kernel a probability it
+// has no draw rule for.
+func checkProbs(z uint32, pz []float32) error {
+	for e, p := range pz {
+		if !(p >= 0 && p <= 1) {
+			return errFormat("topic %d arc %d has probability %v outside [0, 1]", z, e, p)
+		}
+	}
+	return nil
 }
 
 // badRead normalizes low-level decoding failures: IO truncation

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -190,6 +191,59 @@ func TestSnapshotWriteValidation(t *testing.T) {
 	s := &Snapshot{Graph: g1, Model: topic.NewWeightedCascade(g2)}
 	if err := Write(&bytes.Buffer{}, s); err == nil {
 		t.Fatal("Write accepted a model built on a different graph")
+	}
+}
+
+// Both loaders reject a snapshot holding an arc probability that is NaN
+// or outside [0, 1], and keep loading the boundary values 0 and 1. The
+// file is well formed otherwise: Write does not check probabilities, so
+// only the loaders stand between such a file and the kernels.
+func TestSnapshotRejectsInvalidProbabilities(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    float32
+		ok   bool
+	}{
+		{"nan", float32(math.NaN()), false},
+		{"negative", -0.5, false},
+		{"above-one", 1.5, false},
+		{"plus-inf", float32(math.Inf(1)), false},
+		{"zero", 0, true},
+		{"one", 1, true},
+	} {
+		s := testSnapshot(t, 25)
+		probs := make([][]float32, s.Model.NumTopics())
+		for z := range probs {
+			probs[z] = append([]float32(nil), s.Model.TopicProbs(z)...)
+		}
+		probs[1][7] = tc.p
+		s.Model = topic.FromProbs(s.Graph, probs)
+		path := filepath.Join(t.TempDir(), tc.name+".snap")
+		if err := Save(path, s); err != nil {
+			t.Fatalf("%s: Save: %v", tc.name, err)
+		}
+		loaders := []struct {
+			name string
+			load func(string) (*Snapshot, error)
+		}{{"Load", Load}, {"LoadMmap", LoadMmap}}
+		for _, l := range loaders {
+			got, err := l.load(path)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("%s: %s: %v", tc.name, l.name, err)
+				}
+				if p := got.Model.TopicProbs(1)[7]; p != tc.p {
+					t.Fatalf("%s: %s loaded p = %v, want %v", tc.name, l.name, p, tc.p)
+				}
+				if err := got.Close(); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("%s: %s: err = %v, want ErrBadSnapshot", tc.name, l.name, err)
+			}
+		}
 	}
 }
 

@@ -43,6 +43,30 @@ func KptEstimateParallelCtx(ctx context.Context, src *Stream, m, n int64, size i
 	}, m, n, size, ell)
 }
 
+// KptEstimateCarriedCtx is KptEstimateParallelCtx over a carried KPT
+// sample: it reads the sets of u's slots from *next on, draws only the
+// slots u does not hold yet from src into u, and advances *next past
+// every slot it read. src must be the stream whose slots u holds,
+// resuming at u.Size(). Widths are summed from the pool graph's current
+// in-degrees, so a u whose sets are all valid on that graph (stale ones
+// repaired) gives the estimate KptEstimateParallelCtx gives on a stream
+// started at *next. A canceled draw leaves u an exact prefix of src,
+// as AddFromParallelCtx does.
+func KptEstimateCarriedCtx(ctx context.Context, u *Universe, src *Stream, next *int, m, n int64, size int, ell float64) (float64, error) {
+	return kptEstimate(func(count int, yield func(width int64)) error {
+		if need := *next + count - u.Size(); need > 0 {
+			if err := u.AddFromParallelCtx(ctx, src, need); err != nil {
+				return err
+			}
+		}
+		for id := *next; id < *next+count; id++ {
+			yield(width(src.pool.g, u.Set(int32(id))))
+		}
+		*next += count
+		return nil
+	}, m, n, size, ell)
+}
+
 // fanOut runs work(0) … work(k-1) concurrently, work(0) on the calling
 // goroutine, and returns once every call has.
 func fanOut(k int, work func(chunk int)) {
