@@ -118,7 +118,7 @@ type snapshot struct {
 // adProbs is one memoized topic distribution's arc probabilities in both
 // layouts: canonical (edge-ID order) for forward cascade simulation, and
 // the in-CSR-order copy the RR-sampling kernel reads (+4 B per arc, +8 B
-// per node for the skip path's per-node rate).
+// per node for its path word, and a top-up list per mixed-path node).
 type adProbs struct {
 	canonical []float32
 	sampling  rrset.SampleProbs

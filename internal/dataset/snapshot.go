@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -234,10 +235,12 @@ func Read(r io.Reader) (*Snapshot, error) {
 // checkProbs rejects a topic whose arc probabilities hold a NaN or a
 // value outside [0, 1], the rule graph.ApplyDelta applies to SetProbs:
 // no loaded model hands a sampling or cascade kernel a probability it
-// has no draw rule for.
+// has no draw rule for. It compares bits, not floats: the bit patterns
+// of +0 through 1 are exactly those up to 1's, and −0 is the one other
+// value in range; every negative, NaN and value above 1 lies outside.
 func checkProbs(z uint32, pz []float32) error {
 	for e, p := range pz {
-		if !(p >= 0 && p <= 1) {
+		if b := math.Float32bits(p); !(b <= 0x3f800000 || b == 0x80000000) {
 			return errFormat("topic %d arc %d has probability %v outside [0, 1]", z, e, p)
 		}
 	}

@@ -195,7 +195,9 @@ func TestSnapshotWriteValidation(t *testing.T) {
 }
 
 // Both loaders reject a snapshot holding an arc probability that is NaN
-// or outside [0, 1], and keep loading the boundary values 0 and 1. The
+// or outside [0, 1], the nearest being one ulp above 1 and the negative
+// smallest subnormal, and keep loading the boundary values 0, −0, the
+// smallest subnormal and 1. The
 // file is well formed otherwise: Write does not check probabilities, so
 // only the loaders stand between such a file and the kernels.
 func TestSnapshotRejectsInvalidProbabilities(t *testing.T) {
@@ -210,6 +212,10 @@ func TestSnapshotRejectsInvalidProbabilities(t *testing.T) {
 		{"plus-inf", float32(math.Inf(1)), false},
 		{"zero", 0, true},
 		{"one", 1, true},
+		{"negative-zero", float32(math.Copysign(0, -1)), true},
+		{"smallest-subnormal", math.SmallestNonzeroFloat32, true},
+		{"above-one-by-an-ulp", math.Nextafter32(1, 2), false},
+		{"negative-smallest-subnormal", -math.SmallestNonzeroFloat32, false},
 	} {
 		s := testSnapshot(t, 25)
 		probs := make([][]float32, s.Model.NumTopics())

@@ -221,10 +221,11 @@ func (ix *nodeIndex) bytes() int64 {
 	return total * 4
 }
 
-// storedBytes reports the bytes the IDs, live start arrays and degrees
-// occupy.
+// storedBytes reports the bytes the IDs, degrees and one start array
+// occupy: what a single-segment index of the same sets holds, however
+// many segments growth left.
 func (ix *nodeIndex) storedBytes() int64 {
-	return int64(len(ix.ids)+len(ix.deg)+len(ix.segs)*(len(ix.deg)+1)) * 4
+	return int64(len(ix.ids)+len(ix.deg)+min(len(ix.segs), 1)*(len(ix.deg)+1)) * 4
 }
 
 // idxIter walks one node's set-ID list in ascending ID order, segment by

@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -12,14 +13,15 @@ import (
 
 // BenchmarkSampleKernel measures the reverse-BFS sampling kernel alone on
 // the tiny dblp-like and epinions-like presets under weighted-cascade
-// probabilities (every node's in-arcs share one p: the skip path) and on
-// the tiny flixster-like preset under TIC probabilities (mixed in-arcs:
-// the per-arc path), at 1 and 2 pool workers. Besides ns/op (per 1024
-// sets) it reports sets/s and ns per in-arc of a member, the arcs the
-// per-arc path examines: a set's width w(R), summed from its members'
-// in-degrees in the yield.
+// probabilities (every node's in-arcs share one p: the skip path), on
+// dblp-deltas (re-weighted hubs: the mixed path) and on the tiny
+// flixster-like preset under TIC probabilities (mostly distinct in-arcs:
+// mostly the per-arc path), at 1 and 2 pool workers. Besides ns/op (per
+// 1024 sets) it reports sets/s and ns per in-arc of a member, the arcs
+// the per-arc path examines: a set's width w(R), summed from its
+// members' in-degrees in the yield.
 func BenchmarkSampleKernel(b *testing.B) {
-	for _, name := range []string{"dblp", "epinions", "flixster"} {
+	for _, name := range []string{"dblp", "epinions", "dblp-deltas", "flixster"} {
 		g, probs := kernelPreset(b, name)
 		sp := NewSampleProbs(g, probs)
 		for _, workers := range []int{1, 2} {
@@ -43,15 +45,30 @@ func BenchmarkSampleKernel(b *testing.B) {
 // way the dataset registry does: weighted cascade for the WC presets,
 // random TIC with the default parameters for the TIC ones, under the
 // peaked topic mix the competing-ads workload gives its first ad.
+// dblp-deltas is tiny dblp under weighted cascade with 1,200 random arcs
+// re-weighted into [0.01, 0.30] and 300 set to 0, the kind of graph a run
+// of SetProbs deltas leaves: most of its hubs keep 1/d on most in-arcs.
 func kernelPreset(tb testing.TB, name string) (*graph.Graph, []float32) {
 	rng := xrand.New(1)
-	ds, err := gen.ByName(name, gen.ScaleTiny, rng)
+	base, deltas := strings.CutSuffix(name, "-deltas")
+	ds, err := gen.ByName(base, gen.ScaleTiny, rng)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	g := ds.Graph
 	if ds.ProbModel == gen.ProbWC {
-		return g, topic.NewWeightedCascade(g).EdgeProbs(topic.Distribution{1})
+		probs := topic.NewWeightedCascade(g).EdgeProbs(topic.Distribution{1})
+		if deltas {
+			for i := range 1500 {
+				e := rng.Uint64n(uint64(g.NumEdges()))
+				if i < 1200 {
+					probs[e] = float32(0.01 + 0.29*rng.Float64())
+				} else {
+					probs[e] = 0
+				}
+			}
+		}
+		return g, probs
 	}
 	model := topic.NewTICRandom(g, topic.DefaultTICParams(), rng.Split())
 	return g, model.EdgeProbs(topic.Peaked(model.NumTopics(), 0, 0.91))

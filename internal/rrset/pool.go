@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -35,29 +36,126 @@ type scratch struct {
 // canonical, edge-ID-indexed slice stays the form forward simulation
 // (internal/cascade) uses; this is a permuted copy of it, 4 bytes per arc.
 //
-// skip picks the kernel's path per node, 8 bytes per node: 1/ln(1−p) when
-// every in-arc of the node has the same p in (0, 1] (−0 at p = 1), so its
-// live in-arcs are drawn by geometric gaps, and NaN otherwise, where each
-// in-arc flips its own coin.
+// skip picks the kernel's path per node, 8 bytes per node:
+//   - skip path, skip ≤ 0: 1/ln(1−p) when every in-arc of the node has
+//     the same p in (0, 1] (−0 at p = 1), so its live in-arcs are drawn by
+//     geometric gaps;
+//   - mixed path, skip > 0: the node's in-arcs differ but most share one
+//     p0 (see NewSampleProbs), and skip is 1 + the index of its entry in
+//     mixed, which holds the rate of its gaps and its top-up list;
+//   - per-arc path, skip NaN: each in-arc flips its own coin.
 type SampleProbs struct {
-	p    []float32
-	skip []float64
+	p     []float32
+	skip  []float64
+	mixed []mixedNode
+}
+
+// mixedNode is one mixed-path node's draw rule: geometric gaps at its
+// base rate p0 over all its in-arcs (inv = 1/ln(1−p0)), then one top-up
+// coin per arc above p0. 40 bytes per node, plus 16 per top-up arc.
+type mixedNode struct {
+	inv, p0 float64
+	up      []topUp
+}
+
+// topUp is an arc of probability p > p0: its position i among the node's
+// in-arcs and the coin q = (p − p0)/(1 − p0) it flips when the gaps left
+// it dead, so that it is live with probability p0 + (1 − p0)·q = p.
+type topUp struct {
+	q float64
+	i int32
 }
 
 // NewSampleProbs permutes canonical arc probabilities (indexed by edge
-// ID) into g's in-CSR order and marks the nodes whose in-arcs share one
-// probability for the skip path. The result belongs to g: sampling on
-// any other graph is undefined.
+// ID) into g's in-CSR order and picks each node's kernel path: the skip
+// path when its in-arcs share one probability, the mixed path when they
+// do not but drawing gaps at their mode p0 (ties to the smallest, with
+// 0 < p0 < 1) is expected to be cheaper than a coin per arc, and the
+// per-arc path otherwise. The mixed path's test, 4·(d·p0 + 1) + k < d
+// for in-degree d and k arcs above p0, prices a gap draw at four coins:
+// about d·p0 + 1 gap draws against up to d coins, plus k top-up coins.
+// The result belongs to g: sampling on any other graph is undefined.
 func NewSampleProbs(g *graph.Graph, probs []float32) SampleProbs {
 	sp := perArcProbs(g, probs)
 	off, _, _ := g.InCSR()
+	var modes modeTable
+	var up []topUp
 	for v := range sp.skip {
 		ps := sp.p[off[v]:off[v+1]]
 		if len(ps) > 0 && ps[0] > 0 && ps[0] <= 1 && !slices.ContainsFunc(ps, func(p float32) bool { return p != ps[0] }) {
 			sp.skip[v] = 1 / math.Log1p(-float64(ps[0]))
+			continue
 		}
+		if len(ps) < 5 { // 4·(d·p0 + 1) < d needs d > 4
+			continue
+		}
+		p0 := modes.mode(ps)
+		if !(p0 > 0) {
+			continue
+		}
+		k := 0
+		for _, p := range ps {
+			if p > p0 {
+				k++
+			}
+		}
+		if d := float64(len(ps)); 4*(d*float64(p0)+1)+float64(k) >= d {
+			continue
+		}
+		lo := len(up)
+		for i, p := range ps {
+			if p > p0 {
+				up = append(up, topUp{q: (float64(p) - float64(p0)) / (1 - float64(p0)), i: int32(i)})
+			}
+		}
+		// up is sliced per node once it stops growing, below.
+		sp.mixed = append(sp.mixed, mixedNode{inv: 1 / math.Log1p(-float64(p0)), p0: float64(p0), up: up[lo:]})
+		sp.skip[v] = float64(len(sp.mixed))
+	}
+	at := 0
+	for i := range sp.mixed {
+		k := len(sp.mixed[i].up)
+		sp.mixed[i].up = up[at : at+k : at+k]
+		at += k
 	}
 	return sp
+}
+
+// modeTable finds the mixed path's base rate of one node at a time: an
+// open-addressing table counting equal probabilities by their bits, in
+// O(d) per node, kept across nodes.
+type modeTable struct {
+	keys   []uint32
+	counts []int32
+}
+
+// mode returns the most frequent of ps over (0, 1), ties to the
+// smallest, or 0 when no probability lies in (0, 1).
+func (t *modeTable) mode(ps []float32) (p0 float32) {
+	lg := bits.Len(uint(2 * len(ps))) // 2^lg > 2d slots
+	size := 1 << lg
+	if len(t.keys) < size {
+		t.keys, t.counts = make([]uint32, size), make([]int32, size)
+	}
+	keys, counts := t.keys[:size], t.counts[:size]
+	clear(counts)
+	best := int32(0)
+	for _, p := range ps {
+		if !(p > 0 && p < 1) {
+			continue
+		}
+		b := math.Float32bits(p)
+		h := b * 0x9e3779b1 >> (32 - lg) // Fibonacci hashing
+		for counts[h] != 0 && keys[h] != b {
+			h = (h + 1) & uint32(size-1)
+		}
+		keys[h] = b
+		counts[h]++
+		if c := counts[h]; c > best || c == best && p < p0 {
+			p0, best = p, c
+		}
+	}
+	return p0
 }
 
 // perArcProbs is NewSampleProbs with every node on the per-arc path: the
@@ -109,6 +207,14 @@ func width(g *graph.Graph, nodes []int32) int64 {
 //     math.Log otherwise, so both give the math.Log rule's gap. A p = 1
 //     node (skip[v] = −0) takes its gap-0 draws, one per arc, without a
 //     logarithm.
+//   - mixed path (skip[v] > 0): the skip path's gaps at the node's base
+//     rate p0, which land on each arc with probability p0. A landed arc
+//     of p < p0 whose source is unvisited is kept on one more Uint64,
+//     float64(x>>11)/2^53 · p0 < p, so with probability p/p0, and one of
+//     p = 0 is dropped without a draw. After the gaps, each top-up arc
+//     (p > p0) whose source is still unvisited takes one Uint64 coin,
+//     float64(x>>11)/2^53 < q. Every arc is then live with probability
+//     exactly p, independently of the others.
 //   - per-arc path: one Uint64 per arc whose source is unvisited and
 //     whose p > 0, compared as float64(x>>11)/2^53 < p — the RNG.Float64
 //     coin.
@@ -146,7 +252,12 @@ func (sc *scratch) sampleInto(dst []int32, g *graph.Graph, probs SampleProbs, rn
 				}
 			}
 			continue
-		case inv < 0:
+		case !math.IsNaN(inv): // the skip or the mixed path
+			var mix *mixedNode
+			if inv > 0 {
+				mix = &probs.mixed[int(inv)-1]
+				inv = mix.inv
+			}
 			margin := skipMargin(inv)
 			for i := 0; i < len(us); i++ {
 				var x uint64
@@ -168,9 +279,35 @@ func (sc *scratch) sampleInto(dst []int32, g *graph.Graph, probs SampleProbs, rn
 					n = int(gap)
 				}
 				i += n
-				if u := us[i]; visited[u] != epoch {
-					visited[u] = epoch
-					nodes = append(nodes, u)
+				u := us[i]
+				if visited[u] == epoch {
+					continue
+				}
+				if mix != nil {
+					// Thin an arc below the base rate to p/p0.
+					if p := float64(probs.p[lo+int64(i)]); !(p >= mix.p0) {
+						if !(p > 0) {
+							continue
+						}
+						x, s0, s1, s2, s3 = xrand.Next(s0, s1, s2, s3)
+						if !(float64(x>>11)/(1<<53)*mix.p0 < p) {
+							continue
+						}
+					}
+				}
+				visited[u] = epoch
+				nodes = append(nodes, u)
+			}
+			if mix != nil {
+				for _, t := range mix.up {
+					if u := us[t.i]; visited[u] != epoch {
+						var x uint64
+						x, s0, s1, s2, s3 = xrand.Next(s0, s1, s2, s3)
+						if float64(x>>11)/(1<<53) < t.q {
+							visited[u] = epoch
+							nodes = append(nodes, u)
+						}
+					}
 				}
 			}
 			continue

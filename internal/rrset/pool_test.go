@@ -157,22 +157,27 @@ func TestPoolKptEstimate(t *testing.T) {
 // The sequential Sampler on one xrand.New(seed) flips one coin per
 // examined arc on every node; it is the reference the stream's kernel
 // is held to, and the stream takes the geometric skip path wherever a
-// node's in-arcs share one probability. The inputs are the golden graph
-// (mixed probabilities with exact zeros and ones), the tiny dblp and
+// node's in-arcs share one probability and the mixed path where most of
+// them do. The inputs are the golden graph (mixed probabilities with
+// exact zeros and ones; all three paths), the tiny dblp and
 // epinions presets under weighted cascade (every node on the skip path;
-// epinions' in-degree-1 nodes take its p = 1 branch) and the tiny
-// flixster preset under TIC (mixed in-arcs: the per-arc path). Both
+// epinions' in-degree-1 nodes take its p = 1 branch), dblp-deltas (its
+// re-weighted hubs on the mixed path, the rest on the skip path) and the
+// tiny flixster preset under TIC (mostly the per-arc path). Both
 // sides draw i.i.d. RR sets from the same distribution, so at 20000 sets
 // each their size histograms (power-of-two buckets) must agree within
 // 0.02 per bucket (4 standard errors at the worst case p = 1/2), and
 // every node's inclusion count within 5 standard errors:
 // |a−b| ≤ 5·√(a+b). The seeds are fixed, so the test is deterministic.
 func TestStreamMatchesSamplerDistribution(t *testing.T) {
-	for _, name := range []string{"golden", "dblp", "epinions", "flixster"} {
+	for _, name := range []string{"golden", "dblp", "epinions", "dblp-deltas", "flixster"} {
 		t.Run(name, func(t *testing.T) {
 			g, canonical := goldenGraph()
 			if name != "golden" {
 				g, canonical = kernelPreset(t, name)
+			}
+			if name == "dblp-deltas" && len(NewSampleProbs(g, canonical).mixed) == 0 {
+				t.Fatal("no node on the mixed path")
 			}
 			streamMatchesSampler(t, g, canonical)
 		})

@@ -470,12 +470,17 @@ func sameIndex(t *testing.T, u, oracle *Universe) {
 // share one p drawn per node, now and then exactly 1 (all live) or 0
 // (per-arc path). Either way, a touched node's in-arcs get one shared p
 // or mixed ones at random, so repairs run across nodes switching between
-// the skip and the per-arc path.
+// the skip and the per-arc path. A mode with bit 1 set (2, 3, 6, …) adds
+// four hubs of about n/4 more in-arcs each, touches the targets of random
+// arcs (mostly hubs), and re-weights one or two in-arcs of each node
+// given a shared p, as a SetProbs delta does: such a node's in-arcs keep
+// a common p but for those, so repairs also run across the mixed path.
 func FuzzUniverseRepair(f *testing.F) {
 	f.Add(uint64(1), uint16(300), uint8(3), uint8(40), uint8(60), uint8(0))
 	f.Add(uint64(7), uint16(1), uint8(1), uint8(0), uint8(255), uint8(0))
 	f.Add(uint64(42), uint16(2000), uint8(20), uint8(200), uint8(20), uint8(0))
 	f.Add(uint64(5), uint16(800), uint8(6), uint8(90), uint8(120), uint8(1))
+	f.Add(uint64(11), uint16(1500), uint8(5), uint8(60), uint8(30), uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, size uint16, touch, extra, pct, mode uint8) {
 		rng := xrand.New(seed)
 		n := 2 + rng.Int31n(120)
@@ -484,11 +489,18 @@ func FuzzUniverseRepair(f *testing.F) {
 		for i := 0; i < m; i++ {
 			b.AddEdge(rng.Int31n(n), rng.Int31n(n))
 		}
+		hubs := mode&2 != 0
+		if hubs {
+			for i := int32(0); i < n; i++ {
+				b.AddEdge(rng.Int31n(n), rng.Int31n(min(n, 4)))
+			}
+		}
 		g := b.Build()
 		pool := NewPool(g, PoolOptions{Workers: 1 + int(seed%2), BatchSize: 1 + int(pct)%32})
 		scale := 0.02 + 0.98*float64(pct)/255
 		probs := make([]float32, g.NumEdges())
-		// setInArcs gives v's in-arcs one shared p (uniform) or one p each.
+		// setInArcs gives v's in-arcs one shared p (uniform) or one p each;
+		// with hubs, a shared p then gives way on one or two of them.
 		setInArcs := func(v int32, uniform bool) {
 			shared := float32(scale * rng.Float64())
 			switch rng.Intn(8) {
@@ -497,11 +509,17 @@ func FuzzUniverseRepair(f *testing.F) {
 			case 1:
 				shared = 0
 			}
-			for _, e := range g.InEdgeIDs(v) {
+			in := g.InEdgeIDs(v)
+			for _, e := range in {
 				if !uniform {
 					shared = float32(scale * rng.Float64())
 				}
 				probs[e] = shared
+			}
+			if hubs && uniform && len(in) > 0 {
+				for range 1 + rng.Intn(2) {
+					probs[in[rng.Intn(len(in))]] = float32(scale * rng.Float64())
+				}
 			}
 		}
 		for v := int32(0); v < n; v++ {
@@ -515,7 +533,11 @@ func FuzzUniverseRepair(f *testing.F) {
 		for round := 0; round < 2; round++ {
 			touched := make([]int32, 1+int(touch)%8)
 			for i := range touched {
-				touched[i] = rng.Int31n(n)
+				if hubs {
+					_, touched[i] = g.EdgeEndpoints(int64(rng.Uint64n(uint64(g.NumEdges()))))
+				} else {
+					touched[i] = rng.Int31n(n)
+				}
 				setInArcs(touched[i], rng.Intn(2) == 0)
 			}
 			sp := NewSampleProbs(g, probs)

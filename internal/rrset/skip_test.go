@@ -119,6 +119,82 @@ func TestSkipMixedZeroArcTakesPerArcPath(t *testing.T) {
 	}
 }
 
+// The mixed path's base rate is the mode over (0, 1), ties to the
+// smallest: 0 and 1 never count, however often they occur.
+func TestMixedBaseRateIsMode(t *testing.T) {
+	var modes modeTable
+	for _, tc := range []struct {
+		ps   []float32
+		want float32
+	}{
+		{[]float32{0.3, 0.3, 0.1, 0.1, 0, 0, 0, 1, 1, 1}, 0.1},
+		{[]float32{0.2, 0.5, 0.2, 0.5, 0.5, 0.2, 0.7}, 0.2},
+		{[]float32{0.4, 0.3, 0.25, 0, 0, 0, 0}, 0.25},
+		{[]float32{0.6, 0.6, 0.6, 0.05, 0.6, 0.05}, 0.6},
+		{[]float32{0, 1, 0, 1, 0}, 0},
+	} {
+		if got := modes.mode(tc.ps); got != tc.want {
+			t.Errorf("mode of %v = %v, want %v", tc.ps, got, tc.want)
+		}
+	}
+}
+
+// A node whose 60 in-arcs share p0 = 0.02 and whose other eight differ
+// (four above p0, up to 1, two below it and two at 0) takes the mixed
+// path: gaps at p0, thinning below it and top-up coins above it. Every
+// source must be included in sets rooted at such a node at the rate of
+// its own arc, within 5 standard errors, and a p = 0 source never. The
+// targets share the sources and their probabilities, so each set rooted
+// at one is one draw of the same node. The seed is fixed, so the test is
+// deterministic.
+func TestMixedPathInclusion(t *testing.T) {
+	const common, p0, targets, count = 60, 0.02, 200, 40000
+	odd := []float32{0.05, 0.3, 0.5, 1, 0.01, 0.005, 0, 0}
+	d := common + len(odd)
+	g := skipStar(d, targets)
+	rate := make([]float32, d)
+	for u := range rate {
+		rate[u] = p0
+		if u >= common {
+			rate[u] = odd[u-common]
+		}
+	}
+	probs := make([]float32, g.NumEdges())
+	_, srcs, ids := g.InCSR()
+	for k, e := range ids {
+		probs[e] = rate[srcs[k]]
+	}
+	sp := NewSampleProbs(g, probs)
+	for v := d; v < d+targets; v++ {
+		if inv := sp.skip[v]; !(inv > 0) || sp.mixed[int(inv)-1].p0 != float64(float32(p0)) {
+			t.Fatalf("target %d: skip = %v, want the mixed path at p0 = %v", v, inv, p0)
+		}
+	}
+	if got := len(sp.mixed[0].up); got != 4 {
+		t.Fatalf("%d top-up arcs, want 4", got)
+	}
+	hits := make([]float64, d)
+	var rooted float64
+	sampleSets(g, sp, count, func(nodes []int32) {
+		if nodes[0] < int32(d) {
+			return
+		}
+		rooted++
+		for _, u := range nodes[1:] {
+			hits[u]++
+		}
+	})
+	for u, p := range rate {
+		want, sd := rooted*float64(p), math.Sqrt(rooted*float64(p)*(1-float64(p)))
+		if p == 0 && hits[u] != 0 {
+			t.Fatalf("p = 0 source %d in %.0f sets", u, hits[u])
+		}
+		if math.Abs(hits[u]-want) > 5*sd {
+			t.Errorf("source %d (p = %v) in %.0f of %.0f sets, want %.0f ± %.0f", u, p, hits[u], rooted, want, 5*sd)
+		}
+	}
+}
+
 // The live in-arc count of a d = 64, p = 1/64 node drawn by geometric
 // gaps is Binomial(64, 1/64): its mean within 5 standard errors, and the
 // share of each count 0..4 within 5 standard errors of the binomial

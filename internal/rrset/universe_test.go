@@ -150,6 +150,29 @@ func TestUniverseResetRefillsLikeFresh(t *testing.T) {
 	}
 }
 
+// StoredBytes is a function of the stored sets alone: the same stream
+// sets added in one step (one index segment) and in steps of 800, 150 and
+// 50 (three segments) read the same bytes, those of one start array.
+func TestStoredBytesIndependentOfGrowth(t *testing.T) {
+	g := newTestGraph(xrand.New(62))
+	probs := NewSampleProbs(g, testProbs(g.NumEdges(), 0.1))
+	pool := NewPool(g, PoolOptions{Workers: 1})
+	whole := NewUniverse(g.NumNodes())
+	whole.AddFromParallel(pool.NewStream(probs, 5), 1000)
+	steps := NewUniverse(g.NumNodes())
+	st := pool.NewStream(probs, 5)
+	for _, count := range []int{800, 150, 50} {
+		steps.AddFromParallel(st, count)
+	}
+	universesEqual(t, whole, steps)
+	if segs := len(steps.idx.segs); segs != 3 {
+		t.Fatalf("stepwise growth left %d index segments, want 3", segs)
+	}
+	if a, b := whole.StoredBytes(), steps.StoredBytes(); a != b {
+		t.Fatalf("StoredBytes %d in one step, %d in three", a, b)
+	}
+}
+
 // countdownCtx is a context that reports cancellation from its left+1-th
 // Err call on, so a sampling call stops partway through.
 type countdownCtx struct {
