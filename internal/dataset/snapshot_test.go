@@ -197,9 +197,9 @@ func TestSnapshotWriteValidation(t *testing.T) {
 // Both loaders reject a snapshot holding an arc probability that is NaN
 // or outside [0, 1], the nearest being one ulp above 1 and the negative
 // smallest subnormal, and keep loading the boundary values 0, −0, the
-// smallest subnormal and 1. The
-// file is well formed otherwise: Write does not check probabilities, so
-// only the loaders stand between such a file and the kernels.
+// smallest subnormal and 1. The file is well formed otherwise: Write
+// does not check probabilities, so only the loaders stand between such
+// a file and the kernels.
 func TestSnapshotRejectsInvalidProbabilities(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -112,9 +112,10 @@ func (u *Universe) MemoryFootprint() int64 {
 // StoredBytes returns the bytes the stored sample occupies: the lengths
 // of the arena, offsets, index and staleness bitset, not their
 // capacities, with the index's start arrays counted once, as a
-// single-segment index holds them. Unlike MemoryFootprint it is a function of the stored
-// sets alone, so a universe recycled from a larger sample reports what
-// a fresh one holding the same sets does.
+// single-segment index holds them. Unlike MemoryFootprint it is a
+// function of the stored sets alone, so a universe recycled from a
+// larger sample, or grown in more steps, reports what a fresh one
+// holding the same sets does.
 func (u *Universe) StoredBytes() int64 {
 	return int64(len(u.data)+len(u.offsets))*4 + u.index().storedBytes() + int64(len(u.stale.words))*8
 }
