@@ -213,17 +213,6 @@ func itoa(v int) string {
 
 // ---- Substrate micro-benchmarks ---------------------------------------------
 
-func BenchmarkRRSetSampling(b *testing.B) {
-	rng := xrand.New(2)
-	g := gen.RMAT(4096, 32768, gen.DefaultRMAT, rng)
-	model := topic.NewWeightedCascade(g)
-	s := rrset.NewSampler(g, model.EdgeProbs(topic.Distribution{1}), rng.Split())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Sample()
-	}
-}
-
 // BenchmarkParallelSampling compares RR-set generation throughput across
 // worker-pool sizes on the benchmark graph. workers=1 is the
 // sequential-identical baseline; the sets/sec metric is what rmbench
@@ -240,7 +229,7 @@ func BenchmarkParallelSampling(b *testing.B) {
 			stream := rrset.NewPool(g, rrset.PoolOptions{Workers: w}).NewStream(probs, 7)
 			b.ResetTimer()
 			start := time.Now()
-			stream.SampleN(b.N, func([]int32) {})
+			stream.SampleNCtx(context.Background(), b.N, func([]int32) {})
 			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "sets/sec")
 		})
 	}
@@ -260,7 +249,7 @@ func BenchmarkParallelCoverageFill(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				u := rrset.NewUniverse(g.NumNodes())
-				u.AddFromParallel(stream, 10_000)
+				u.AddFromParallelCtx(context.Background(), stream, 10_000)
 			}
 		})
 	}
@@ -300,8 +289,8 @@ func BenchmarkArenaSampling(b *testing.B) {
 		var foot int64
 		for i := 0; i < b.N; i++ {
 			u := rrset.NewUniverse(g.NumNodes())
-			u.AddFromParallel(pool.NewStream(sp, 7), theta)
-			foot = u.MemoryFootprint() + rrset.NewView(u).MemoryFootprint()
+			u.AddFromParallelCtx(context.Background(), pool.NewStream(sp, 7), theta)
+			foot = u.MemoryFootprint() + rrset.NewViewPrefix(u, u.Size()).MemoryFootprint()
 		}
 		b.ReportMetric(float64(foot)/(1<<20), "MB-footprint")
 	})
@@ -309,7 +298,7 @@ func BenchmarkArenaSampling(b *testing.B) {
 		b.ReportAllocs()
 		var foot int64
 		for i := 0; i < b.N; i++ {
-			foot = legacyLayoutFill(g, probs, theta)
+			foot = legacyLayoutFill(g, sp, theta)
 		}
 		b.ReportMetric(float64(foot)/(1<<20), "MB-footprint")
 	})
@@ -318,21 +307,22 @@ func BenchmarkArenaSampling(b *testing.B) {
 // legacyLayoutFill reproduces the pre-arena storage layout and returns
 // its heap footprint: per-set slices, per-node index slices, the []bool
 // tombstones and the covCount array, including the 24-byte slice headers
-// the two [][]int32 tables spend per entry.
-func legacyLayoutFill(g *graph.Graph, probs []float32, theta int) int64 {
-	s := rrset.NewSampler(g, probs, xrand.New(7))
+// the two [][]int32 tables spend per entry. It draws the arena arm's
+// sets, from a single-worker stream of the same seed.
+func legacyLayoutFill(g *graph.Graph, sp rrset.SampleProbs, theta int) int64 {
+	stream := rrset.NewPool(g, rrset.PoolOptions{Workers: 1}).NewStream(sp, 7)
 	sets := make([][]int32, 0, theta)
 	nodeSets := make([][]int32, g.NumNodes())
 	covCount := make([]int32, g.NumNodes())
-	for i := 0; i < theta; i++ {
-		set, _ := s.Sample()
+	stream.SampleNCtx(context.Background(), theta, func(nodes []int32) {
+		set := append([]int32(nil), nodes...)
 		id := int32(len(sets))
 		sets = append(sets, set)
 		for _, v := range set {
 			nodeSets[v] = append(nodeSets[v], id)
 			covCount[v]++
 		}
-	}
+	})
 	covered := make([]bool, len(sets))
 	total := int64(cap(sets)) * 24
 	for _, set := range sets {

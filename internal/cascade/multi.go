@@ -60,15 +60,6 @@ type frontierEntry struct {
 	ad   int32
 }
 
-// RunOnce simulates a single competitive propagation and returns the
-// number of engagements per ad (seeds included). Seed sets must be
-// pairwise disjoint. Not safe for concurrent use.
-func (m *MultiAdSimulator) RunOnce(seedSets [][]int32, rng *xrand.RNG) []int64 {
-	counts := make([]int64, len(m.probs))
-	m.run(seedSets, rng, counts)
-	return counts
-}
-
 // run simulates one competitive propagation and adds each ad's
 // engagements (seeds included) to counts, allocating nothing once the
 // frontier and claimed lists have grown to the largest run. Per arc out

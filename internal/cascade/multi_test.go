@@ -8,6 +8,15 @@ import (
 	"repro/internal/xrand"
 )
 
+// RunOnce simulates a single competitive propagation and returns the
+// number of engagements per ad (seeds included). Seed sets must be
+// pairwise disjoint. Not safe for concurrent use.
+func (m *MultiAdSimulator) RunOnce(seedSets [][]int32, rng *xrand.RNG) []int64 {
+	counts := make([]int64, len(m.probs))
+	m.run(seedSets, rng, counts)
+	return counts
+}
+
 func TestMultiAdSingleAdMatchesPlainSimulator(t *testing.T) {
 	// With one ad and no competition, the multi-ad simulator must agree
 	// with the plain one in expectation.

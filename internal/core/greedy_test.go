@@ -156,6 +156,35 @@ func TestReferenceGreedyFeasible(t *testing.T) {
 	}
 }
 
+// CSBound is Theorem 3's approximation guarantee for CS-GREEDY:
+// 1 − R·ρmax / (R·ρmax + (1 − max_i κ_{ρ_i})·ρmin). It degenerates to 0
+// when the payment curvature reaches 1, as the paper discusses.
+func CSBound(R int, rhoMax, rhoMin, maxKappaRho float64) float64 {
+	if R <= 0 {
+		panic("CSBound needs positive upper rank")
+	}
+	den := float64(R)*rhoMax + (1-maxKappaRho)*rhoMin
+	if den <= 0 {
+		return 0
+	}
+	return 1 - float64(R)*rhoMax/den
+}
+
+func TestCSBoundProperties(t *testing.T) {
+	// Curvature 1 degenerates to 0 (paper's discussion).
+	if got := CSBound(2, 1, 1, 1); got != 0 {
+		t.Errorf("degenerate CSBound = %v, want 0", got)
+	}
+	// Modular payments (κ=0), ρmax = ρmin = ρ: bound = 1 - R/(R+1).
+	if got, want := CSBound(4, 2, 2, 0), 1-4.0/5.0; math.Abs(got-want) > 1e-12 {
+		t.Errorf("CSBound = %v, want %v", got, want)
+	}
+	// Bound improves as ρmax/ρmin shrinks (paper's discussion).
+	if CSBound(4, 1, 1, 0) <= CSBound(4, 10, 1, 0) {
+		t.Error("CSBound should improve when ρmax/ρmin decreases")
+	}
+}
+
 // Theorem 3's bound: CS-GREEDY revenue ≥ CSBound · OPT on tiny instances,
 // computed with the real curvature/rank quantities.
 func TestTheorem3BoundHolds(t *testing.T) {
@@ -201,7 +230,7 @@ func TestTheorem3BoundHolds(t *testing.T) {
 				rhoMin = v
 			}
 		}
-		bound := submod.CSBound(R, rhoMax, rhoMin, kappaRho)
+		bound := CSBound(R, rhoMax, rhoMin, kappaRho)
 
 		cs, err := CSGreedy(p, oracle)
 		if err != nil {

@@ -129,3 +129,28 @@ func TestLoadEdgeListGzip(t *testing.T) {
 	}
 	sameGraph(t, g, gs)
 }
+
+func TestLoadEdgeListMissingFile(t *testing.T) {
+	if _, err := LoadEdgeList(filepath.Join(t.TempDir(), "missing.txt")); err == nil {
+		t.Error("expected error for missing file")
+	}
+}
+
+// Isolated trailing nodes survive only when the header declares the node
+// count — the property the header exists for.
+func TestHeaderPreservesIsolatedNodes(t *testing.T) {
+	b := graph.NewBuilder(10, 1)
+	b.AddEdge(0, 1) // nodes 2..9 are isolated
+	g := b.Build()
+	path := filepath.Join(t.TempDir(), "iso.txt")
+	if err := SaveEdgeList(path, g); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := LoadEdgeList(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.NumNodes() != 10 {
+		t.Errorf("isolated nodes lost: %d nodes, want 10", g2.NumNodes())
+	}
+}

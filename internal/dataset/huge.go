@@ -57,7 +57,6 @@ func StreamCirculantWC(w io.Writer, name string, n int64, strides []int64) error
 		NumNodes:   n,
 		NumEdges:   m,
 		NumTopics:  1,
-		NumAds:     0,
 	})
 	if err != nil {
 		return err

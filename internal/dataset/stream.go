@@ -11,10 +11,10 @@ import (
 // materializing the graph in memory: SnapshotStreamer accepts each
 // section of the format in order, in chunks of any size, and enforces
 // with a state machine that the declared counts are met exactly. A
-// streamer fed the same data as Write produces a byte-identical file
-// (same primitive layer, same CRC), so streamed snapshots are
-// indistinguishable from frozen in-memory ones to every loader —
-// including LoadMmap. This is how graphgen's huge preset writes a
+// streamer fed the same data as Write on a snapshot without ads
+// produces a byte-identical file (same primitive layer, same CRC), so
+// streamed snapshots are indistinguishable from frozen in-memory ones
+// to every loader — including LoadMmap. This is how graphgen's huge preset writes a
 // 100M-edge snapshot in constant memory.
 
 // StreamHeader declares the snapshot's identity and section sizes up
@@ -28,7 +28,6 @@ type StreamHeader struct {
 	NumNodes   int64
 	NumEdges   int64
 	NumTopics  int
-	NumAds     int
 }
 
 // Streaming sections, in file order. The streamer advances only when
@@ -49,7 +48,8 @@ var secNames = [...]string{
 	"topic probs", "ads", "done",
 }
 
-// SnapshotStreamer writes an RMSNAP v1 file section by section. Usage:
+// SnapshotStreamer writes an RMSNAP v1 file section by section, with an
+// empty advertiser roster. Usage:
 //
 //	st, _ := NewSnapshotStreamer(w, hdr)
 //	st.AppendOutOff(...)      // n+1 values total, any chunking
@@ -58,7 +58,6 @@ var secNames = [...]string{
 //	st.AppendInSources(...)   // m values
 //	st.AppendInEdgeIDs(...)   // m values
 //	st.AppendTopicProbs(...)  // L×m values (topics back to back)
-//	st.AppendAd(gamma, cpe, budget)  // NumAds times
 //	err := st.Finish()
 //
 // The streamer does not validate CSR structure (monotone offsets, edge
@@ -70,7 +69,6 @@ type SnapshotStreamer struct {
 	sec    int
 	filled int64 // elements appended to the current section
 	topic  int   // topics fully appended (secTopics)
-	ads    int   // ads appended (secAds)
 	err    error
 }
 
@@ -86,8 +84,6 @@ func NewSnapshotStreamer(w io.Writer, hdr StreamHeader) (*SnapshotStreamer, erro
 		return nil, fmt.Errorf("dataset: edge count %d out of range", hdr.NumEdges)
 	case hdr.NumTopics < 1 || hdr.NumTopics > maxTopics:
 		return nil, fmt.Errorf("dataset: topic count %d out of range", hdr.NumTopics)
-	case hdr.NumAds < 0 || hdr.NumAds > maxAds:
-		return nil, fmt.Errorf("dataset: ad count %d out of range", hdr.NumAds)
 	}
 	st := &SnapshotStreamer{bw: newBinWriter(w), hdr: hdr}
 	bw := st.bw
@@ -164,7 +160,7 @@ func (st *SnapshotStreamer) advance() {
 			st.bw.u32(uint32(st.hdr.NumTopics))
 			st.bw.u64(uint64(st.hdr.NumEdges)) // first topic's prefix
 		case secAds:
-			st.bw.u32(uint32(st.hdr.NumAds))
+			st.bw.u32(0) // ad count
 		}
 		st.err = st.bw.err
 	}
@@ -226,41 +222,15 @@ func (st *SnapshotStreamer) AppendTopicProbs(chunk []float32) error {
 	return st.err
 }
 
-// AppendAd writes one advertiser record.
-func (st *SnapshotStreamer) AppendAd(gamma []float64, cpe, budget float64) error {
-	if st.err != nil {
-		return st.err
-	}
-	if st.sec != secAds {
-		st.err = fmt.Errorf("dataset: streamer expects %s data, got ads", secNames[st.sec])
-		return st.err
-	}
-	if st.ads >= st.hdr.NumAds {
-		st.err = fmt.Errorf("dataset: ad overflow: declared %d", st.hdr.NumAds)
-		return st.err
-	}
-	if len(gamma) != st.hdr.NumTopics {
-		st.err = fmt.Errorf("dataset: ad %d has %d-topic gamma, header declares %d",
-			st.ads, len(gamma), st.hdr.NumTopics)
-		return st.err
-	}
-	st.ads++
-	st.bw.f64Slice(gamma)
-	st.bw.f64(cpe)
-	st.bw.f64(budget)
-	st.err = st.bw.err
-	return st.err
-}
-
 // Finish verifies every declared section is complete and writes the
 // CRC trailer. The streamer is unusable afterwards.
 func (st *SnapshotStreamer) Finish() error {
 	if st.err != nil {
 		return st.err
 	}
-	if st.sec != secAds || st.ads != st.hdr.NumAds {
-		st.err = fmt.Errorf("dataset: incomplete stream: in %s section (%d/%d elements, %d/%d ads)",
-			secNames[st.sec], st.filled, st.want(st.sec), st.ads, st.hdr.NumAds)
+	if st.sec != secAds {
+		st.err = fmt.Errorf("dataset: incomplete stream: in %s section (%d/%d elements)",
+			secNames[st.sec], st.filled, st.want(st.sec))
 		return st.err
 	}
 	st.sec = secDone

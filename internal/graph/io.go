@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 )
@@ -87,27 +86,4 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: node id %d exceeds declared node count %d", maxID, n)
 	}
 	return FromEdges(n, srcs, dsts), nil
-}
-
-// SaveEdgeList writes the graph to the named file.
-func SaveEdgeList(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteEdgeList(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadEdgeList reads a graph from the named file.
-func LoadEdgeList(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadEdgeList(f)
 }

@@ -66,9 +66,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// AllKinds lists the incentive models in the paper's Figure 2/3 order.
-func AllKinds() []Kind { return []Kind{Linear, Constant, Sublinear, Superlinear} }
-
 // Table holds the materialized incentive costs c_i(u) for one ad.
 type Table struct {
 	kind  Kind

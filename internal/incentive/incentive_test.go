@@ -7,6 +7,9 @@ import (
 	"repro/internal/graph"
 )
 
+// AllKinds lists the incentive models in the paper's Figure 2/3 order.
+func AllKinds() []Kind { return []Kind{Linear, Constant, Sublinear, Superlinear} }
+
 func sigma4() []float64 { return []float64{1, 2, 4, 10} }
 
 func TestLinear(t *testing.T) {

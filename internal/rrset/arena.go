@@ -52,7 +52,7 @@ type segment struct {
 // build, a counting sort over one set range, is the only code that
 // writes IDs. extend runs it after each append batch, first merging
 // tail segments so that each segment holds more than twice the sets of
-// the next (at most ⌊log₂ θ⌋+1 segments for θ sets); Repair runs it
+// the next (at most ⌊log₂ θ⌋+1 segments for θ sets); repair runs it
 // once over the whole recompacted arena. Segments past len(segs) keep
 // their start arrays, so refilling an index allocates nothing.
 type nodeIndex struct {

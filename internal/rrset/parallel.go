@@ -11,32 +11,27 @@ import (
 // keep the merge pipeline busy.
 const DefaultBatchSize = 256
 
-// AddFromParallel samples count RR sets from the stream into the
+// AddFromParallelCtx samples count RR sets from the stream into the
 // universe. The copy into the arena tail happens on the caller's
 // goroutine while the pool's workers keep sampling, so the universe
 // needs no internal locking; the batch is then indexed as one segment
 // on up to the pool's Workers goroutines. On a single-worker pool it is
-// allocation-free once the arenas are warm.
-func (u *Universe) AddFromParallel(src *Stream, count int) {
-	u.AddFromParallelCtx(context.Background(), src, count)
-}
-
-// AddFromParallelCtx is AddFromParallel with cooperative cancellation: on
-// a canceled context it stops after adding only a prefix of the requested
-// sets, indexes that prefix and returns the context's error.
+// allocation-free once the arenas are warm. On a canceled context it
+// stops after adding only a prefix of the requested sets, indexes that
+// prefix and returns the context's error.
 func (u *Universe) AddFromParallelCtx(ctx context.Context, src *Stream, count int) error {
 	err := src.SampleNCtx(ctx, count, u.Add)
 	u.idx.extend(u.data, u.offsets, src.pool.Workers())
 	return err
 }
 
-// KptEstimateParallelCtx is KptEstimate drawing its geometric batches
-// from a stream, each set's width summed from its members' in-degrees.
-// The κ(R) terms are accumulated in the stream's slot order, so the
-// estimate is a pure function of the stream's seed and start slot. A
-// canceled context aborts the estimation loop at the next batch
-// boundary and returns the context's error (the partial estimate is
-// meaningless and discarded).
+// KptEstimateParallelCtx is TIM's KPT estimation (kptEstimate) drawing
+// its geometric batches from a stream, each set's width summed from its
+// members' in-degrees. The κ(R) terms are accumulated in the stream's
+// slot order, so the estimate is a pure function of the stream's seed
+// and start slot. A canceled context aborts the estimation loop at the
+// next batch boundary and returns the context's error (the partial
+// estimate is meaningless and discarded).
 func KptEstimateParallelCtx(ctx context.Context, src *Stream, m, n int64, size int, ell float64) (float64, error) {
 	return kptEstimate(func(count int, yield func(width int64)) error {
 		return src.SampleNCtx(ctx, count, func(nodes []int32) { yield(width(src.pool.g, nodes)) })

@@ -160,7 +160,7 @@ func (t *modeTable) mode(ps []float32) (p0 float32) {
 
 // perArcProbs is NewSampleProbs with every node on the per-arc path: the
 // kernel then flips one coin per examined arc, the draw rule the
-// sequential Sampler keeps as the reference distribution.
+// test-only sequential Sampler keeps as the reference distribution.
 func perArcProbs(g *graph.Graph, probs []float32) SampleProbs {
 	if int64(len(probs)) != g.NumEdges() {
 		panic(fmt.Sprintf("rrset: %d probs for %d edges", len(probs), g.NumEdges()))
@@ -478,14 +478,14 @@ func (p *Pool) MemoryFootprint() int64 { return p.scratchBytes.Load() }
 // Slot k of a stream seeded s is drawn from an RNG seeded
 // xrand.SlotSeed(s, k), the discipline RepairUniverse and RebuildUniverse use, so the
 // emitted sequence is a pure function of the seed — never of the pool's
-// Workers or BatchSize, of how the sets are split across SampleN calls,
-// or of goroutine scheduling — and repairing a stale slot redraws it
+// Workers or BatchSize, of how the sets are split across SampleNCtx
+// calls, or of goroutine scheduling — and repairing a stale slot redraws it
 // exactly as a cold stream on the new graph would.
 //
 // A Stream is stateful (its next slot advances across calls) and must
 // not be used from multiple goroutines at once; distinct Streams on one
-// pool are independent and may run SampleN concurrently — they contend
-// only for scratch slots.
+// pool are independent and may run SampleNCtx concurrently — they
+// contend only for scratch slots.
 type Stream struct {
 	pool  *Pool
 	probs SampleProbs
@@ -494,7 +494,7 @@ type Stream struct {
 	// number of sets the stream has emitted, canceled calls included.
 	next int
 	// buf is the single-worker path's reusable batch buffer. Retained
-	// across SampleN calls, so warm steady-state sampling on that path
+	// across SampleNCtx calls, so warm steady-state sampling on that path
 	// performs zero per-set heap allocations.
 	buf flatBatch
 }
@@ -534,20 +534,16 @@ func (s *Stream) fill(b *flatBatch, sc *scratch, rng *xrand.RNG, lo, hi int) {
 	}
 }
 
-// SampleN draws count RR sets and hands each set's member nodes to
-// yield, which runs on the calling goroutine. The node slice
-// is a window into a reused batch buffer: it is valid only for the
-// duration of the yield call and must be copied to be retained (the
-// arena-backed Universe ingest path copies into its flat storage). The
-// sets are the stream's next count slots, in slot order.
-func (s *Stream) SampleN(count int, yield func(nodes []int32)) {
-	s.SampleNCtx(context.Background(), count, yield)
-}
-
-// SampleNCtx is SampleN with cooperative cancellation: the context is
-// checked once per batch (the pool's BatchSize), so a canceled sampling
-// request returns within one batch's worth of reverse BFS work. On
-// cancellation it returns the context's error after emitting only a
+// SampleNCtx draws count RR sets and hands each set's member nodes to
+// yield, which runs on the calling goroutine. The node slice is a window
+// into a reused batch buffer: it is valid only for the duration of the
+// yield call and must be copied to be retained (the arena-backed
+// Universe ingest path copies into its flat storage). The sets are the
+// stream's next count slots, in slot order.
+//
+// Cancellation is cooperative: the context is checked once per batch
+// (the pool's BatchSize), so a canceled sampling request returns within
+// one batch's worth of reverse BFS work. On cancellation it returns the context's error after emitting only a
 // prefix of the requested sets; once every requested set is emitted it
 // returns nil, even if the context was canceled during the last yield.
 // Sets drawn but not emitted are dropped, and the stream resumes at the

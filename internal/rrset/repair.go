@@ -30,9 +30,10 @@ const repairChunkMembers = 1 << 15
 // new graph. A delta touching few nodes resamples a few slots
 // instead of θ sets — the point of invalidation — and then pays one bulk
 // pass over the whole universe: run-wise arena recompaction plus a
-// counting-sort build of the index as one segment (see Universe.Repair). Returns the number
-// of slots resampled. The caller must hold whatever lock guards the
-// universe; no View may be attached (see Universe.Repair).
+// counting-sort build of the index as one segment (see Universe.repair).
+// Returns the number of slots resampled. The caller must hold whatever
+// lock guards the universe; no View may be attached (see
+// Universe.repair).
 //
 // The resampling and the index build fan out over up to GOMAXPROCS
 // goroutines, one chunk of stale slots or of set IDs each, whatever the
@@ -82,7 +83,7 @@ func (p *Pool) repairUniverse(u *Universe, probs SampleProbs, seedKey uint64, ch
 		}
 	})
 	p.returnScratch(scs, pooled)
-	// Repair asks for the stale slots in ascending order: the chunks'
+	// repair asks for the stale slots in ascending order: the chunks'
 	// sets in turn.
 	c, i, start := 0, 0, uint32(0)
 	return u.repair(func(_ int32, dst []int32) []int32 {

@@ -8,11 +8,11 @@ package rrset
 // index (nodeIndex), so steady-state appends allocate nothing per set.
 //
 // Appending and indexing are separate steps. Add only appends; batch
-// growth (AddFrom, AddFromParallel(Ctx)) ends by indexing the batch as
-// one segment, and any index read (NumSetsContaining, Invalidate,
-// NewViewPrefix, View.CoverBy, StoredBytes) first indexes sets that bare
-// Adds left behind. Growth on the engine's paths therefore always ends
-// indexed, and concurrent readers of a grown universe never build.
+// growth (AddFromParallelCtx) ends by indexing the batch as one segment,
+// and any index read (Invalidate, NewViewPrefix, View.CoverBy,
+// StoredBytes) first indexes sets that bare Adds left behind. Growth on
+// the engine's paths therefore always ends indexed, and concurrent
+// readers of a grown universe never build.
 type Universe struct {
 	n       int32
 	data    []int32
@@ -21,13 +21,13 @@ type Universe struct {
 
 	// Staleness bookkeeping for incremental repair under graph deltas:
 	// stale marks slots whose sets may have observed a mutated arc (see
-	// Invalidate), nStale counts them. Repair resamples exactly those
-	// slots in place.
+	// Invalidate), nStale counts them. RepairUniverse resamples exactly
+	// those slots in place.
 	stale  bitset
 	nStale int
 
 	// spareData and spareOffsets are the arena and offset table the last
-	// Repair displaced: the next Repair recompacts into them instead of
+	// repair displaced: the next repair recompacts into them instead of
 	// allocating a fresh arena.
 	spareData    []int32
 	spareOffsets []uint32
@@ -73,23 +73,8 @@ func (u *Universe) Reset() {
 	u.nStale = 0
 }
 
-// AddFrom samples count RR sets into the universe through a reused
-// scratch buffer (no per-set allocation).
-func (u *Universe) AddFrom(s *Sampler, count int) {
-	for i := 0; i < count; i++ {
-		s.buf = s.sc.sampleInto(s.buf[:0], s.g, s.probs, s.rng)
-		u.Add(s.buf)
-	}
-	u.index()
-}
-
 // Size returns the number of stored sets.
 func (u *Universe) Size() int { return len(u.offsets) - 1 }
-
-// NumSetsContaining returns how many stored sets contain v — the
-// inverted-index degree of the node, and the per-node cost bound of
-// Invalidate.
-func (u *Universe) NumSetsContaining(v int32) int32 { return u.index().deg[v] }
 
 // Set returns the member nodes of set id. The slice aliases the arena;
 // treat it as a read-only transient.
@@ -99,7 +84,7 @@ func (u *Universe) Set(id int32) []int32 {
 
 // MemoryFootprint returns the universe's heap bytes (arena, offsets,
 // index, staleness bitset, and the spare arena, offsets and draw
-// buffers a Repair left behind) in O(index segments + repair chunks).
+// buffers a repair left behind) in O(index segments + repair chunks).
 func (u *Universe) MemoryFootprint() int64 {
 	bytes := int64(cap(u.data)+cap(u.spareData))*4 + int64(cap(u.offsets)+cap(u.spareOffsets))*4 +
 		u.idx.bytes() + u.stale.bytes()
@@ -128,7 +113,7 @@ func (u *Universe) StoredBytes() int64 {
 // containing a mutated arc's target can never have observed that arc
 // and stays valid verbatim. Returns how many sets became newly stale;
 // already-stale sets and out-of-range nodes are ignored, so calls
-// before one Repair count each set once. The engine invalidates and
+// before one repair count each set once. The engine invalidates and
 // repairs in the same generation swap, so no stale mark outlives it.
 func (u *Universe) Invalidate(touched []int32) int {
 	newly := 0
@@ -149,25 +134,10 @@ func (u *Universe) Invalidate(touched []int32) int {
 	return newly
 }
 
-// InvalidateAll marks every stored set stale, returning how many were
-// newly marked. Equivalent to (and tested against) a full rebuild once
-// Repair runs.
-func (u *Universe) InvalidateAll() int {
-	newly := 0
-	for id := int32(0); int(id) < u.Size(); id++ {
-		if !u.stale.get(id) {
-			u.stale.set(id)
-			newly++
-		}
-	}
-	u.nStale += newly
-	return newly
-}
-
 // StaleCount returns the number of sets currently marked stale.
 func (u *Universe) StaleCount() int { return u.nStale }
 
-// Repair resamples every stale slot in place: sample is called once per
+// repair resamples every stale slot in place: sample is called once per
 // stale slot (ascending), appending the replacement set's members onto
 // dst and returning the extended slice. Fresh slots keep their exact
 // bytes; the arena is recompacted and the inverted index rebuilt, so
@@ -179,21 +149,17 @@ func (u *Universe) StaleCount() int { return u.nStale }
 // universe, whatever the stale fraction: each maximal run of fresh sets
 // is copied with one append and its offsets shifted by one constant,
 // and the index is rebuilt as one segment by a counting sort
-// (nodeIndex.build) — a touched hub appears in sets all over the arena,
-// so patching single nodes' lists would not touch less of the index.
+// (nodeIndex.build, split over chunks set ranges) — a touched hub
+// appears in sets all over the arena, so patching single nodes' lists
+// would not touch less of the index.
 // The recompaction writes into the arena and offset table the previous
-// Repair displaced, so a repeated repair at one shape allocates no new
+// repair displaced, so a repeated repair at one shape allocates no new
 // arena.
 //
-// Repair invalidates every View over this universe — their coverage
+// A repair invalidates every View over this universe — their coverage
 // counts reference the pre-repair contents. The engine only repairs
 // universes at generation-swap time, when no session (and therefore no
 // View) is attached.
-func (u *Universe) Repair(sample func(slot int32, dst []int32) []int32) int {
-	return u.repair(sample, 1)
-}
-
-// repair is Repair with the index build split over chunks set ranges.
 func (u *Universe) repair(sample func(slot int32, dst []int32) []int32, chunks int) int {
 	if u.nStale == 0 {
 		return 0
@@ -258,11 +224,6 @@ type View struct {
 	synced   int
 }
 
-// NewView creates a view over the universe's current contents.
-func NewView(u *Universe) *View {
-	return NewViewPrefix(u, u.Size())
-}
-
 // NewViewPrefix creates a view over the first min(limit, Size()) sets of
 // the universe. A long-lived universe cache hands prefix views to solver
 // sessions so that a universe pre-grown by an earlier session replays
@@ -289,13 +250,6 @@ func NewViewPrefix(u *Universe, limit int) *View {
 	}
 	v.SyncTo(limit)
 	return v
-}
-
-// Sync integrates sets added to the universe since the last sync and
-// returns how many were integrated. New sets start uncovered, so every
-// member node's marginal coverage grows.
-func (v *View) Sync() int {
-	return v.SyncTo(v.u.Size())
 }
 
 // SyncTo integrates universe sets beyond the view's current prefix up to

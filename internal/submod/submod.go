@@ -1,15 +1,14 @@
 // Package submod is the submodular-optimization toolkit behind the paper's
 // theory: set functions over small ground sets, curvature (Definition 4),
-// matroids and independence systems (Definitions 1–3, Lemmas 1–2), lower
-// and upper rank (Definition 5), the generic cost-agnostic and
-// cost-sensitive greedy algorithms, a brute-force maximizer, and the
-// approximation bounds of Theorems 2 and 3.
+// independence systems with the submodular knapsack family, lower and
+// upper rank (Definition 5), a brute-force maximizer, and Theorem 2's
+// approximation bound. The matroids, the axiom checks of Definitions 1–2
+// and Lemmas 1–2, and the generic greedy live in the package's tests.
 //
 // Ground sets are [0, N) with N ≤ 64 and subsets are bitmasks, which keeps
-// the exhaustive verification procedures (axiom checks, rank computation,
-// brute force) simple and fast. The production-scale algorithms live in
-// internal/core; this package provides the ground truth they are tested
-// against.
+// the exhaustive procedures (rank computation, brute force) simple and
+// fast. The production-scale algorithms live in internal/core; this
+// package provides the ground truth they are tested against.
 package submod
 
 import (
@@ -64,104 +63,6 @@ func (f Function) Marginal(S Mask, e int) float64 {
 	return f.Eval(S.Add(e)) - f.Eval(S)
 }
 
-// Modular builds the modular (additive) function with the given weights.
-func Modular(weights []float64) Function {
-	w := append([]float64(nil), weights...)
-	return Function{N: len(w), Eval: func(m Mask) float64 {
-		var s float64
-		for x := uint64(m); x != 0; x &= x - 1 {
-			s += w[bits.TrailingZeros64(x)]
-		}
-		return s
-	}}
-}
-
-// Coverage builds the weighted coverage function: element e covers the
-// item set covers[e]; items carry the given weights (nil means unit
-// weights). Coverage functions are the canonical monotone submodular
-// family and mirror RR-set coverage.
-func Coverage(n int, covers [][]int, weights []float64) Function {
-	if len(covers) != n {
-		panic("submod: Coverage needs one item list per element")
-	}
-	numItems := 0
-	for _, c := range covers {
-		for _, it := range c {
-			if it+1 > numItems {
-				numItems = it + 1
-			}
-		}
-	}
-	w := weights
-	if w == nil {
-		w = make([]float64, numItems)
-		for i := range w {
-			w[i] = 1
-		}
-	}
-	return Function{N: n, Eval: func(m Mask) float64 {
-		seen := make([]bool, numItems)
-		var total float64
-		for x := uint64(m); x != 0; x &= x - 1 {
-			for _, it := range covers[bits.TrailingZeros64(x)] {
-				if !seen[it] {
-					seen[it] = true
-					total += w[it]
-				}
-			}
-		}
-		return total
-	}}
-}
-
-// IsMonotone exhaustively checks f(S) ≤ f(S ∪ {e}) for all S, e. Cost
-// O(2^N · N); intended for N ≤ ~16.
-func IsMonotone(f Function, tol float64) bool {
-	full := FullMask(f.N)
-	for S := Mask(0); ; S++ {
-		fs := f.Eval(S)
-		for e := 0; e < f.N; e++ {
-			if S.Has(e) {
-				continue
-			}
-			if f.Eval(S.Add(e)) < fs-tol {
-				return false
-			}
-		}
-		if S == full {
-			break
-		}
-	}
-	return true
-}
-
-// IsSubmodular exhaustively checks the diminishing-returns property
-// f(e|S) ≥ f(e|T) for all S ⊆ T and e ∉ T. Cost O(3^N · N); intended for
-// N ≤ ~12.
-func IsSubmodular(f Function, tol float64) bool {
-	full := uint64(FullMask(f.N))
-	// Enumerate pairs S ⊆ T by iterating T and its submasks.
-	for T := uint64(0); ; T++ {
-		for S := T; ; S = (S - 1) & T {
-			for e := 0; e < f.N; e++ {
-				if Mask(T).Has(e) {
-					continue
-				}
-				if f.Marginal(Mask(S), e) < f.Marginal(Mask(T), e)-tol {
-					return false
-				}
-			}
-			if S == 0 {
-				break
-			}
-		}
-		if T == full {
-			break
-		}
-	}
-	return true
-}
-
 // TotalCurvature computes κ_f = 1 − min_j f(j | V∖{j}) / f({j})
 // (Definition 4). Elements with f({j}) = 0 are skipped (their ratio is
 // taken as 1, contributing no curvature).
@@ -186,20 +87,6 @@ func CurvatureWrt(f Function, S Mask) float64 {
 	return 1 - minRatio
 }
 
-// AverageCurvatureWrt computes Iyer et al.'s average curvature
-// κ̂_f(S) = 1 − Σ_{j∈S} f(j|S∖{j}) / Σ_{j∈S} f({j}).
-func AverageCurvatureWrt(f Function, S Mask) float64 {
-	var num, den float64
-	for _, j := range S.Elements() {
-		num += f.Marginal(S.Remove(j), j)
-		den += f.Eval(Mask(0).Add(j))
-	}
-	if den == 0 {
-		return 0
-	}
-	return 1 - num/den
-}
-
 // CABound is Theorem 2's approximation guarantee for CA-GREEDY:
 // (1/κ)·[1 − ((R−κ)/R)^r], with the κ→0 limit r/R... evaluated
 // continuously (the limit as κ→0 equals r/R when r ≤ R).
@@ -211,18 +98,4 @@ func CABound(kappa float64, r, R int) float64 {
 		return float64(r) / float64(R)
 	}
 	return (1 - math.Pow((float64(R)-kappa)/float64(R), float64(r))) / kappa
-}
-
-// CSBound is Theorem 3's approximation guarantee for CS-GREEDY:
-// 1 − R·ρmax / (R·ρmax + (1 − max_i κ_{ρ_i})·ρmin). It degenerates to 0
-// when the payment curvature reaches 1, as the paper discusses.
-func CSBound(R int, rhoMax, rhoMin, maxKappaRho float64) float64 {
-	if R <= 0 {
-		panic("submod: CSBound needs positive upper rank")
-	}
-	den := float64(R)*rhoMax + (1-maxKappaRho)*rhoMin
-	if den <= 0 {
-		return 0
-	}
-	return 1 - float64(R)*rhoMax/den
 }

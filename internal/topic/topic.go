@@ -50,13 +50,6 @@ func (d Distribution) Entropy() float64 {
 	return h
 }
 
-// PointMass returns the degenerate distribution concentrated on topic z.
-func PointMass(l, z int) Distribution {
-	d := make(Distribution, l)
-	d[z] = 1
-	return d
-}
-
 // Peaked returns the paper's §5 ad distribution: mass `peak` on topic z and
 // the remaining mass spread uniformly over the other topics (the paper uses
 // peak=0.91 with L=10, leaving 0.01 per other topic).

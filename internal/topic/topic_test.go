@@ -42,13 +42,6 @@ func TestEntropy(t *testing.T) {
 }
 
 func TestPointMassAndPeaked(t *testing.T) {
-	pm := PointMass(5, 2)
-	if err := pm.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if pm[2] != 1 {
-		t.Error("PointMass not concentrated")
-	}
 	pk := Peaked(10, 3, 0.91)
 	if err := pk.Validate(); err != nil {
 		t.Fatal(err)

@@ -1,12 +1,8 @@
-// Package xmath provides small numeric helpers shared across the library:
-// log-binomial coefficients for TIM-style sample sizing, clamping, and
-// summary statistics used by the experiment harness.
+// Package xmath provides the log-binomial coefficients behind TIM-style
+// sample sizing.
 package xmath
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // LogChoose returns ln(C(n, k)) computed via the log-gamma function.
 // It returns 0 for k <= 0 or k >= n (C = 1 on the boundary) and panics on
@@ -22,114 +18,4 @@ func LogChoose(n, k int) float64 {
 	lk1, _ := math.Lgamma(float64(k + 1))
 	lnk, _ := math.Lgamma(float64(n - k + 1))
 	return ln1 - lk1 - lnk
-}
-
-// Clamp limits x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// ClampInt limits x to the closed interval [lo, hi].
-func ClampInt(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// AlmostEqual reports whether a and b are within tol of each other in
-// absolute or relative terms, whichever is looser. It treats NaN as unequal
-// to everything.
-func AlmostEqual(a, b, tol float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	diff := math.Abs(a - b)
-	if diff <= tol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*scale
-}
-
-// Summary holds basic descriptive statistics of a float sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Min    float64
-	Max    float64
-	Median float64
-	Stddev float64
-	Sum    float64
-}
-
-// Summarize computes a Summary of xs. An empty slice yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	var s Summary
-	s.N = len(xs)
-	if s.N == 0 {
-		return s
-	}
-	s.Min = math.Inf(1)
-	s.Max = math.Inf(-1)
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := s.N / 2
-	if s.N%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It panics on an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("xmath: Percentile of empty slice")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

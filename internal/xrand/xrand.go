@@ -155,29 +155,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a standard normal variate using the polar
-// (Marsaglia) method.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Uniform returns a uniform float64 in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
@@ -199,60 +176,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
-	}
-}
-
-// Gamma returns a Gamma(shape, 1) variate using the Marsaglia–Tsang method
-// (with Ahrens-Dieter boosting for shape < 1). shape must be positive.
-func (r *RNG) Gamma(shape float64) float64 {
-	if shape <= 0 {
-		panic("xrand: Gamma with non-positive shape")
-	}
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		return r.Gamma(shape+1) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
-// Dirichlet fills out with a sample from a symmetric Dirichlet(alpha)
-// distribution of dimension len(out). The result sums to 1.
-func (r *RNG) Dirichlet(alpha float64, out []float64) {
-	var sum float64
-	for i := range out {
-		g := r.Gamma(alpha)
-		out[i] = g
-		sum += g
-	}
-	if sum == 0 {
-		// Degenerate draw; fall back to uniform.
-		for i := range out {
-			out[i] = 1 / float64(len(out))
-		}
-		return
-	}
-	for i := range out {
-		out[i] /= sum
 	}
 }
 

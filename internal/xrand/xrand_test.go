@@ -115,37 +115,6 @@ func TestBool(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(14)
-	const n = 200000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(15)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if math.Abs(sum/n-1) > 0.02 {
-		t.Errorf("exponential mean = %v, want ~1", sum/n)
-	}
-}
-
 func TestUniform(t *testing.T) {
 	r := New(16)
 	for i := 0; i < 10000; i++ {
@@ -165,39 +134,6 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("Perm produced invalid permutation: %v", p)
 		}
 		seen[v] = true
-	}
-}
-
-func TestGammaMean(t *testing.T) {
-	r := New(18)
-	for _, shape := range []float64{0.5, 1, 2.5, 7} {
-		const n = 100000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += r.Gamma(shape)
-		}
-		mean := sum / n
-		if math.Abs(mean-shape)/shape > 0.03 {
-			t.Errorf("Gamma(%v) mean = %v, want ~%v", shape, mean, shape)
-		}
-	}
-}
-
-func TestDirichletSumsToOne(t *testing.T) {
-	r := New(19)
-	out := make([]float64, 8)
-	for trial := 0; trial < 100; trial++ {
-		r.Dirichlet(0.3, out)
-		var sum float64
-		for _, x := range out {
-			if x < 0 {
-				t.Fatal("Dirichlet produced negative mass")
-			}
-			sum += x
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("Dirichlet sums to %v", sum)
-		}
 	}
 }
 
