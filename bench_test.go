@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (Section 5) at reduced scale, plus micro-benchmarks of the substrates.
-// The experiment-to-bench mapping lives in DESIGN.md §5; the cmd/rmbench
-// binary runs the same drivers with full grids and configurable scale.
+// The experiment-to-bench mapping is the experiment index in README.md's
+// Benchmarks section; the cmd/rmbench binary runs the same drivers with
+// full grids and configurable scale.
 package repro
 
 import (
@@ -149,7 +150,7 @@ func BenchmarkFig5RuntimeVsBudget(b *testing.B) {
 	}
 }
 
-// ---- Ablations (design-choice benches called out in DESIGN.md) -------------
+// ---- Ablations (design-choice benches; README.md's experiment index) -------
 
 // BenchmarkAblationCompetition measures the cost of scoring allocations
 // under the hard-competition propagation model (future-work item iii).

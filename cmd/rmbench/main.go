@@ -1,7 +1,8 @@
 // Command rmbench regenerates the paper's tables and figures.
 //
 // Each experiment ID corresponds to one artifact of the paper's evaluation
-// (Section 5); DESIGN.md §5 maps IDs to workloads and modules. Examples:
+// (Section 5); the experiment index in README.md's Benchmarks section maps
+// IDs to their internal/eval drivers and root benchmarks. Examples:
 //
 //	rmbench -experiment=table1
 //	rmbench -experiment=fig2 -scale=small -datasets=flixster,epinions

@@ -13,12 +13,12 @@ import (
 )
 
 // TestMmapVsCopyLoadBitIdentical is the load-path golden: a snapshot
-// decoded by the copy loader (fresh heap arrays) and by the zero-copy
-// mmap loader (slices aliasing the file mapping) must drive the engine
-// to bit-identical allocations. Byte equality of the decoded sections
-// is checked in internal/dataset; this pins the stronger claim that the
-// aliased arrays behave identically under the full sampling and
-// allocation pipeline, sequential and parallel.
+// decoded by the copy loader (one heap image of the file) and by the
+// zero-copy mmap loader (slices aliasing the file mapping) must drive
+// the engine to bit-identical allocations. Byte equality of the decoded
+// sections is checked in internal/dataset; this pins the stronger claim
+// that the aliased arrays behave identically under the full sampling
+// and allocation pipeline, sequential and parallel.
 func TestMmapVsCopyLoadBitIdentical(t *testing.T) {
 	rng := xrand.New(31)
 	g := gen.RMAT(256, 1500, gen.DefaultRMAT, rng)

@@ -10,19 +10,21 @@ import (
 )
 
 // binio.go implements the little-endian primitive layer of the snapshot
-// format: buffered single-pass writers/readers that checksum everything
-// they touch (CRC-32C). On little-endian hosts the bulk arrays (CSR
-// offsets, targets, probability tensors) are written and read as raw
-// byte views of the backing slices — no per-element conversion — so
-// multi-million edge arrays stream at memory-copy speed; other hosts
-// fall through to a portable conversion loop over a fixed scratch
-// buffer. The on-disk format is little-endian either way.
+// writers: a buffered single-pass binWriter that checksums everything it
+// writes (CRC-32C). On little-endian hosts the bulk arrays (CSR offsets,
+// targets, probability tensors) are written as raw byte views of the
+// backing slices — no per-element conversion — so multi-million edge
+// arrays stream at memory-copy speed; other hosts fall through to a
+// portable conversion loop over a fixed scratch buffer. The on-disk
+// format is little-endian either way. The one reader of the format is
+// parsePayload (loadmmap.go).
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// hostLittleEndian gates the zero-copy bulk path: reinterpreting a
-// numeric slice as bytes matches the on-disk layout only when the host
-// byte order is little-endian.
+// hostLittleEndian gates the zero-copy bulk paths of both directions:
+// reinterpreting a numeric slice as bytes, or bytes as a numeric slice,
+// matches the on-disk layout only when the host byte order is
+// little-endian.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -207,187 +209,4 @@ func (b *binWriter) trailer() error {
 		return err
 	}
 	return b.w.Flush()
-}
-
-type binReader struct {
-	r       io.Reader
-	crc     uint32
-	scratch []byte
-	err     error
-}
-
-func newBinReader(r io.Reader) *binReader {
-	return &binReader{r: r, scratch: make([]byte, binScratchSize)}
-}
-
-func (b *binReader) read(p []byte) bool {
-	if b.err != nil {
-		return false
-	}
-	if _, err := io.ReadFull(b.r, p); err != nil {
-		b.err = err
-		return false
-	}
-	b.crc = crc32.Update(b.crc, crcTable, p)
-	return true
-}
-
-func (b *binReader) u32() uint32 {
-	var buf [4]byte
-	if !b.read(buf[:]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(buf[:])
-}
-
-func (b *binReader) u64() uint64 {
-	var buf [8]byte
-	if !b.read(buf[:]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(buf[:])
-}
-
-func (b *binReader) i64() int64   { return int64(b.u64()) }
-func (b *binReader) f64() float64 { return math.Float64frombits(b.u64()) }
-func (b *binReader) bool() bool   { return b.u32() != 0 }
-
-// lenPrefix reads a slice length and guards it against corrupt headers:
-// a bad length must fail cleanly, not attempt a multi-terabyte make().
-func (b *binReader) lenPrefix(max uint64) (int, bool) {
-	n := b.u64()
-	if b.err != nil {
-		return 0, false
-	}
-	if n > max {
-		b.err = errFormat("slice length %d exceeds limit %d", n, max)
-		return 0, false
-	}
-	return int(n), true
-}
-
-// sliceChunkElems bounds how far a slice read allocates ahead of the
-// bytes actually present in the stream: reads start at one chunk and
-// grow geometrically, so a corrupt length prefix costs at most ~2× the
-// data really there before io.ReadFull fails — never a blind
-// multi-gigabyte make() that the CRC check would only catch afterwards.
-const sliceChunkElems = 1 << 20
-
-// readSlice decodes a length-prefixed array of fixed-width elements.
-// view returns the raw little-endian byte view of a segment (zero-copy
-// fast path); fill decodes one scratch buffer worth of bytes on
-// non-little-endian hosts.
-func readSlice[T any](b *binReader, max uint64, elemSize int, view func([]T) []byte, fill func([]T, []byte)) []T {
-	n, ok := b.lenPrefix(max)
-	if !ok {
-		return nil
-	}
-	first := n
-	if first > sliceChunkElems {
-		first = sliceChunkElems
-	}
-	out := make([]T, 0, first)
-	for len(out) < n {
-		c := n - len(out)
-		if limit := max2(len(out), sliceChunkElems); c > limit {
-			c = limit
-		}
-		start := len(out)
-		if cap(out) < start+c {
-			grown := make([]T, start, start+c)
-			copy(grown, out)
-			out = grown
-		}
-		out = out[:start+c]
-		seg := out[start:]
-		if hostLittleEndian {
-			if !b.read(view(seg)) {
-				return nil
-			}
-			continue
-		}
-		for off := 0; off < len(seg); {
-			cc := len(b.scratch) / elemSize
-			if cc > len(seg)-off {
-				cc = len(seg) - off
-			}
-			if !b.read(b.scratch[:cc*elemSize]) {
-				return nil
-			}
-			fill(seg[off:off+cc], b.scratch[:cc*elemSize])
-			off += cc
-		}
-	}
-	return out
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func (b *binReader) str(max uint64) string {
-	n := b.u32()
-	if b.err != nil {
-		return ""
-	}
-	if uint64(n) > max {
-		b.err = errFormat("string length %d exceeds limit %d", n, max)
-		return ""
-	}
-	buf := make([]byte, n)
-	if !b.read(buf) {
-		return ""
-	}
-	return string(buf)
-}
-
-func (b *binReader) i32Slice(max uint64) []int32 {
-	return readSlice(b, max, 4, i32Bytes, func(dst []int32, raw []byte) {
-		for j := range dst {
-			dst[j] = int32(binary.LittleEndian.Uint32(raw[4*j:]))
-		}
-	})
-}
-
-func (b *binReader) i64Slice(max uint64) []int64 {
-	return readSlice(b, max, 8, i64Bytes, func(dst []int64, raw []byte) {
-		for j := range dst {
-			dst[j] = int64(binary.LittleEndian.Uint64(raw[8*j:]))
-		}
-	})
-}
-
-func (b *binReader) f32Slice(max uint64) []float32 {
-	return readSlice(b, max, 4, f32Bytes, func(dst []float32, raw []byte) {
-		for j := range dst {
-			dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*j:]))
-		}
-	})
-}
-
-func (b *binReader) f64Slice(max uint64) []float64 {
-	return readSlice(b, max, 8, f64Bytes, func(dst []float64, raw []byte) {
-		for j := range dst {
-			dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
-		}
-	})
-}
-
-// trailer reads the stored CRC (raw, outside the checksum) and compares
-// it with the running value.
-func (b *binReader) trailer() error {
-	if b.err != nil {
-		return b.err
-	}
-	var buf [4]byte
-	if _, err := io.ReadFull(b.r, buf[:]); err != nil {
-		return err
-	}
-	if got := binary.LittleEndian.Uint32(buf[:]); got != b.crc {
-		return errFormat("checksum mismatch: stored %08x, computed %08x", got, b.crc)
-	}
-	return nil
 }

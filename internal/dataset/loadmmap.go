@@ -14,26 +14,33 @@ import (
 	"repro/internal/topic"
 )
 
-// loadmmap.go is the zero-copy snapshot path: LoadMmap maps an RMSNAP
-// v1 file read-only and returns a Snapshot whose bulk arrays (CSR
-// offsets/targets, the topic probability tensor) are little-endian
-// slice views directly into the mapping — no per-array allocation, no
-// copy, load time independent of file size (after the one sequential
-// CRC pass). Multi-process deployments share one physical copy of the
-// graph through the page cache, and a multi-GB snapshot loads without
-// a multi-GB heap: the mapping is file-backed, reclaimable memory.
+// loadmmap.go holds the one decoder of the RMSNAP v1 format and the
+// zero-copy loader built on it. parseMapped/parsePayload decode a
+// complete in-memory image of a snapshot file: the read-only mapping
+// LoadMmap makes, the aligned heap image Load reads, or the bytes Read
+// drains from a reader. On little-endian hosts the bulk arrays (CSR
+// offsets/targets, the topic probability tensor) come back as slice
+// views directly into the image — no per-array allocation, no copy.
 //
-// The mapping is PROT_READ — any write through an aliased slice faults
-// immediately, which is the guard against code mutating what it
-// believes is private memory. Alignment is checked per array (array
-// offsets depend on the variable-length name field): an array whose
-// mapped bytes are not naturally aligned for its element type is
-// decoded into a fresh copy instead, so the loader is correct for
-// every layout and zero-copy for the common aligned ones.
+// LoadMmap maps the file read-only, so load time is independent of
+// file size (after the one sequential CRC pass). Multi-process
+// deployments share one physical copy of the graph through the page
+// cache, and a multi-GB snapshot loads without a multi-GB heap: the
+// mapping is file-backed, reclaimable memory. The mapping is PROT_READ
+// — any write through an aliased slice faults immediately, which is the
+// guard against code mutating what it believes is private memory.
+//
+// Alignment is checked per array (array offsets depend on the
+// variable-length name field and on the arc count's parity): an array
+// whose bytes are not naturally aligned for its element type, or any
+// array on a big-endian host, is decoded into a fresh copy instead, so
+// the parser is correct for every layout and host and zero-copy for the
+// common aligned ones.
 //
 // Fallbacks: gzip snapshots, big-endian hosts, platforms without mmap,
-// and mmap syscall failures all degrade gracefully to the Load copy
-// path. A corrupt file is an error on both paths, never a fallback.
+// and mmap syscall failures all degrade gracefully to Load, which
+// parses a heap image with the same parser. A corrupt file is an error
+// on both paths, never a fallback.
 
 // mmapActive tracks the summed bytes of all live snapshot mappings in
 // the process — the figure rmserved exports as
@@ -65,12 +72,9 @@ func LoadMmap(path string) (*Snapshot, error) {
 		return nil, err
 	}
 	size := st.Size()
-	if size < int64(len(snapshotMagic))+4 {
-		return nil, errFormat("file too small to be a snapshot (%d bytes)", size)
-	}
 	var hdr [2]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, err
+		return nil, badRead(err)
 	}
 	if hdr[0] == 0x1f && hdr[1] == 0x8b {
 		return Load(path) // gzip: nothing to alias, decompress via the copy path
@@ -107,10 +111,15 @@ func (s *Snapshot) Close() error {
 // snapshot, or 0 for a copy-loaded one.
 func (s *Snapshot) MappedBytes() int64 { return int64(len(s.mapping)) }
 
-// parseMapped decodes a snapshot from a complete in-memory image,
-// verifying the trailer CRC once over the whole payload before any
-// parsing, then aliasing each naturally-aligned bulk array.
+// parseMapped decodes a snapshot from a complete in-memory image — a
+// file mapping, a heap image or a drained reader — verifying the
+// trailer CRC once over the whole payload before any parsing, then
+// aliasing each naturally-aligned bulk array. The trailer is the
+// image's last 4 bytes, so any bytes after a snapshot are rejected.
 func parseMapped(data []byte) (*Snapshot, error) {
+	if len(data) < len(snapshotMagic)+4 {
+		return nil, errFormat("file too small to be a snapshot (%d bytes)", len(data))
+	}
 	payload := data[:len(data)-4]
 	stored := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.Checksum(payload, crcTable); got != stored {
@@ -201,14 +210,14 @@ func parsePayload(r *mapReader) (*Snapshot, error) {
 	return s, nil
 }
 
-// mapReader is the zero-copy counterpart of binReader: a cursor over
-// the complete mapped payload. Integrity is already guaranteed by the
-// up-front CRC pass, so reads only bounds-check.
+// mapReader is the decoding cursor over a complete snapshot payload
+// (the image minus its CRC trailer). Integrity is already guaranteed by
+// the up-front CRC pass, so reads only bounds-check.
 type mapReader struct {
 	data []byte
 	off  int
 	err  error
-	// aliased/copied count bulk arrays returned as mapping views vs
+	// aliased/copied count bulk arrays returned as image views vs
 	// decoded into fresh memory (misaligned layouts) — test observables.
 	aliased int
 	copied  int
@@ -273,11 +282,11 @@ func (r *mapReader) lenPrefix(max uint64) (int, bool) {
 }
 
 // mapSlice reads one length-prefixed bulk array: a direct view into the
-// mapping when the bytes are naturally aligned for T, a decoded copy
-// otherwise (alignment varies with the preceding variable-length
-// fields). The cast mirrors binio's existing byte-view primitives, in
-// the opposite direction, and is defined behavior exactly because the
-// alignment is checked first.
+// image when the host is little-endian and the bytes are naturally
+// aligned for T, a decoded copy otherwise (alignment varies with the
+// preceding variable-length fields). The cast mirrors binio's byte-view
+// primitives, in the opposite direction, and is defined behavior
+// exactly because the byte order and alignment are checked first.
 func mapSlice[T any](r *mapReader, max uint64, elemSize int, fill func([]T, []byte)) []T {
 	n, ok := r.lenPrefix(max)
 	if !ok {
@@ -287,7 +296,7 @@ func mapSlice[T any](r *mapReader, max uint64, elemSize int, fill func([]T, []by
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	if uintptr(unsafe.Pointer(&raw[0]))%uintptr(elemSize) == 0 {
+	if hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%uintptr(elemSize) == 0 {
 		r.aliased++
 		return unsafe.Slice((*T)(unsafe.Pointer(&raw[0])), n)
 	}

@@ -7,8 +7,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"unsafe"
+
+	"repro/internal/graph"
+	"repro/internal/topic"
 )
 
 // TestLoadMmapRoundTrip: the zero-copy loader must reproduce exactly
@@ -80,6 +84,61 @@ func TestParseMappedAlignment(t *testing.T) {
 	}
 	if !sawAlias || !sawCopy {
 		t.Fatalf("name sweep exercised aliased=%v copied=%v; want both", sawAlias, sawCopy)
+	}
+}
+
+// TestLoadAlignsHeapImage: Load reads a plain file into one heap image
+// placed so that outOff starts 8-byte aligned whatever the name length.
+// On a graph with an even arc count every later bulk array is aligned
+// too and aliases the image, so what Load allocates is the image, the
+// CRC pass's 1 MiB buffer and a few small headers — no copy of any
+// bulk array, at any of the eight name lengths mod 8.
+func TestLoadAlignsHeapImage(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("big-endian hosts decode every bulk array into a copy")
+	}
+	// A circulant graph, v → v+1..v+5: 200,000 arcs, a ~3.7 MB file.
+	const n, k = 40_000, 5
+	src := make([]int32, 0, n*k)
+	dst := make([]int32, 0, n*k)
+	for v := int32(0); v < n; v++ {
+		for d := int32(1); d <= k; d++ {
+			src = append(src, v)
+			dst = append(dst, (v+d)%n)
+		}
+	}
+	g := graph.FromEdges(n, src, dst)
+	s := &Snapshot{Graph: g, Model: topic.NewWeightedCascade(g)}
+	const slack = 64 << 10
+	dir := t.TempDir()
+	for nameLen := 0; nameLen < 8; nameLen++ {
+		s.Name = "aligned"[:nameLen]
+		path := filepath.Join(dir, "aligned.snap")
+		if err := Save(path, s); err != nil {
+			t.Fatalf("name length %d: Save: %v", nameLen, err)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Load(path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("name length %d: Load: %v", nameLen, err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		bound := uint64(st.Size()) + 1<<20 + slack
+		t.Logf("name length %d: Load allocated %d bytes for a %d-byte file (bound %d)",
+			nameLen, alloc, st.Size(), bound)
+		if alloc > bound {
+			t.Errorf("name length %d: Load allocated %d bytes, over the %d-byte bound of an aligned image",
+				nameLen, alloc, bound)
+		}
+		if got.Name != s.Name || got.Graph.NumEdges() != n*k {
+			t.Fatalf("name length %d: loaded %q with %d arcs", nameLen, got.Name, got.Graph.NumEdges())
+		}
 	}
 }
 

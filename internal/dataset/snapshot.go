@@ -8,14 +8,15 @@
 // The paper's evaluation (Section 5) loads multi-million-edge datasets
 // per experiment; rebuilding the graph and the TIC probability tensor
 // from text edge lists dominates startup at that scale. Snapshots load
-// the exact CSR arrays and per-topic probability tensors back with one
-// buffered sequential pass — no parsing, no Builder sort/dedup — and
-// round-trip bit-identically: a solve on a loaded snapshot equals a
-// solve on the originating in-memory structures, sample for sample.
+// the exact CSR arrays and per-topic probability tensors back from one
+// in-memory image of the file (a heap buffer for Load, a read-only
+// mapping for LoadMmap), which the bulk arrays alias wherever they are
+// aligned — no parsing, no Builder sort/dedup — and round-trip
+// bit-identically: a solve on a loaded snapshot equals a solve on the
+// originating in-memory structures, sample for sample.
 package dataset
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,8 +42,9 @@ func errFormat(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
 }
 
-// Snapshot file layout (version 1, all fixed-width fields little-endian,
-// written and read in one sequential pass):
+// Snapshot file layout (version 1, all fixed-width fields little-endian;
+// written in one sequential pass, decoded from a complete image by
+// parsePayload):
 //
 //	offset  field
 //	0       magic "RMSNAP\x00\x01" (8 bytes)
@@ -66,8 +68,8 @@ func errFormat(format string, args ...interface{}) error {
 //
 // The in-adjacency mirror is stored even though it is derivable from
 // the out-CSR: rebuilding it is a random-write transpose that dominates
-// load time on multi-million-edge graphs, while decoding it is a
-// sequential read. Load attaches the arrays through graph.FromCSRArrays
+// load time on multi-million-edge graphs, while loading it costs one
+// read. The loaders attach the arrays through graph.FromCSRArrays
 // (bounds-checked; integrity is guarded by the checksum trailer), so
 // the loaded graph is bit-identical to the written one.
 const (
@@ -116,15 +118,14 @@ func Write(w io.Writer, s *Snapshot) error {
 		return fmt.Errorf("dataset: snapshot model built on a different graph")
 	}
 	bw := newBinWriter(w)
-	bw.write(snapshotMagic[:])
-	bw.u32(snapshotVersion)
-	bw.str(s.Name)
-	bw.bool(s.Directed)
-	bw.u32(uint32(s.ProbModel))
-	bw.i64(int64(s.PaperNodes))
-	bw.i64(int64(s.PaperEdges))
-
-	bw.i64(int64(s.Graph.NumNodes()))
+	bw.header(StreamHeader{
+		Name:       s.Name,
+		Directed:   s.Directed,
+		ProbModel:  s.ProbModel,
+		PaperNodes: s.PaperNodes,
+		PaperEdges: s.PaperEdges,
+		NumNodes:   int64(s.Graph.NumNodes()),
+	})
 	outOff, outTargets := s.Graph.CSR()
 	bw.i64Slice(outOff)
 	bw.i32Slice(outTargets)
@@ -148,88 +149,29 @@ func Write(w io.Writer, s *Snapshot) error {
 	return bw.trailer()
 }
 
-// Read decodes a snapshot written by Write. Any malformed input —
-// including a short read — yields an error wrapping ErrBadSnapshot.
+// header writes the fields that open every snapshot, magic through the
+// node count n; Write and NewSnapshotStreamer both start with it.
+func (b *binWriter) header(h StreamHeader) {
+	b.write(snapshotMagic[:])
+	b.u32(snapshotVersion)
+	b.str(h.Name)
+	b.bool(h.Directed)
+	b.u32(uint32(h.ProbModel))
+	b.i64(int64(h.PaperNodes))
+	b.i64(int64(h.PaperEdges))
+	b.i64(h.NumNodes)
+}
+
+// Read decodes a snapshot written by Write: it reads r to its end and
+// parses the image with parseMapped, the one decoder of the format.
+// Any malformed input — including a short read or bytes after the
+// trailer — yields an error wrapping ErrBadSnapshot.
 func Read(r io.Reader) (*Snapshot, error) {
-	br := newBinReader(r)
-	var magic [8]byte
-	if !br.read(magic[:]) {
-		return nil, badRead(br.err)
-	}
-	if magic != snapshotMagic {
-		return nil, errFormat("magic %q is not a snapshot header", magic[:])
-	}
-	if v := br.u32(); br.err == nil && v != snapshotVersion {
-		return nil, errFormat("unsupported version %d (have %d)", v, snapshotVersion)
-	}
-	s := &Snapshot{}
-	s.Name = br.str(maxNameLen)
-	s.Directed = br.bool()
-	s.ProbModel = gen.ProbModel(br.u32())
-	s.PaperNodes = int(br.i64())
-	s.PaperEdges = int(br.i64())
-
-	n := br.i64()
-	if br.err == nil && (n < 0 || n >= maxNodes) {
-		return nil, errFormat("node count %d out of range", n)
-	}
-	outOff := br.i64Slice(maxNodes + 1)
-	outTargets := br.i32Slice(maxEdges)
-	inOff := br.i64Slice(maxNodes + 1)
-	inSources := br.i32Slice(maxEdges)
-	inEdgeIDs := br.i32Slice(maxEdges)
-	if br.err != nil {
-		return nil, badRead(br.err)
-	}
-	g, err := graph.FromCSRArrays(int32(n), outOff, outTargets, inOff, inSources, inEdgeIDs)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, errFormat("invalid CSR: %v", err)
-	}
-	s.Graph = g
-
-	l := br.u32()
-	if br.err == nil && (l < 1 || l > maxTopics) {
-		return nil, errFormat("topic count %d out of range", l)
-	}
-	probs := make([][]float32, 0, l)
-	for z := uint32(0); z < l && br.err == nil; z++ {
-		pz := br.f32Slice(maxEdges)
-		if br.err == nil && int64(len(pz)) != g.NumEdges() {
-			return nil, errFormat("topic %d has %d probs, graph has %d edges", z, len(pz), g.NumEdges())
-		}
-		if err := checkProbs(z, pz); err != nil {
-			return nil, err
-		}
-		probs = append(probs, pz)
-	}
-	if br.err != nil {
-		return nil, badRead(br.err)
-	}
-	s.Model = topic.FromProbs(g, probs)
-
-	h := br.u32()
-	if br.err == nil && h > maxAds {
-		return nil, errFormat("ad count %d out of range", h)
-	}
-	if h > 0 {
-		s.Ads = make([]topic.Ad, 0, h)
-	}
-	for i := uint32(0); i < h && br.err == nil; i++ {
-		gamma := br.f64Slice(maxTopics)
-		if br.err == nil && uint32(len(gamma)) != l {
-			return nil, errFormat("ad %d has %d-topic gamma, model has %d", i, len(gamma), l)
-		}
-		cpe := br.f64()
-		budget := br.f64()
-		s.Ads = append(s.Ads, topic.Ad{ID: int(i), Gamma: gamma, CPE: cpe, Budget: budget})
-	}
-	if br.err != nil {
-		return nil, badRead(br.err)
-	}
-	if err := br.trailer(); err != nil {
 		return nil, badRead(err)
 	}
-	return s, nil
+	return parseMapped(data)
 }
 
 // checkProbs rejects a topic whose arc probabilities hold a NaN or a
@@ -313,10 +255,12 @@ func Save(path string, s *Snapshot) error {
 }
 
 // Load reads a snapshot from the named file. Gzip-compressed snapshots
-// are detected by magic and decompressed transparently. Plain files
-// have their trailer CRC verified with a streaming pass before any
-// parsing, so a truncated or bit-flipped multi-GB snapshot fails fast
-// instead of allocating graph-sized arrays first.
+// are detected by magic and decompressed whole through Read. A plain
+// file is first checked against its trailer CRC by verifyFileCRC, in
+// constant memory, so a truncated or bit-flipped multi-GB snapshot
+// fails before any image is allocated; only then is the file read into
+// one heap image (readImage) and parsed by parseMapped, whose bulk
+// arrays alias that image wherever they are aligned.
 func Load(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -331,34 +275,56 @@ func Load(path string) (*Snapshot, error) {
 		return nil, err
 	}
 	if hdr[0] == 0x1f && hdr[1] == 0x8b {
-		// Gzip hides the trailer offset; the decode pass itself verifies.
 		r, err := maybeGzip(f)
 		if err != nil {
 			return nil, errFormat("gzip header: %v", err)
 		}
 		return Read(r)
 	}
-	if err := verifyFileCRC(f); err != nil {
+	size, err := verifyFileCRC(f)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	img, err := readImage(f, size)
+	if err != nil {
 		return nil, err
 	}
-	return Read(bufio.NewReaderSize(f, 1<<20))
+	return parseMapped(img)
+}
+
+// readImage reads the size-byte snapshot file f into one heap buffer,
+// placed so that the first bulk array (outOff, 56+len(name) bytes in)
+// starts 8-byte aligned: the buffer is a []int64 and the image begins
+// pad bytes into it, pad taken from the u32 name length at byte 12.
+// With that placement outOff and every i32/f32 section alias the image;
+// only inOff, behind m i32 targets, can still land misaligned and be
+// copied.
+func readImage(f *os.File, size int64) ([]byte, error) {
+	var nameLen [4]byte
+	if _, err := f.ReadAt(nameLen[:], 12); err != nil {
+		return nil, badRead(err)
+	}
+	pad := int64(-binary.LittleEndian.Uint32(nameLen[:]) & 7)
+	img := i64Bytes(make([]int64, (pad+size+7)/8))[pad : pad+size]
+	if _, err := f.ReadAt(img, 0); err != nil {
+		return nil, badRead(err)
+	}
+	return img, nil
 }
 
 // verifyFileCRC streams the file once through a fixed 1MB buffer,
 // checking the trailing CRC-32C against everything before it — the
-// fail-fast integrity gate for uncompressed snapshot files. Memory use
-// is constant regardless of file size.
-func verifyFileCRC(f *os.File) error {
+// fail-fast integrity gate for uncompressed snapshot files — and
+// returns the file's size. Memory use is constant regardless of file
+// size.
+func verifyFileCRC(f *os.File) (int64, error) {
 	st, err := f.Stat()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	size := st.Size()
 	if size < int64(len(snapshotMagic))+4 {
-		return errFormat("file too small to be a snapshot (%d bytes)", size)
+		return 0, errFormat("file too small to be a snapshot (%d bytes)", size)
 	}
 	var crc uint32
 	buf := make([]byte, 1<<20)
@@ -368,19 +334,19 @@ func verifyFileCRC(f *os.File) error {
 			n = remain
 		}
 		if _, err := io.ReadFull(f, buf[:n]); err != nil {
-			return badRead(err)
+			return 0, badRead(err)
 		}
 		crc = crc32.Update(crc, crcTable, buf[:n])
 		remain -= n
 	}
 	var trailer [4]byte
 	if _, err := io.ReadFull(f, trailer[:]); err != nil {
-		return badRead(err)
+		return 0, badRead(err)
 	}
 	if stored := binary.LittleEndian.Uint32(trailer[:]); stored != crc {
-		return errFormat("checksum mismatch: stored %08x, computed %08x", stored, crc)
+		return 0, errFormat("checksum mismatch: stored %08x, computed %08x", stored, crc)
 	}
-	return nil
+	return size, nil
 }
 
 // IsSnapshot reports whether the named file begins with the snapshot

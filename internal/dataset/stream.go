@@ -86,19 +86,9 @@ func NewSnapshotStreamer(w io.Writer, hdr StreamHeader) (*SnapshotStreamer, erro
 		return nil, fmt.Errorf("dataset: topic count %d out of range", hdr.NumTopics)
 	}
 	st := &SnapshotStreamer{bw: newBinWriter(w), hdr: hdr}
-	bw := st.bw
-	bw.write(snapshotMagic[:])
-	bw.u32(snapshotVersion)
-	bw.str(hdr.Name)
-	bw.bool(hdr.Directed)
-	bw.u32(uint32(hdr.ProbModel))
-	bw.i64(int64(hdr.PaperNodes))
-	bw.i64(int64(hdr.PaperEdges))
-	bw.i64(hdr.NumNodes)
-	bw.u64(uint64(hdr.NumNodes + 1)) // outOff length prefix
-	if bw.err != nil {
-		st.err = bw.err
-	}
+	st.bw.header(hdr)
+	st.bw.u64(uint64(hdr.NumNodes + 1)) // outOff length prefix
+	st.err = st.bw.err
 	return st, nil
 }
 

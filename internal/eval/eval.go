@@ -3,9 +3,10 @@
 // presets, with a common independent Monte-Carlo evaluator so that all
 // algorithms are scored identically.
 //
-// The per-experiment index lives in DESIGN.md; each driver in this package
-// corresponds to one experiment ID (table1, table2, table3, fig1, fig2,
-// fig3, fig4, fig5a–d).
+// The per-experiment index is in README.md's Benchmarks section; each
+// driver in this package corresponds to one experiment ID (table1,
+// table2, table3, fig1, fig2, fig3, fig4, fig5a–d, frontier and the
+// ablations).
 package eval
 
 import (
